@@ -78,10 +78,14 @@ def _as_int(x, what):
     raise InputError(f"{what} must be an integer")
 
 
-def _int_vector(v, what):
+def _as_list(v, what):
     if not isinstance(v, (list, tuple)):
         raise InputError(f"{what} must be a list")
-    return tuple(_as_int(x, f"entry of {what}") for x in v)
+    return v
+
+
+def _int_vector(v, what):
+    return tuple(_as_int(x, f"entry of {what}") for x in _as_list(v, what))
 
 
 def _int_matrix(m, what):
@@ -108,12 +112,18 @@ def parse_fan(obj):
     normalized into rays and kept as the markers, with a warning for
     every vector that was not primitive."""
     rank = _as_int(_require(obj, "rank", "fan"), "fan rank")
-    rays = [_int_vector(r, "ray") for r in _require(obj, "rays", "fan")]
-    cones = [_int_vector(c, "cone") for c in _require(obj, "max_cones", "fan")]
+    rays = [_int_vector(r, "ray")
+            for r in _as_list(_require(obj, "rays", "fan"), "fan rays")]
+    cones = [_int_vector(c, "cone")
+             for c in _as_list(_require(obj, "max_cones", "fan"),
+                               "fan max_cones")]
+    marked = None
+    if "marked" in obj:
+        marked = [_int_vector(m, "marked generator")
+                  for m in _as_list(obj["marked"], "fan marked")]
     warnings = []
     try:
-        if "marked" in obj:
-            marked = [_int_vector(m, "marked generator") for m in obj["marked"]]
+        if marked is not None:
             fan = Fan(rays, cones, rank, marked_generators=marked)
         else:
             fan = Fan.from_generators(rays, cones, rank)
@@ -250,10 +260,9 @@ def _parse_bhk_input(payload):
                     "P entries")
     phases = []
     if payload.get("Q") is not None:
-        for row in _require(payload["Q"], "phases", "Q"):
-            if not isinstance(row, (list, tuple)):
-                raise InputError("phase must be a list")
-            phases.append(tuple(_fraction(x, "phase entry") for x in row))
+        for row in _as_list(_require(payload["Q"], "phases", "Q"), "Q phases"):
+            phases.append(tuple(_fraction(x, "phase entry")
+                                for x in _as_list(row, "phase")))
     return p, phases
 
 
@@ -310,7 +319,7 @@ def _parse_bundle_input(payload):
     basis = None
     if payload.get("basis_rays") is not None:
         basis = []
-        for el in payload["basis_rays"]:
+        for el in _as_list(payload["basis_rays"], "basis_rays"):
             if isinstance(el, (list, tuple)):
                 basis.append(_int_vector(el, "basis ray"))
             else:
@@ -345,11 +354,12 @@ def _cmd_section_polytope(request):
         poly = section_polytope(divisor)
     except ValueError as e:
         raise InputError(str(e))
+    points = poly.lattice_points()
     body = {
         "cartier": is_cartier(divisor) is not None,
         "vertices": [list(v) for v in poly.vertices],
-        "lattice_points": [list(p) for p in poly.lattice_points()],
-        "count": len(poly.lattice_points()),
+        "lattice_points": [list(p) for p in points],
+        "count": len(points),
         "warnings": list(warnings),
     }
     return ReportDocument(request.command, body, False)

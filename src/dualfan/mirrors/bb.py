@@ -12,7 +12,7 @@ from itertools import product
 
 from ..fans import Fan, is_dual_pair, relabel_fan
 from ..lattice import LatticeMap, int_inverse, kernel_basis, solve_integer
-from ..polyhedra import Cone, Polytope, dual_cone
+from ..polyhedra import Cone, Polytope, _dot, dual_cone
 from ..toric_lg import (
     AuxiliaryLG,
     Specialization,
@@ -24,10 +24,6 @@ from ..toric_lg import (
     split_bundle_fan,
 )
 from .report import MirrorReport
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _as_int_vec(v, what="point"):

@@ -7,8 +7,6 @@ of the ray lattice.  Two sign conventions for the fiber directions are
 exposed as separate entry points.
 """
 
-from fractions import Fraction
-
 from ..fans import Fan, is_complete, is_dual_pair, is_smooth
 from ..lattice import LatticeMap
 from ..polyhedra import Cone
@@ -23,17 +21,8 @@ from ..toric_lg import (
     section_polytope,
     split_bundle_fan,
 )
+from .bb import _as_int_vec
 from .report import MirrorReport
-
-
-def _as_int_vec(v, what="point"):
-    out = []
-    for x in v:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ValueError(f"{what} is not a lattice vector: {tuple(v)}")
-        out.append(int(f))
-    return tuple(out)
 
 
 def splitting_basis(fan, basis_rays=None):

@@ -413,49 +413,71 @@ class Polytope:
     def lattice_points(self):
         """All integer points, lexicographically sorted.
 
-        Depth-first sweep over the coordinates with interval pruning: a
-        partial assignment is abandoned as soon as some inequality can no
-        longer be satisfied anywhere over the remaining coordinate box.
+        Integer interval sweep over the coordinates, depth first.  Each
+        H-rep row is scaled once to an integer row a·m + ℓ ≥ 0, and
+        carries a running partial sum ℓ + Σ_{i<d} a_i·m_i down the sweep.
+        With the suffix bound R_d = Σ_{i>d} max(a_i·lo_i, a_i·hi_i) over
+        the vertex bounding box, a row admits exactly the values k of
+        coordinate d with sum + a_d·k + R_d ≥ 0: a floor or ceiling
+        division.  Intersecting these bounds gives one interval per
+        node, so no value outside it is tried; the last coordinate emits
+        its interval whole.  Values run upwards at every depth, which
+        makes the output lexicographic without sorting.
         """
         if not self.bounded:
             raise ValueError("unbounded")
         if not self.vertices:
             return []
         n = self.ambient_rank
+        if n == 0:
+            return [()]
         lo = []
         hi = []
         for i in range(n):
             coords = [v[i] for v in self.vertices]
             lo.append(-int(-min(coords) // 1))
             hi.append(int(max(coords) // 1))
+        rows = [_scale_constraint(a, off) for a, off in self.hrep]
+        sums = [row[n] for row in rows]
+        # bound[r][d]: the most that coordinates d.. can add to row r
+        bound = []
+        for row in rows:
+            tail = [0] * (n + 1)
+            for i in range(n - 1, -1, -1):
+                tail[i] = tail[i + 1] + max(row[i] * lo[i], row[i] * hi[i])
+            bound.append(tail)
+        if any(s + b[0] < 0 for s, b in zip(sums, bound)):
+            return []
+        # every node at depth d keeps sums[r] + bound[r][d] ≥ 0 for all
+        # rows, so a depth consults only the rows involving its coordinate
+        active = [
+            [(r, row[d], bound[r][d + 1])
+             for r, row in enumerate(rows) if row[d]]
+            for d in range(n)
+        ]
         out = []
-        hrep = [(tuple(a), off) for a, off in self.hrep]
 
-        def sweep(prefix):
-            d = len(prefix)
-            if d == n:
-                out.append(tuple(prefix))
+        def sweep(d, prefix):
+            first, last = lo[d], hi[d]
+            for r, c, rest in active[d]:
+                t = sums[r] + rest
+                if c > 0:
+                    first = max(first, -(t // c))
+                else:
+                    last = min(last, t // -c)
+            if d == n - 1:
+                out.extend(prefix + (k,) for k in range(first, last + 1))
                 return
-            for k in range(lo[d], hi[d] + 1):
-                prefix.append(k)
-                ok = True
-                for a, off in hrep:
-                    acc = off + sum(
-                        Fraction(c) * x for c, x in zip(a, prefix)
-                    )
-                    best = acc + sum(
-                        max(Fraction(a[i]) * lo[i], Fraction(a[i]) * hi[i])
-                        for i in range(d + 1, n)
-                    )
-                    if best < 0:
-                        ok = False
-                        break
-                if ok:
-                    sweep(prefix)
-                prefix.pop()
+            moved = [(r, c, sums[r]) for r, c, _ in active[d]]
+            for k in range(first, last + 1):
+                for r, c, s in moved:
+                    sums[r] = s + c * k
+                sweep(d + 1, prefix + (k,))
+            for r, _, s in moved:
+                sums[r] = s
 
-        sweep([])
-        return sorted(out)
+        sweep(0, ())
+        return out
 
     def polar(self) -> "Polytope":
         """{n : ⟨m,n⟩ ≥ −1 for every m here}; an involution."""

@@ -15,12 +15,8 @@ from itertools import combinations
 
 from .fans import Fan, is_complete, is_dual_pair, relabel_fan
 from .lattice import LatticeMap, int_inverse, snf, solve_integer
-from .polyhedra import Polytope, primitive_vector
+from .polyhedra import Polytope, _dot, primitive_vector
 from .symbols import ParamPoly, Potential
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 class ToricDivisor:

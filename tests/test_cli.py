@@ -14,6 +14,7 @@ import pytest
 
 from dualfan.cli import canonical_json, emit_fan, main, parse_fan
 from dualfan.fans import Fan, projective_space_fan
+from dualfan.polyhedra import Polytope
 
 ORTHANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
 LINE = {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
@@ -205,6 +206,24 @@ def test_section_polytope_command(capsys, monkeypatch):
     assert body["vertices"] == [[0, 0], [0, 1], [1, 0]]
 
 
+def test_section_polytope_enumerates_once(capsys, monkeypatch):
+    calls = []
+    enumerate_points = Polytope.lattice_points
+
+    def counted(poly):
+        calls.append(poly)
+        return enumerate_points(poly)
+
+    monkeypatch.setattr(Polytope, "lattice_points", counted)
+    for coeffs in ([0, 0, 1], [2, 1, 3]):
+        calls.clear()
+        job = {"fan": PLANE, "divisor": {"coeffs": coeffs}}
+        code, body, _ = run(capsys, ["section-polytope"], job, monkeypatch)
+        assert code == 0
+        assert body["count"] == len(body["lattice_points"])
+        assert len(calls) == 1
+
+
 def test_section_polytope_needs_a_complete_fan(capsys, monkeypatch):
     job = {"fan": ORTHANT, "divisor": {"coeffs": [0, 0]}}
     code, body, err = run(capsys, ["section-polytope"], job, monkeypatch)
@@ -244,6 +263,24 @@ def test_missing_field_is_exit_2(capsys, monkeypatch):
     code, body, err = run(capsys, ["bhk"], {"Q": {"phases": []}}, monkeypatch)
     assert code == 2
     assert "missing the field 'P'" in err
+
+
+@pytest.mark.parametrize("command, job, message", [
+    ("fan-validate", {"fan": dict(LINE, rays=5)}, "fan rays must be a list"),
+    ("fan-validate", {"fan": dict(LINE, max_cones=5)},
+     "fan max_cones must be a list"),
+    ("fan-validate", {"fan": dict(LINE, marked=7)},
+     "fan marked must be a list"),
+    ("bhk", {"P": {"entries": [[3, 0], [0, 3]]}, "Q": {"phases": 5}},
+     "Q phases must be a list"),
+    ("givental", {"fan": LINE, "bundles": [{"coeffs": [0, 2]}],
+                  "basis_rays": 5}, "basis_rays must be a list"),
+])
+def test_non_list_field_is_exit_2(capsys, monkeypatch, command, job, message):
+    code, body, err = run(capsys, [command], job, monkeypatch)
+    assert code == 2
+    assert body is None
+    assert err == f"error: {message}\n"
 
 
 def test_missing_file_is_exit_2(capsys):

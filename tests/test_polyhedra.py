@@ -2,14 +2,14 @@
 
 The double description output is checked pointwise against a
 Caratheodory-style conic membership solver, and lattice point
-enumeration against a plain numpy grid scan.  Neither oracle shares
-code with the implementation.
+enumeration against a plain numpy grid scan and an exact box scan.
+No oracle shares code with the implementation.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, floor
 
 import numpy as np
 import pytest
@@ -229,6 +229,100 @@ def test_lattice_points_match_grid_scan():
         ]
         p = Polytope.from_vertices(verts)
         assert p.lattice_points() == grid_scan(p)
+
+
+def box_scan(box, inequalities):
+    """Integer points of a box satisfying every a·m + ℓ ≥ 0, tested one
+    by one in exact arithmetic; product() yields them lexicographically."""
+    return [
+        m
+        for m in product(*(range(a, b + 1) for a, b in box))
+        if all(
+            sum(F(c) * x for c, x in zip(a, m)) + F(off) >= 0
+            for a, off in inequalities
+        )
+    ]
+
+
+def vertex_box(poly):
+    """A box around the vertices with a margin of one on every side."""
+    return [
+        (floor(min(v[i] for v in poly.vertices)) - 1,
+         floor(max(v[i] for v in poly.vertices)) + 1)
+        for i in range(poly.ambient_rank)
+    ]
+
+
+def random_fraction(rng, bound):
+    q = rng.choice([1, 2, 3, 4, 5])
+    return F(rng.randint(-bound * q, bound * q), q)
+
+
+def assert_sweep_matches(points, expected):
+    assert points == expected
+    assert all(p < q for p, q in zip(points, points[1:]))
+
+
+def test_lattice_points_match_box_scan_on_fractional_vertices():
+    rng = random.Random(20150119)
+    for rank in range(5):
+        bound = 6 if rank < 3 else 3
+        for _ in range(16):
+            # one to six points, so segments, flat and full polytopes mix
+            verts = [
+                tuple(random_fraction(rng, bound) for _ in range(rank))
+                for _ in range(rng.randrange(1, 7))
+            ]
+            p = Polytope.from_vertices(verts, rank)
+            assert_sweep_matches(
+                p.lattice_points(), box_scan(vertex_box(p), p.hrep))
+
+
+def test_lattice_points_match_box_scan_on_fractional_hrep():
+    rng = random.Random(4713)
+    for rank in range(5):
+        bound = 6 if rank < 3 else 3
+        for _ in range(16):
+            box = [(-rng.randint(0, bound), rng.randint(0, bound))
+                   for _ in range(rank)]
+            pairs = []
+            for i, (a, b) in enumerate(box):
+                unit = tuple(int(j == i) for j in range(rank))
+                pairs.append((unit, -a + F(rng.randrange(3), 3)))
+                pairs.append((tuple(-x for x in unit),
+                              b - F(rng.randrange(3), 3)))
+            for _ in range(rng.randrange(4)):
+                a = tuple(rng.randint(-3, 3) for _ in range(rank))
+                pairs.append((a, random_fraction(rng, 2)))
+            if rank and rng.random() < 0.25:
+                # a hyperplane slice, often without lattice points
+                a, off = pairs[-1]
+                pairs.append((tuple(-x for x in a), -off))
+            p = Polytope.from_hrep(pairs, rank)
+            expected = box_scan(box, pairs)
+            if p.is_empty():
+                # an empty polytope counts as unbounded and has no points
+                assert expected == []
+                continue
+            assert_sweep_matches(p.lattice_points(), expected)
+
+
+def test_lattice_points_on_points_slices_and_rank_zero():
+    assert Polytope.from_vertices([()], 0).lattice_points() == [()]
+    assert Polytope.from_hrep([], 0).lattice_points() == [()]
+    assert Polytope.from_vertices([(3, -2, 5)]).lattice_points() == [(3, -2, 5)]
+    assert Polytope.from_vertices([(F(1, 2), 4)]).lattice_points() == []
+    # the line y = x + 1/2 crosses a nonempty box and misses the lattice
+    slant = Polytope.from_vertices([(0, F(1, 2)), (1, F(3, 2))])
+    assert slant.lattice_points() == []
+    # x + y + z = 7/2 cut out of a cube by a pair of opposite rows
+    cube = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+            ((-1, 0, 0), 3), ((0, -1, 0), 3), ((0, 0, -1), 3)]
+    half = cube + [((1, 1, 1), F(-7, 2)), ((-1, -1, -1), F(7, 2))]
+    assert Polytope.from_hrep(half, 3).lattice_points() == []
+    whole = cube + [((1, 1, 1), -4), ((-1, -1, -1), 4)]
+    points = Polytope.from_hrep(whole, 3).lattice_points()
+    assert points == [m for m in product(range(4), repeat=3) if sum(m) == 4]
 
 
 def test_lattice_points_reject_unbounded():
