@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .groups import FiniteAbelianGroup
 from .lattice import LatticeMap, int_inverse, snf
-from .polyhedra import Cone, primitive_vector
+from .polyhedra import Cone, _dot, primitive_vector
 
 
 class FanValidation:
@@ -184,9 +184,8 @@ def k_cones(f: Fan, k):
     """All k-dimensional cones of the fan, deduplicated and sorted."""
     out = {}
     for cone in f.cones:
-        for face in cone.all_faces():
-            if face.dim == k:
-                out.setdefault(face.generators, face)
+        for face in cone.faces(k):
+            out.setdefault(face.generators, face)
     return [out[key] for key in sorted(out)]
 
 
@@ -209,19 +208,20 @@ def is_dual_pair(s: Fan, s_prime: Fan) -> DualFanReport:
 
 
 def is_complete(f: Fan) -> bool:
-    """Facet census: complete iff the support has no boundary.
+    """Wall census: complete iff the support has no boundary.
 
-    Requires a valid fan.  Every maximal cone must be full dimensional
-    and every facet of a maximal cone must lie in exactly two of them.
+    Every maximal cone must be strongly convex and full dimensional, and
+    each facet, the rays on which one facet normal vanishes, must lie in
+    exactly two of them.  Meaningful for a valid fan; never raises.
     """
-    if not f.cones:
-        return False
-    if any(c.dim != f.lattice_rank for c in f.cones):
+    if not f.cones or any(
+        c.dim != f.lattice_rank or not c.is_strongly_convex() for c in f.cones
+    ):
         return False
     for cone in f.cones:
-        for facet in cone.faces(f.lattice_rank - 1):
-            owners = sum(1 for c in f.cones if c.contains_cone(facet))
-            if owners != 2:
+        for normal in cone.facet_normals:
+            wall = [r for r in cone.extreme_rays if _dot(normal, r) == 0]
+            if sum(all(map(c.contains_vector, wall)) for c in f.cones) != 2:
                 return False
     return True
 
@@ -248,7 +248,6 @@ def quotient_fan(f: Fan, q: LatticeMap):
     """
     if q.cols != f.lattice_rank:
         raise ValueError("map does not start at the fan's lattice")
-    target = q.rows
 
     new_rays = []
     new_marked = []
@@ -280,20 +279,29 @@ def quotient_fan(f: Fan, q: LatticeMap):
                 sorted({ray_image[i] for i in ixs if ray_image[i] is not None})
             )
         )
-    image = Fan(new_rays, image_cones, target, new_marked)
+    image = Fan(new_rays, image_cones, q.rows, new_marked)
 
     check = validate_fan(image)
     if not check.ok:
         raise ValueError(f"quotient not a fan: {check.diagnostics[0]}")
-    # the full image set {q(τ) : τ a face} must be closed under faces too
+    # the image set {q(τ) : τ a face} must be closed under faces too: pushed
+    # rays span a face of the pointed image iff their closure adds no ray
     for src, img in zip(f.cones, image.cones):
-        for face in src.all_faces():
-            pushed = Cone([q @ g for g in face.generators], target)
-            if not pushed.is_face_of(img):
-                raise ValueError(
-                    "quotient not a fan: a face image is not a face "
-                    f"of its cone image ({[list(g) for g in face.generators]})"
-                )
+        rays = src.extreme_rays
+        pushed = [primitive_vector(q @ r) for r in rays]
+        bad = []
+        for key in src._face_index_sets():
+            face = {pushed[i] for i in key}
+            if not face.issuperset(img._closure(face)):
+                bad.append([rays[i] for i in sorted(key)])
+        if bad:  # name the failing face that comes first in all_faces
+            _, gens = min(
+                (LatticeMap.from_rows(g, ncols=q.cols).rank(), g) for g in bad
+            )
+            raise ValueError(
+                "quotient not a fan: a face image is not a face "
+                f"of its cone image ({[list(g) for g in gens]})"
+            )
 
     dec = snf(q)
     k_rank = q.rows - dec.rank

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import lcm, prod
 
 from .lattice import (
     LatticeMap,
@@ -32,16 +32,8 @@ def normalize_phase(q):
     return tuple(_frac(x) % 1 for x in q)
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def _common_denominator(vectors):
-    ell = 1
-    for v in vectors:
-        for x in v:
-            ell = _lcm(ell, _frac(x).denominator)
-    return ell
+    return lcm(*(_frac(x).denominator for v in vectors for x in v))
 
 
 def _scaled_lattice_basis(phase_vectors, ambient_rank, ell):
@@ -147,7 +139,7 @@ class FiniteAbelianGroup:
         q = normalize_phase(phase)
         if len(q) != self.ambient_rank:
             raise ValueError("phase vector has wrong length")
-        ell = _lcm(_common_denominator(self.lifts), _common_denominator([q]))
+        ell = _common_denominator(self.lifts + (q,))
         basis = _scaled_lattice_basis(self.lifts, self.ambient_rank, ell)
         target = tuple(int(x * ell) for x in q)
         return solve_integer(basis, target) is not None
@@ -183,9 +175,7 @@ class FiniteAbelianGroup:
         # None when sub is not contained in self.
         if sub.ambient_rank != self.ambient_rank:
             return None
-        ell = _lcm(
-            _common_denominator(self.lifts), _common_denominator(sub.lifts)
-        )
+        ell = _common_denominator(self.lifts + sub.lifts)
         b_big = _scaled_lattice_basis(self.lifts, self.ambient_rank, ell)
         b_sub = _scaled_lattice_basis(sub.lifts, self.ambient_rank, ell)
         return solve_integer_matrix(b_big, b_sub)

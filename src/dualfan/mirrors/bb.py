@@ -12,7 +12,7 @@ from itertools import product
 
 from ..fans import Fan, is_dual_pair, relabel_fan
 from ..lattice import LatticeMap, int_inverse, kernel_basis, solve_integer
-from ..polyhedra import Cone, Polytope, _dot, dual_cone
+from ..polyhedra import Cone, Polytope, _dot
 from ..toric_lg import (
     AuxiliaryLG,
     Specialization,
@@ -144,7 +144,7 @@ def is_reflexive(cone, height_bound=3) -> ReflexiveReport:
     if not cone.is_strongly_convex() or cone.dim != cone.ambient_rank:
         raise ValueError("reflexivity needs a full-dimensional pointed cone")
     return ReflexiveReport(is_gorenstein(cone, height_bound),
-                           is_gorenstein(dual_cone(cone), height_bound))
+                           is_gorenstein(cone.dual(), height_bound))
 
 
 def support_partition(cone, functionals):
@@ -341,7 +341,7 @@ def bb_mirror_pair(generators, splitting, dual_splitting=None,
         if not k.contains_vector(e):
             raise ValueError(f"splitting point {e} is outside the cone")
 
-    k_dual = dual_cone(k)
+    k_dual = k.dual()
     if dual_splitting is None:
         dual_list = dual_splittings(k_dual, ell_dual, e_list)[0]
     else:

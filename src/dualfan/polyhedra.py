@@ -202,61 +202,61 @@ class Cone:
             self.ambient_rank,
         )
 
-    def minimal_face_containing(self, vectors) -> "Cone":
-        """Smallest face whose span admits all the given cone members."""
+    def _closure(self, vectors):
+        """Generators of the smallest face whose span admits the vectors."""
         tight = [
             n
             for n in self.facet_normals
             if all(_dot(n, v) == 0 for v in vectors)
         ]
-        gens = [
+        return [
             g for g in self.generators if all(_dot(n, g) == 0 for n in tight)
         ]
-        return Cone(gens, self.ambient_rank)
+
+    def minimal_face_containing(self, vectors) -> "Cone":
+        """Smallest face whose span admits all the given cone members."""
+        return Cone(self._closure(vectors), self.ambient_rank)
 
     def ray_generator(self):
         if self.dim != 1 or not self.is_strongly_convex():
             raise ValueError("not a ray")
         return self._rays[0]
 
-    def canonical_key(self):
-        if not self.is_strongly_convex():
-            raise ValueError("has lineality")
-        return self._rays
+    def _face_index_sets(self):
+        """Every face as a frozenset of indices into `extreme_rays`.
 
-    def all_faces(self):
-        """Every face, keyed by its set of extreme rays.
-
-        Requires strong convexity; faces are intersections of facets, so
-        a breadth-first closure over single-facet cuts finds them all.
+        Requires strong convexity.  Faces are the intersections of facets,
+        so cutting every face found so far by each facet in turn finds all.
         """
         if not self.is_strongly_convex():
             raise ValueError("has lineality")
         rays = self._rays
-        seen = {frozenset(range(len(rays)))}
-        frontier = [frozenset(range(len(rays)))]
-        while frontier:
-            cur = frontier.pop()
-            for n in self.facet_normals:
-                child = frozenset(
-                    i for i in cur if _dot(n, rays[i]) == 0
-                )
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        faces = [
-            Cone([rays[i] for i in key], self.ambient_rank) for key in seen
-        ]
-        faces.sort(key=lambda f: (f.dim, f.generators))
+        faces = {frozenset(range(len(rays)))}
+        for n in self.facet_normals:
+            faces |= {
+                frozenset(i for i in face if _dot(n, rays[i]) == 0)
+                for face in faces
+            }
         return faces
+
+    def all_faces(self):
+        """Every face as a Cone, sorted by (dim, generators)."""
+        rays = self._rays
+        faces = [
+            Cone([rays[i] for i in key], self.ambient_rank)
+            for key in self._face_index_sets()
+        ]
+        return sorted(faces, key=lambda f: (f.dim, f.generators))
 
     def faces(self, k):
         return [f for f in self.all_faces() if f.dim == k]
 
     def is_face_of(self, other) -> bool:
-        if not other.contains_cone(self):
-            return False
-        return other.minimal_face_containing(self.generators) == self
+        """Whether `other` contains this cone and the smallest face of
+        `other` containing it (never smaller) lies back inside it."""
+        return other.contains_cone(self) and all(
+            map(self.contains_vector, other._closure(self.generators))
+        )
 
     def __eq__(self, other):
         return (
@@ -274,23 +274,14 @@ class Cone:
         return f"Cone({[list(g) for g in self.generators]!r}, {self.ambient_rank})"
 
 
-def dual_cone(c: Cone) -> Cone:
-    return c.dual()
-
-
 def _as_fraction_vector(v):
     return tuple(Fraction(x) for x in v)
 
 
-def _lift_point(v):
-    """Primitive integer lift (v·d, d) of a rational point."""
-    fracs = _as_fraction_vector(v)
-    d = lcm(*(x.denominator for x in fracs)) if fracs else 1
-    return primitive_vector(tuple(int(x * d) for x in fracs) + (d,))
-
-
-def _scale_constraint(normal, offset):
-    fracs = tuple(Fraction(x) for x in normal) + (Fraction(offset),)
+def _primitive_lift(vector, last):
+    """Primitive integer vector along the rational vector (vector, last):
+    a point lifted to height one, or an H-rep row a·m + ℓ ≥ 0."""
+    fracs = tuple(Fraction(x) for x in vector) + (Fraction(last),)
     d = lcm(*(x.denominator for x in fracs))
     return primitive_vector(tuple(int(x * d) for x in fracs))
 
@@ -335,12 +326,12 @@ class Polytope:
             ambient_rank = len(points[0])
         if any(len(p) != ambient_rank for p in points):
             raise ValueError("point has wrong length")
-        cone = Cone([_lift_point(p) for p in points], ambient_rank + 1)
+        cone = Cone([_primitive_lift(p, 1) for p in points], ambient_rank + 1)
         return cls._from_homogenization(cone, ambient_rank)
 
     @classmethod
     def from_hrep(cls, pairs, ambient_rank):
-        rows = [_scale_constraint(a, off) for a, off in pairs]
+        rows = [_primitive_lift(a, off) for a, off in pairs]
         rows.append(tuple(0 for _ in range(ambient_rank)) + (1,))
         rays, lin = _double_description(rows, ambient_rank + 1)
         cone = Cone(_with_flips(rays, lin), ambient_rank + 1)
@@ -365,7 +356,7 @@ class Polytope:
             if not any(a):
                 continue  # vacuous height constraints like t ≥ 0
             hrep.append((a, Fraction(off)))
-        bounded = not recession and not lineality and bool(verts)
+        bounded = not recession and not lineality
         return cls(
             ambient_rank=ambient_rank,
             vertices=tuple(sorted(verts)),
@@ -437,7 +428,7 @@ class Polytope:
             coords = [v[i] for v in self.vertices]
             lo.append(-int(-min(coords) // 1))
             hi.append(int(max(coords) // 1))
-        rows = [_scale_constraint(a, off) for a, off in self.hrep]
+        rows = [_primitive_lift(a, off) for a, off in self.hrep]
         sums = [row[n] for row in rows]
         # bound[r][d]: the most that coordinates d.. can add to row r
         bound = []

@@ -48,7 +48,7 @@ from dualfan.mirrors import (
     quintic_pipeline,
     verify_bhk_criterion,
 )
-from dualfan.polyhedra import Cone, Polytope, dual_cone
+from dualfan.polyhedra import Cone, Polytope
 from dualfan.toric_lg import (
     ToricDivisor,
     is_regular_character,
@@ -328,11 +328,11 @@ def _suite_dual_cones(rng):
                               for _ in range(rng.randint(1, 6)))
                     if any(g)]
         cone = Cone(gens, r)
-        dual = dual_cone(cone)
+        dual = cone.dual()
         for y in itertools.product(range(-2, 3), repeat=r):
             direct = all(sum(a * b for a, b in zip(y, g)) >= 0 for g in gens)
             assert dual.contains_vector(y) == direct
-        assert dual_cone(dual) == cone
+        assert dual.dual() == cone
     return 500
 
 

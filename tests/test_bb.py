@@ -2,7 +2,7 @@
 
 import pytest
 
-from dualfan.polyhedra import Cone, dual_cone
+from dualfan.polyhedra import Cone
 from dualfan.mirrors import (
     bb_mirror_pair,
     dual_splittings,
@@ -102,20 +102,20 @@ def test_support_partition_rejects_bad_functionals():
 
 def test_dual_splittings_index_one_is_forced():
     k = Cone(P2_GENS, 3)
-    choices = dual_splittings(dual_cone(k), (0, 0, 1), P2_SPLIT)
+    choices = dual_splittings(k.dual(), (0, 0, 1), P2_SPLIT)
     assert choices == (((0, 0, 1),),)
 
 
 def test_dual_splittings_square():
     k = Cone(SQ_GENS, 4)
-    choices = dual_splittings(dual_cone(k), (0, 0, 1, 1), SQ_SPLIT)
+    choices = dual_splittings(k.dual(), (0, 0, 1, 1), SQ_SPLIT)
     assert choices == (((0, 0, 1, 0), (0, 0, 0, 1)),)
 
 
 def test_dual_splittings_unreachable_sum():
     k = Cone(P2_GENS, 3)
     with pytest.raises(ValueError, match="no dual splitting"):
-        dual_splittings(dual_cone(k), (5, 5, 1), P2_SPLIT)
+        dual_splittings(k.dual(), (5, 5, 1), P2_SPLIT)
 
 
 def test_pair_p2_anticanonical():

@@ -112,6 +112,16 @@ def test_fan_validate_reports_overlap(capsys, monkeypatch):
     assert any("not a common face" in d for d in body["diagnostics"])
 
 
+def test_fan_validate_reports_a_cone_with_a_line(capsys, monkeypatch):
+    wide = {"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]],
+            "max_cones": [[0, 1, 2]]}
+    code, body, err = run(capsys, ["fan-validate"], {"fan": wide},
+                          monkeypatch)
+    assert code == 1 and err == ""
+    assert body["ok"] is False and body["complete"] is False
+    assert body["diagnostics"] == ["cone [0, 1, 2] is not strongly convex"]
+
+
 def test_bhk_command_emits_report_and_groups(capsys, monkeypatch):
     job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
            "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
@@ -222,6 +232,14 @@ def test_section_polytope_enumerates_once(capsys, monkeypatch):
         assert code == 0
         assert body["count"] == len(body["lattice_points"])
         assert len(calls) == 1
+
+
+def test_section_polytope_without_sections_counts_zero(capsys, monkeypatch):
+    job = {"fan": PLANE, "divisor": {"coeffs": [-1, 0, 0]}}
+    code, body, _ = run(capsys, ["section-polytope"], job, monkeypatch)
+    assert code == 0
+    assert body["count"] == 0
+    assert body["lattice_points"] == [] and body["vertices"] == []
 
 
 def test_section_polytope_needs_a_complete_fan(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for fan validity, duality, predicates, and quotients."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from dualfan.fans import (
     validate_fan,
 )
 from dualfan.lattice import LatticeMap
-from dualfan.polyhedra import Polytope
+from dualfan.polyhedra import Polytope, primitive_vector
 
 
 def test_fan_constructor_validation():
@@ -150,6 +151,57 @@ def test_complete_fan_euler_census():
         assert incidences == 2 * walls
 
 
+def complete_by_facet_census(f):
+    """The earlier definition of is_complete, kept as the oracle."""
+    if not f.cones or any(c.dim != f.lattice_rank for c in f.cones):
+        return False
+    return all(
+        sum(1 for c in f.cones if c.contains_cone(facet)) == 2
+        for cone in f.cones
+        for facet in cone.faces(f.lattice_rank - 1)
+    )
+
+
+def random_polygon_fan(rng):
+    """Complete fan over random primitive rays taken counterclockwise."""
+    while True:
+        rays = {
+            primitive_vector((rng.randint(-4, 4), rng.randint(-4, 4)))
+            for _ in range(rng.randrange(3, 9))
+        }
+        rays = sorted(
+            (r for r in rays if any(r)), key=lambda r: math.atan2(r[1], r[0])
+        )
+        turns = zip(rays, rays[1:] + rays[:1])
+        if len(rays) >= 3 and all(
+            a[0] * b[1] - a[1] * b[0] > 0 for a, b in turns
+        ):
+            return rays, [(i, (i + 1) % len(rays)) for i in range(len(rays))]
+
+
+def test_is_complete_matches_the_facet_census():
+    rng = random.Random(31337)
+    outcomes = []
+    for _ in range(40):
+        rays, cones = random_polygon_fan(rng)
+        dropped = rng.sample(cones, len(cones) - rng.randrange(1, 3))
+        for f in (Fan(rays, cones, 2), Fan(rays, dropped, 2)):
+            assert validate_fan(f).ok
+            expected = complete_by_facet_census(f)
+            assert is_complete(f) == expected
+            outcomes.append(expected)
+    assert outcomes.count(True) == outcomes.count(False) == 40
+
+
+def test_is_complete_is_false_on_a_cone_with_a_line():
+    wide = Fan([(1, 0), (-1, 0), (0, 1)], [(0, 1, 2)], 2)
+    assert not validate_fan(wide).ok
+    assert is_complete(wide) is False
+    # two half-planes cover the plane, yet neither is strongly convex
+    halves = Fan([(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 1, 2), (0, 1, 3)], 2)
+    assert is_complete(halves) is False
+
+
 def test_smoothness():
     assert is_smooth(projective_space_fan(2))
     assert not is_smooth(Fan([(1, 0), (1, 2)], [(0, 1)], 2))
@@ -190,6 +242,18 @@ def test_quotient_validates_image():
     project = LatticeMap([[1, 0]])
     with pytest.raises(ValueError, match="quotient not a fan"):
         quotient_fan(f, project)
+
+
+def test_quotient_rejects_a_face_image_that_is_not_a_face():
+    # the image cone is the positive quadrant, a valid fan, but the third
+    # ray lands on (1, 1) in its interior
+    f = Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)], 3)
+    with pytest.raises(ValueError) as err:
+        quotient_fan(f, LatticeMap([[1, 0, 1], [0, 1, 1]]))
+    assert str(err.value) == (
+        "quotient not a fan: a face image is not a face of its cone image "
+        "([[0, 0, 1]])"
+    )
 
 
 def test_quotient_group_order_matches_determinant():

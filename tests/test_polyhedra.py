@@ -3,10 +3,12 @@
 The double description output is checked pointwise against a
 Caratheodory-style conic membership solver, and lattice point
 enumeration against a plain numpy grid scan and an exact box scan.
-No oracle shares code with the implementation.
+No oracle shares code with the implementation, except that `is_face_of`
+is also checked against its earlier definition through Cone methods.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, floor
@@ -14,7 +16,7 @@ from math import comb, floor
 import numpy as np
 import pytest
 
-from dualfan.polyhedra import Cone, Polytope, dual_cone, primitive_vector
+from dualfan.polyhedra import Cone, Polytope, primitive_vector
 
 F = Fraction
 
@@ -85,19 +87,19 @@ def grid_scan(poly):
 def test_orthant_is_self_dual():
     o = Cone([(1, 0), (0, 1)], 2)
     assert o.generators == ((0, 1), (1, 0))
-    assert dual_cone(o).generators == o.generators
+    assert o.dual().generators == o.generators
 
 
 def test_dual_of_slanted_cone():
     c = Cone([(1, 0), (1, 2)], 2)
-    assert set(dual_cone(c).generators) == {(0, 1), (2, -1)}
-    assert dual_cone(dual_cone(c)) == c
+    assert set(c.dual().generators) == {(0, 1), (2, -1)}
+    assert c.dual().dual() == c
 
 
 def test_dual_of_origin_is_everything():
     z = Cone([], 2)
     assert z.dim == 0
-    full = dual_cone(z)
+    full = z.dual()
     assert full.lineality_rank == 2
     assert set(full.generators) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
@@ -170,14 +172,14 @@ def test_double_description_against_membership_oracle():
             by_vrep = in_cone_brute(y, c.generators, rank)
             assert by_hrep == by_vrep
         # dual cone against the oracle on the original generators
-        d = dual_cone(c)
+        d = c.dual()
         for _ in range(25):
             y = tuple(rng.randint(-2, 2) for _ in range(rank))
             in_dual = all(
                 sum(a * b for a, b in zip(y, g)) >= 0 for g in c.generators
             )
             assert in_dual == in_cone_brute(y, d.generators, rank)
-        assert dual_cone(d) == c
+        assert d.dual() == c
 
 
 def test_intersection_and_faces():
@@ -188,6 +190,62 @@ def test_intersection_and_faces():
     assert meet.is_face_of(a) and meet.is_face_of(b)
     overlap = Cone([(1, 0), (0, 1)], 2).intersection(Cone([(1, 1), (1, -1)], 2))
     assert not overlap.is_face_of(Cone([(1, 1), (1, -1)], 2))
+
+
+def face_by_minimal_face(a, b):
+    """The earlier definition of is_face_of, kept as the oracle."""
+    return b.contains_cone(a) and b.minimal_face_containing(a.generators) == a
+
+
+def random_cone(rng, rank):
+    """Simplicial, non-simplicial, lower-dimensional or with a line."""
+    kind = rng.randrange(4)
+    count = rank if kind == 0 else rng.randrange(1, rank + 4)
+    gens = [
+        tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)
+    ]
+    if kind == 1:  # over a polytope at positive height: pointed
+        gens = [g[:-1] + (rng.randint(1, 3),) for g in gens]
+    if kind == 2:  # inside the hyperplane x_0 = 0
+        gens = [(0,) + g[1:] for g in gens]
+    if kind == 3:  # a line through the first generator
+        gens.append(tuple(-x for x in gens[0]))
+    return Cone(gens, rank)
+
+
+def test_is_face_of_matches_the_minimal_face_definition():
+    rng = random.Random(52609)
+    outcomes = Counter()
+    for _ in range(120):
+        rank = rng.randrange(2, 5)
+        b = random_cone(rng, rank)
+        gens = list(b.generators)
+        candidates = [
+            b,
+            Cone([], rank),
+            b.intersection(random_cone(rng, rank)),
+            Cone(rng.sample(gens, rng.randrange(len(gens) + 1)), rank),
+            b.minimal_face_containing(rng.sample(gens, min(2, len(gens)))),
+            # a sub-cone through nonnegative combinations of generators
+            Cone(
+                [
+                    tuple(
+                        sum(rng.randrange(3) * g[i] for g in gens)
+                        for i in range(rank)
+                    )
+                    for _ in range(rng.randrange(1, 3))
+                ],
+                rank,
+            ),
+        ]
+        if b.is_strongly_convex():
+            faces = b.all_faces()
+            candidates += rng.sample(faces, min(2, len(faces)))
+        for a in candidates:
+            expected = face_by_minimal_face(a, b)
+            assert a.is_face_of(b) == expected, (a, b)
+            outcomes[expected] += 1
+    assert outcomes[True] > 200 and outcomes[False] > 100
 
 
 def test_cone_equality_is_geometric():
@@ -301,8 +359,8 @@ def test_lattice_points_match_box_scan_on_fractional_hrep():
             p = Polytope.from_hrep(pairs, rank)
             expected = box_scan(box, pairs)
             if p.is_empty():
-                # an empty polytope counts as unbounded and has no points
                 assert expected == []
+                assert p.lattice_points() == []
                 continue
             assert_sweep_matches(p.lattice_points(), expected)
 
