@@ -14,6 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
+from ._value import Value
 from .fans import Fan, is_complete, is_dual_pair, is_smooth, validate_fan
 from .mirrors import (
     bb_mirror_pair,
@@ -195,7 +196,7 @@ def _mirror_json(rep):
     }
 
 
-class JobRequest:
+class JobRequest(Value):
     """One parsed command invocation."""
 
     __slots__ = ("command", "payload", "height_bound")
@@ -205,11 +206,8 @@ class JobRequest:
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "height_bound", int(height_bound))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("JobRequest is immutable")
 
-
-class ReportDocument:
+class ReportDocument(Value):
     """A command's output, ready to serialize; `failed` drives exit 1."""
 
     __slots__ = ("command", "body", "failed")
@@ -218,9 +216,6 @@ class ReportDocument:
         object.__setattr__(self, "command", str(command))
         object.__setattr__(self, "body", dict(body))
         object.__setattr__(self, "failed", bool(failed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReportDocument is immutable")
 
     def to_json(self) -> str:
         doc = {"schema_version": SCHEMA_VERSION, "command": self.command}

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._value import Value
 from .groups import FiniteAbelianGroup
 from .lattice import LatticeMap, int_inverse, snf
 from .polyhedra import Cone, _dot, primitive_vector
 
 
-class FanValidation:
+class FanValidation(Value):
     """Verdict plus human-readable diagnostics for fan validity."""
 
     __slots__ = ("ok", "diagnostics")
@@ -25,9 +26,6 @@ class FanValidation:
         object.__setattr__(self, "ok", bool(ok))
         object.__setattr__(self, "diagnostics", tuple(diagnostics))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FanValidation is immutable")
-
     def __bool__(self):
         return self.ok
 
@@ -35,7 +33,7 @@ class FanValidation:
         return f"FanValidation(ok={self.ok}, diagnostics={list(self.diagnostics)!r})"
 
 
-class DualFanReport:
+class DualFanReport(Value):
     """Outcome of a dual-fan test; a false verdict carries a witness."""
 
     __slots__ = ("verdict", "witness")
@@ -46,9 +44,6 @@ class DualFanReport:
         object.__setattr__(self, "verdict", bool(verdict))
         object.__setattr__(self, "witness", witness)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DualFanReport is immutable")
-
     def __bool__(self):
         return self.verdict
 
@@ -56,7 +51,7 @@ class DualFanReport:
         return f"DualFanReport(verdict={self.verdict}, witness={self.witness!r})"
 
 
-class Fan:
+class Fan(Value):
     """A fan given by rays and maximal cones over ray-index sets.
 
     `rays` must be primitive and pairwise distinct; `marked_generators`
@@ -108,9 +103,6 @@ class Fan:
             ),
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Fan is immutable")
-
     @classmethod
     def from_generators(cls, generators, max_cones, lattice_rank):
         """Rays are primitivized; the inputs become the marked generators."""
@@ -146,11 +138,7 @@ class Fan:
             tuple(sorted({c.generators for c in self.cones})),
         )
 
-    def __eq__(self, other):
-        return isinstance(other, Fan) and self.canonical_form() == other.canonical_form()
-
-    def __hash__(self):
-        return hash(self.canonical_form())
+    _key = canonical_form
 
     def __repr__(self):
         return (
@@ -227,8 +215,11 @@ def is_complete(f: Fan) -> bool:
 
 
 def is_smooth(f: Fan) -> bool:
-    """Each maximal cone's rays must extend to a basis of the lattice."""
+    """Each maximal cone must be strongly convex, with rays that extend
+    to a basis of the lattice."""
     for cone in f.cones:
+        if not cone.is_strongly_convex():
+            return False
         rays = cone.extreme_rays
         mat = LatticeMap.from_rows(list(rays), ncols=f.lattice_rank)
         dec = snf(mat)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
+from ._value import Value
 from .lattice import (
     LatticeMap,
     column_lattice_basis,
@@ -50,7 +51,7 @@ def _scaled_lattice_basis(phase_vectors, ambient_rank, ell):
     return column_lattice_basis(cols, ambient_rank)
 
 
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Value):
     """Invariant-factor presentation of a finite abelian group.
 
     `invariant_factors` is the divisibility chain restricted to factors
@@ -76,9 +77,6 @@ class FiniteAbelianGroup:
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "lifts", lifts)
         object.__setattr__(self, "ambient_rank", int(ambient_rank))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteAbelianGroup is immutable")
 
     @classmethod
     def trivial(cls, ambient_rank):
@@ -180,16 +178,8 @@ class FiniteAbelianGroup:
         b_sub = _scaled_lattice_basis(sub.lifts, self.ambient_rank, ell)
         return solve_integer_matrix(b_big, b_sub)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteAbelianGroup)
-            and self.invariant_factors == other.invariant_factors
-            and self.lifts == other.lifts
-            and self.ambient_rank == other.ambient_rank
-        )
-
-    def __hash__(self):
-        return hash((self.invariant_factors, self.lifts, self.ambient_rank))
+    def _key(self):
+        return self.invariant_factors, self.lifts, self.ambient_rank
 
     def __repr__(self):
         return (

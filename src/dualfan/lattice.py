@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from ._value import Value
+
 
 def _as_int(x):
     if isinstance(x, bool) or not isinstance(x, int):
@@ -19,7 +21,7 @@ def _as_int(x):
     return x
 
 
-class LatticeMap:
+class LatticeMap(Value):
     """An immutable integer matrix, thought of as a map between lattices.
 
     Columns are images of the domain basis vectors.  Optional row and
@@ -47,9 +49,6 @@ class LatticeMap:
             raise ValueError("row label count mismatch")
         if self.col_labels and len(self.col_labels) != cols:
             raise ValueError("col label count mismatch")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeMap is immutable")
 
     @classmethod
     def identity(cls, n):
@@ -123,11 +122,8 @@ class LatticeMap:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
-    def __eq__(self, other):
-        return isinstance(other, LatticeMap) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+    def _key(self):
+        return self.entries
 
     def __repr__(self):
         return f"LatticeMap({list(map(list, self.entries))!r})"
@@ -169,7 +165,7 @@ class LatticeMap:
         return len([d for d in smith_diagonal(self) if d != 0])
 
 
-class SmithDecomposition:
+class SmithDecomposition(Value):
     """Holds U·A·V = D with U, V unimodular and D in Smith normal form."""
 
     __slots__ = ("U", "D", "V")
@@ -178,9 +174,6 @@ class SmithDecomposition:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "V", V)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SmithDecomposition is immutable")
 
     @property
     def diagonal(self):

@@ -10,6 +10,7 @@ them, and potential families indexed by the height-one slices.
 from fractions import Fraction
 from itertools import product
 
+from .._value import Value
 from ..fans import Fan, is_dual_pair, relabel_fan
 from ..lattice import LatticeMap, int_inverse, kernel_basis, solve_integer
 from ..polyhedra import Cone, Polytope, _dot
@@ -36,7 +37,7 @@ def _as_int_vec(v, what="point"):
     return tuple(out)
 
 
-class GorensteinReport:
+class GorensteinReport(Value):
     """Height-one structure of a pointed cone.
 
     `functional` is an integer covector taking value 1 on every extreme
@@ -54,9 +55,6 @@ class GorensteinReport:
         object.__setattr__(self, "height_bound", int(height_bound))
         object.__setattr__(self, "witness",
                            None if witness is None else tuple(witness))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GorensteinReport is immutable")
 
     @property
     def holds(self):
@@ -110,7 +108,7 @@ def is_gorenstein(cone, height_bound=3) -> GorensteinReport:
     return GorensteinReport(ell, height_bound, witness)
 
 
-class ReflexiveReport:
+class ReflexiveReport(Value):
     """A cone and its dual tested for height-one generation together."""
 
     __slots__ = ("cone_report", "dual_report", "index")
@@ -122,9 +120,6 @@ class ReflexiveReport:
         if cone_report.functional is not None and dual_report.functional is not None:
             index = _dot(cone_report.functional, dual_report.functional)
         object.__setattr__(self, "index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReflexiveReport is immutable")
 
     @property
     def holds(self):
@@ -226,7 +221,7 @@ def _classify(points, functionals):
     return tuple(tags)
 
 
-class _Side:
+class _Side(Value):
     """Everything one side of the pair produces."""
 
     __slots__ = ("base", "divisors", "sections", "section_sum", "ambient",
@@ -235,9 +230,6 @@ class _Side:
     def __init__(self, **kw):
         for name in self.__slots__:
             object.__setattr__(self, name, kw[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("_Side is immutable")
 
 
 def _total_space(parts, splitting, dual_splitting, opposite_parts, rank):

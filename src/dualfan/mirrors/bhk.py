@@ -10,6 +10,7 @@ the monomial exponents in that basis.
 
 from fractions import Fraction
 
+from .._value import Value
 from ..fans import is_dual_pair, orthant_fan, quotient_fan
 from ..groups import FiniteAbelianGroup
 from ..lattice import (
@@ -88,7 +89,7 @@ def krawitz_dual_group(p, q_gens) -> FiniteAbelianGroup:
     return _dual_data(p, q_gens)[4]
 
 
-class BhkCriterionReport:
+class BhkCriterionReport(Value):
     """Both groups of a dual pair with the mirror-symmetry comparison.
 
     `holds` records that Q and the quotient on the transposed side are
@@ -109,9 +110,6 @@ class BhkCriterionReport:
                  and q_dual_group.invariant_factors == self.quotient_factors)
         object.__setattr__(self, "holds", holds)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BhkCriterionReport is immutable")
-
     def __repr__(self):
         return (f"BhkCriterionReport(q={self.q_group.invariant_factors}, "
                 f"q_dual={self.q_dual_group.invariant_factors}, "
@@ -122,6 +120,10 @@ def verify_bhk_criterion(p, q_gens) -> BhkCriterionReport:
     """Check Q against the quotient of the transposed symmetries and
     the dual group against the quotient of the original ones."""
     p, _, _, q_group, q_dual = _dual_data(p, q_gens)
+    return _criterion(p, q_group, q_dual)
+
+
+def _criterion(p, q_group, q_dual):
     g_factors = phase_symmetries(p).quotient_factors(q_group)
     g_dual_factors = phase_symmetries(p.transpose()).quotient_factors(q_dual)
     return BhkCriterionReport(q_group, q_dual, g_factors, g_dual_factors)
@@ -156,7 +158,7 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
         for i in range(n) for j in range(n))
     checks.append(("markers_pair_to_exponents", pairing_ok))
 
-    crit = verify_bhk_criterion(p, q_group.lifts)
+    crit = _criterion(p, q_group, q_dual)
     checks.append(("group_duality", crit.holds))
     checks.append(("order_law",
                    q_group.order * q_dual.order == abs(p.det())))

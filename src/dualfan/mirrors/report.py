@@ -1,5 +1,6 @@
 """Common result type for the mirror pipelines."""
 
+from .._value import Value
 from ..fans import DualFanReport, Fan
 from ..symbols import Potential
 from ..toric_lg import BaseChangeReport
@@ -15,7 +16,7 @@ def _named_tuple(pairs, label):
     return out
 
 
-class MirrorReport:
+class MirrorReport(Value):
     """A constructed mirror pair together with everything verified about it.
 
     `checks` holds named booleans, `counts` named integers, `potentials`
@@ -53,9 +54,6 @@ class MirrorReport:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "potentials", potentials)
         object.__setattr__(self, "notes", tuple(str(n) for n in notes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MirrorReport is immutable")
 
     @property
     def passed(self):

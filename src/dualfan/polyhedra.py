@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._value import Value
 from .lattice import LatticeMap, kernel_basis
 
 
@@ -111,7 +112,7 @@ def _with_flips(rays, lineality):
     return tuple(sorted(_dedup(out)))
 
 
-class Cone:
+class Cone(Value):
     """A rational polyhedral cone with both descriptions cached.
 
     `generators` lists the primitive extreme rays, padded with a ± pair
@@ -156,9 +157,6 @@ class Cone:
         object.__setattr__(self, "lineality_rank", len(lin))
         dim = LatticeMap.from_rows(list(self.generators), ncols=ambient_rank).rank()
         object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cone is immutable")
 
     @classmethod
     def from_inequalities(cls, normals, ambient_rank):
@@ -286,7 +284,7 @@ def _primitive_lift(vector, last):
     return primitive_vector(tuple(int(x * d) for x in fracs))
 
 
-class Polytope:
+class Polytope(Value):
     """A rational convex polyhedral set, bounded unless stated otherwise.
 
     The H-rep pairs (a, ℓ) mean a·m + ℓ ≥ 0.  Construction from either
@@ -313,9 +311,6 @@ class Polytope:
         object.__setattr__(self, "_recession", recession)
         object.__setattr__(self, "_lineality", lineality)
         object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polytope is immutable")
 
     @classmethod
     def from_vertices(cls, points, ambient_rank=None):
@@ -506,17 +501,8 @@ class Polytope:
             cones.append(Cone(tight, self.ambient_rank))
         return Fan.from_maximal_cones(cones, self.ambient_rank)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polytope)
-            and self.ambient_rank == other.ambient_rank
-            and self.vertices == other.vertices
-            and self._recession == other._recession
-            and self._lineality == other._lineality
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_rank, self.vertices, self._recession))
+    def _key(self):
+        return self.ambient_rank, self.vertices, self._recession, self._lineality
 
     def __repr__(self):
         return (

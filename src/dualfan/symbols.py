@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 
+from ._value import Value
+
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
@@ -28,7 +30,7 @@ def _clean_monomial(monomial):
     return tuple(sorted((n, e) for n, e in merged.items() if e))
 
 
-class ParamPoly:
+class ParamPoly(Value):
     """Laurent polynomial in named parameters with integer coefficients.
 
     Stored as sorted `(monomial, coefficient)` pairs where a monomial is
@@ -49,9 +51,6 @@ class ParamPoly:
         object.__setattr__(
             self, "terms", tuple(sorted((m, c) for m, c in acc.items() if c))
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamPoly is immutable")
 
     @classmethod
     def zero(cls) -> "ParamPoly":
@@ -97,11 +96,8 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return isinstance(other, ParamPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
+    def _key(self):
+        return self.terms
 
     def __str__(self):
         if not self.terms:
@@ -137,7 +133,7 @@ def _coerce(value):
     return NotImplemented
 
 
-class Potential:
+class Potential(Value):
     """Formal sum of characters with `ParamPoly` coefficients.
 
     `terms` maps exponent tuples to coefficients; zero coefficients are
@@ -162,9 +158,6 @@ class Potential:
             tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero())),
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Potential is immutable")
-
     @property
     def support(self):
         return tuple(e for e, _ in self.terms)
@@ -179,11 +172,8 @@ class Potential:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        return isinstance(other, Potential) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
+    def _key(self):
+        return self.terms
 
     def __repr__(self):
         body = ", ".join(f"{list(e)!r}: {c}" for e, c in self.terms)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from ._value import Value
 from .fans import Fan, is_complete, is_dual_pair, relabel_fan
 from .lattice import LatticeMap, int_inverse, snf, solve_integer
 from .polyhedra import Polytope, _dot, primitive_vector
 from .symbols import ParamPoly, Potential
 
 
-class ToricDivisor:
+class ToricDivisor(Value):
     """Torus-invariant divisor: one integer coefficient per ray."""
 
     __slots__ = ("fan", "coeffs")
@@ -31,24 +32,14 @@ class ToricDivisor:
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ToricDivisor is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ToricDivisor)
-            and self.fan == other.fan
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.fan, self.coeffs))
+    def _key(self):
+        return self.fan, self.coeffs
 
     def __repr__(self):
         return f"ToricDivisor(coeffs={list(self.coeffs)!r})"
 
 
-class CartierData:
+class CartierData(Value):
     """Local principality certificate: one character per maximal cone.
 
     `cone_characters[i]` pairs with `fan.max_cones[i]` and evaluates to
@@ -71,9 +62,6 @@ class CartierData:
                     )
         object.__setattr__(self, "divisor", divisor)
         object.__setattr__(self, "cone_characters", chars)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CartierData is immutable")
 
     def __repr__(self):
         return f"CartierData(cone_characters={[list(m) for m in self.cone_characters]!r})"
@@ -165,7 +153,7 @@ def is_regular_character(fan: Fan, m) -> bool:
     return all(_dot(m, r) >= 0 for r in fan.rays)
 
 
-class AuxiliaryLG:
+class AuxiliaryLG(Value):
     """Potential family on a toric variety with formal coefficients.
 
     `exponents` lists the characters that may appear in a potential;
@@ -200,27 +188,11 @@ class AuxiliaryLG:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "tags", tags)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AuxiliaryLG is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AuxiliaryLG)
-            and self.fan == other.fan
-            and self.exponents == other.exponents
-            and self.tags == other.tags
-        )
-
-    def __hash__(self):
-        return hash((self.fan, self.exponents, self.tags))
+    def _key(self):
+        return self.fan, self.exponents, self.tags
 
     def __repr__(self):
         return f"AuxiliaryLG(exponents={len(self.exponents)}, rank={self.fan.lattice_rank})"
-
-
-def auxiliary_lg_from_potential(fan: Fan, exponents) -> AuxiliaryLG:
-    """Family carrying exactly the given exponents on the given fan."""
-    return AuxiliaryLG(fan, exponents)
 
 
 def auxiliary_lg_from_ci(divisors):
@@ -246,7 +218,7 @@ def auxiliary_lg_from_ci(divisors):
     return AuxiliaryLG(total, exponents, tags=tags), verticals
 
 
-class BaseChangeReport:
+class BaseChangeReport(Value):
     """Outcome of matching a candidate dual fan against a family.
 
     The coefficient space of the fan's family maps into the coefficient
@@ -266,9 +238,6 @@ class BaseChangeReport:
         object.__setattr__(self, "coordinate_map", coordinate_map)
         object.__setattr__(self, "surviving", surviving)
         object.__setattr__(self, "is_isomorphism", bool(is_isomorphism))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BaseChangeReport is immutable")
 
     def __bool__(self):
         return self.verdict
@@ -307,7 +276,7 @@ def base_change_check(aux: AuxiliaryLG, s_prime: Fan) -> BaseChangeReport:
     )
 
 
-class Specialization:
+class Specialization(Value):
     """Assignment of one coefficient value to every exponent of a family."""
 
     __slots__ = ("assignments",)
@@ -325,9 +294,6 @@ class Specialization:
             pairs[exponent] = value
         object.__setattr__(self, "assignments", tuple(sorted(pairs.items())))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Specialization is immutable")
-
     @property
     def domain(self):
         return tuple(e for e, _ in self.assignments)
@@ -339,14 +305,8 @@ class Specialization:
                 return v
         raise ValueError(f"exponent {exponent} outside the specialization domain")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Specialization)
-            and self.assignments == other.assignments
-        )
-
-    def __hash__(self):
-        return hash(self.assignments)
+    def _key(self):
+        return self.assignments
 
     def __repr__(self):
         return f"Specialization(domain={len(self.assignments)})"
@@ -371,7 +331,7 @@ class DualityError(ValueError):
         self.report = report
 
 
-class ToricLGModel:
+class ToricLGModel(Value):
     """A dual pair of marked fans with the two potential families it carries.
 
     Construction verifies the pairing condition and fails with the
@@ -398,9 +358,6 @@ class ToricLGModel:
             self, "dual_family", AuxiliaryLG(dual_fan, fan.marked_generators)
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ToricLGModel is immutable")
-
     def __repr__(self):
         return (
             f"ToricLGModel(rank={self.fan.lattice_rank}, "
@@ -408,13 +365,7 @@ class ToricLGModel:
         )
 
 
-def lg_from_dual_fans(s: Fan, s_prime: Fan) -> ToricLGModel:
-    """Model of the pair (s, s_prime); raises DualityError with a witness
-    when the fans do not pair nonnegatively."""
-    return ToricLGModel(s, s_prime)
-
-
-class CIData:
+class CIData(Value):
     """Recovered split-bundle structure on a fan.
 
     `transform` is the unimodular relabeling under which the fan equals
@@ -428,9 +379,6 @@ class CIData:
         object.__setattr__(self, "base_fan", base_fan)
         object.__setattr__(self, "divisors", tuple(divisors))
         object.__setattr__(self, "transform", transform)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CIData is immutable")
 
     def __repr__(self):
         return (

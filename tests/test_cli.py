@@ -119,6 +119,8 @@ def test_fan_validate_reports_a_cone_with_a_line(capsys, monkeypatch):
                           monkeypatch)
     assert code == 1 and err == ""
     assert body["ok"] is False and body["complete"] is False
+    # its one extreme ray, (0, 1), extends to a basis; the line does not
+    assert body["smooth"] is False
     assert body["diagnostics"] == ["cone [0, 1, 2] is not strongly convex"]
 
 

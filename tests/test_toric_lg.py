@@ -19,13 +19,12 @@ from dualfan.toric_lg import (
     DualityError,
     Specialization,
     ToricDivisor,
+    ToricLGModel,
     apply_specialization,
     auxiliary_lg_from_ci,
-    auxiliary_lg_from_potential,
     base_change_check,
     is_cartier,
     is_regular_character,
-    lg_from_dual_fans,
     line_bundle_fan,
     recover_ci_data,
     section_polytope,
@@ -157,7 +156,7 @@ def test_auxiliary_lg_validation(p2):
     with pytest.raises(ValueError, match="pairwise distinct"):
         AuxiliaryLG(orthant_fan(2), [(1, 0), (1, 0)])
     with pytest.raises(ValueError, match=r"character \(-1, 0\) is not regular"):
-        auxiliary_lg_from_potential(orthant_fan(2), [(-1, 0)])
+        AuxiliaryLG(orthant_fan(2), [(-1, 0)])
     with pytest.raises(ValueError, match="one tag per exponent"):
         AuxiliaryLG(orthant_fan(2), [(1, 0)], tags=(0, 1))
 
@@ -202,14 +201,14 @@ def test_base_change_check_missing_marker(p2):
 
 
 def test_base_change_isomorphism_when_all_exponents_hit():
-    aux = auxiliary_lg_from_potential(orthant_fan(2), [(1, 0), (0, 1)])
+    aux = AuxiliaryLG(orthant_fan(2), [(1, 0), (0, 1)])
     full = Fan([(1, 0), (0, 1)], [(0, 1)], 2)
     report = base_change_check(aux, full)
     assert report.verdict and report.is_isomorphism
 
 
 def test_specialization_and_application():
-    aux = auxiliary_lg_from_potential(orthant_fan(2), [(1, 0), (0, 1)])
+    aux = AuxiliaryLG(orthant_fan(2), [(1, 0), (0, 1)])
     spec = Specialization({(1, 0): 1, (0, 1): ParamPoly.parameter("psi", coeff=-5)})
     w = apply_specialization(aux, spec)
     assert w.coefficient((0, 1)) == ParamPoly.parameter("psi", coeff=-5)
@@ -225,15 +224,15 @@ def test_specialization_and_application():
 
 def test_lg_model_requires_duality():
     s = orthant_fan(2)
-    good = lg_from_dual_fans(s, orthant_fan(2))
+    good = ToricLGModel(s, orthant_fan(2))
     assert good.family.exponents == ((1, 0), (0, 1))
     assert good.dual_family.fan == orthant_fan(2)
     bad = Fan([(-1, 0), (0, 1)], [(0, 1)], 2)
     with pytest.raises(DualityError) as err:
-        lg_from_dual_fans(s, bad)
+        ToricLGModel(s, bad)
     assert err.value.report.witness == ((-1, 0), (1, 0), -1)
     with pytest.raises(ValueError, match="rank mismatch"):
-        lg_from_dual_fans(s, projective_space_fan(3))
+        ToricLGModel(s, projective_space_fan(3))
 
 
 def test_recover_quintic_bundle_with_identity_transform():
