@@ -24,7 +24,6 @@ from .mirrors import (
     is_reflexive,
     phase_symmetries,
     quintic_pipeline,
-    verify_bhk_criterion,
 )
 from .polyhedra import Cone
 from .toric_lg import ToricDivisor, is_cartier, section_polytope, split_bundle_fan
@@ -264,7 +263,7 @@ def _parse_bhk_input(payload):
 def _cmd_bhk(request):
     p, phases = _parse_bhk_input(request.payload)
     rep = bhk_pair(p, phases)
-    crit = verify_bhk_criterion(p, phases)
+    crit = rep.criterion
     groups = {
         "symmetry_factors": list(phase_symmetries(p).invariant_factors),
         "q_factors": list(crit.q_group.invariant_factors),

@@ -202,6 +202,10 @@ def _pivot_below(m, start_row, col, nrows):
     return best
 
 
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def hnf(a: LatticeMap):
     """Row-style Hermite normal form.
 
@@ -211,7 +215,7 @@ def hnf(a: LatticeMap):
     outputs bit for bit.
     """
     m = [list(row) for row in a.entries]
-    u = [list(row) for row in LatticeMap.identity(a.rows).entries]
+    u = _identity_rows(a.rows)
     r = 0
     for c in range(a.cols):
         if r == a.rows:
@@ -256,8 +260,8 @@ def snf(a: LatticeMap) -> SmithDecomposition:
     """
     nr, nc = a.rows, a.cols
     m = [list(row) for row in a.entries]
-    u = [list(row) for row in LatticeMap.identity(nr).entries]
-    v = [list(row) for row in LatticeMap.identity(nc).entries]
+    u = _identity_rows(nr)
+    v = _identity_rows(nc)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         m[i] = [x - q * y for x, y in zip(m[i], m[j])]

@@ -194,4 +194,4 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
     return MirrorReport(sigma, sigma_prime, is_dual_pair(sigma, sigma_prime),
                         to_gamma=to_gamma, to_gamma_prime=to_gamma_prime,
                         checks=checks, counts=counts, potentials=potentials,
-                        notes=notes)
+                        notes=notes, criterion=crit)

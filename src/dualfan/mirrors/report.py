@@ -23,15 +23,16 @@ class MirrorReport(Value):
     named `Potential` values, `notes` free-form caveats.  The two base
     change reports compare each potential family against the fan on the
     opposite side; either may be absent when a pipeline has nothing to
-    compare.
+    compare.  `criterion` is the BHK group comparison, or None elsewhere.
     """
 
     __slots__ = ("sigma_x", "sigma_x_prime", "duality", "to_gamma",
-                 "to_gamma_prime", "checks", "counts", "potentials", "notes")
+                 "to_gamma_prime", "checks", "counts", "potentials", "notes",
+                 "criterion")
 
     def __init__(self, sigma_x, sigma_x_prime, duality, to_gamma=None,
                  to_gamma_prime=None, checks=(), counts=(), potentials=(),
-                 notes=()):
+                 notes=(), criterion=None):
         if not isinstance(sigma_x, Fan) or not isinstance(sigma_x_prime, Fan):
             raise TypeError("sigma_x and sigma_x_prime must be fans")
         if not isinstance(duality, DualFanReport):
@@ -54,6 +55,7 @@ class MirrorReport(Value):
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "potentials", potentials)
         object.__setattr__(self, "notes", tuple(str(n) for n in notes))
+        object.__setattr__(self, "criterion", criterion)
 
     @property
     def passed(self):

@@ -1,10 +1,13 @@
 """Exact rational polyhedral cones and polytopes.
 
 Both representations of every cone are computed eagerly at construction
-by an integer-only incremental double description pass, with constraints
-inserted in sorted order so that results are deterministic.  Polytopes
-ride on top of their homogenization cones: a polytope in rank n is the
-slice at height one of a cone in rank n+1.
+by two integer-only incremental double description passes, generators to
+facet normals and back; inequalities go through `Cone(normals).dual()`.
+Constraints are inserted in sorted order, so results are deterministic,
+and two rays are adjacent when no third ray is tight on every constraint
+tight on both (Fukuda & Prodon, *Double Description Method Revisited*,
+1996).  Polytopes ride on top of their homogenization cones: a polytope
+in rank n is the slice at height one of a cone in rank n+1.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._value import Value
-from .lattice import LatticeMap, kernel_basis
+from .lattice import LatticeMap, hnf, kernel_basis
 
 
 def _dot(a, b):
@@ -81,15 +84,18 @@ def _double_description(constraints, ambient):
         combined = []
         need = ambient - len(lin) - 2
         if neg and pos and need >= 0:
+            # p and n span a 2-face iff no third ray is tight wherever both are
+            tight = {
+                r: {i for i, c in enumerate(inserted) if _dot(c, r) == 0}
+                for r in rays
+            }
             for p in pos:
                 vp = _dot(a, p)
                 for n in neg:
-                    common = [
-                        c for c in inserted if _dot(c, p) == 0 and _dot(c, n) == 0
-                    ]
-                    if len(common) < need:
-                        continue
-                    if LatticeMap.from_rows(common, ncols=ambient).rank() != need:
+                    common = tight[p] & tight[n]
+                    if len(common) < need or any(
+                        common <= z for r, z in tight.items() if r != p and r != n
+                    ):
                         continue
                     vn = _dot(a, n)
                     combined.append(
@@ -105,11 +111,8 @@ def _double_description(constraints, ambient):
 
 
 def _with_flips(rays, lineality):
-    out = list(rays)
-    for l in lineality:
-        out.append(l)
-        out.append(tuple(-x for x in l))
-    return tuple(sorted(_dedup(out)))
+    flips = (tuple(-x for x in l) for l in lineality)
+    return tuple(sorted({*rays, *lineality, *flips}))
 
 
 class Cone(Value):
@@ -155,19 +158,12 @@ class Cone(Value):
         object.__setattr__(self, "generators", _with_flips(rays, lin))
         object.__setattr__(self, "facet_normals", _with_flips(dual_rays, dual_lin))
         object.__setattr__(self, "lineality_rank", len(lin))
-        dim = LatticeMap.from_rows(list(self.generators), ncols=ambient_rank).rank()
-        object.__setattr__(self, "dim", dim)
+        # the dual's lineality is the orthogonal complement of the span
+        object.__setattr__(self, "dim", ambient_rank - len(dual_lin))
 
     @classmethod
     def from_inequalities(cls, normals, ambient_rank):
-        rays, lin = _double_description(normals, ambient_rank)
-        return cls(_with_flips(rays, lin), ambient_rank)
-
-    @classmethod
-    def _from_parts(cls, ambient_rank, rays, lin, dual_rays, dual_lin):
-        cone = object.__new__(cls)
-        cone._install(ambient_rank, rays, lin, dual_rays, dual_lin)
-        return cone
+        return cls(normals, ambient_rank).dual()
 
     @property
     def extreme_rays(self):
@@ -175,13 +171,15 @@ class Cone(Value):
 
     def dual(self) -> "Cone":
         """The dual cone, free of charge: both descriptions swap."""
-        return Cone._from_parts(
+        cone = object.__new__(Cone)
+        cone._install(
             self.ambient_rank,
             self._dual_rays,
             self._dual_lineality,
             self._rays,
             self._lineality,
         )
+        return cone
 
     def is_strongly_convex(self) -> bool:
         return self.lineality_rank == 0
@@ -328,9 +326,9 @@ class Polytope(Value):
     def from_hrep(cls, pairs, ambient_rank):
         rows = [_primitive_lift(a, off) for a, off in pairs]
         rows.append(tuple(0 for _ in range(ambient_rank)) + (1,))
-        rays, lin = _double_description(rows, ambient_rank + 1)
-        cone = Cone(_with_flips(rays, lin), ambient_rank + 1)
-        return cls._from_homogenization(cone, ambient_rank)
+        return cls._from_homogenization(
+            Cone(rows, ambient_rank + 1).dual(), ambient_rank
+        )
 
     @classmethod
     def _from_homogenization(cls, cone, ambient_rank):
@@ -344,7 +342,11 @@ class Polytope(Value):
                 recession.append(r[:-1])
             else:
                 raise AssertionError("height must be nonnegative")
+        # the pass's basis of the lines depends on the H-rep; their
+        # Hermite form is canonical, which keeps equality geometric
         lineality = tuple(l[:-1] for l in cone._lineality)
+        if lineality:
+            lineality = tuple(filter(any, hnf(LatticeMap(lineality))[0].entries))
         hrep = []
         for n in cone.facet_normals:
             a, off = n[:-1], n[-1]
@@ -361,10 +363,6 @@ class Polytope(Value):
             lineality=lineality,
             dim=cone.dim - 1 if cone.dim > 0 else -1,
         )
-
-    @property
-    def recession_rays(self):
-        return self._recession
 
     def is_empty(self) -> bool:
         return not self.vertices and not self._recession and not self._lineality

@@ -294,10 +294,6 @@ class Specialization(Value):
             pairs[exponent] = value
         object.__setattr__(self, "assignments", tuple(sorted(pairs.items())))
 
-    @property
-    def domain(self):
-        return tuple(e for e, _ in self.assignments)
-
     def value(self, exponent) -> ParamPoly:
         exponent = tuple(int(x) for x in exponent)
         for e, v in self.assignments:
@@ -318,9 +314,10 @@ def apply_specialization(aux: AuxiliaryLG, spec: Specialization) -> Potential:
     The specialization must cover the exponent set exactly: partial or
     surplus assignments are rejected rather than padded with zeros.
     """
-    if set(spec.domain) != set(aux.exponents):
+    values = dict(spec.assignments)
+    if values.keys() != set(aux.exponents):
         raise ValueError("specialization domain does not match the exponent set")
-    return Potential((e, spec.value(e)) for e in aux.exponents)
+    return Potential((e, values[e]) for e in aux.exponents)
 
 
 class DualityError(ValueError):

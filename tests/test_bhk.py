@@ -135,6 +135,17 @@ def test_pair_fermat_diagonal_report():
     assert rep.check("dual_quotient_group_matches_dual_q")
 
 
+def test_pair_carries_the_criterion_report():
+    for p, q in [(FERMAT3, [THIRD]), (TWO_PT, []), (LOOP4, [loop_order_five()])]:
+        crit = bhk_pair(p, q).criterion
+        expected = verify_bhk_criterion(p, q)
+        assert crit.holds == expected.holds
+        assert crit.quotient_factors == expected.quotient_factors
+        assert crit.dual_quotient_factors == expected.dual_quotient_factors
+        assert crit.q_group == expected.q_group
+        assert crit.q_dual_group == expected.q_dual_group
+
+
 def test_pair_markers_pair_to_exponents():
     for p, q in [(FERMAT3, [THIRD]), (TWO_PT, []), (LOOP4, [loop_order_five()])]:
         rep = bhk_pair(p, q)

@@ -141,6 +141,23 @@ def test_bhk_command_emits_report_and_groups(capsys, monkeypatch):
     assert body["report"]["checks"]["group_duality"] is True
 
 
+def test_bhk_command_computes_the_criterion_once(capsys, monkeypatch):
+    from dualfan.mirrors import bhk
+
+    calls = []
+    criterion = bhk._criterion
+
+    def counted(*args):
+        calls.append(args)
+        return criterion(*args)
+
+    monkeypatch.setattr(bhk, "_criterion", counted)
+    job = {"P": {"entries": [[2, 1], [1, 2]]}}
+    code, body, _ = run(capsys, ["bhk"], job, monkeypatch)
+    assert code == 0 and body["groups"]["criterion_holds"] is True
+    assert len(calls) == 1
+
+
 def test_bhk_q_outside_symmetries_is_exit_2(capsys, monkeypatch):
     job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
            "Q": {"phases": [["1/2", 0, 0]]}}

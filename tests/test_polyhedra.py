@@ -16,7 +16,14 @@ from math import comb, floor
 import numpy as np
 import pytest
 
-from dualfan.polyhedra import Cone, Polytope, primitive_vector
+from dualfan.lattice import LatticeMap, hnf
+from dualfan.polyhedra import (
+    Cone,
+    Polytope,
+    _double_description,
+    _primitive_lift,
+    primitive_vector,
+)
 
 F = Fraction
 
@@ -246,6 +253,140 @@ def test_is_face_of_matches_the_minimal_face_definition():
             assert a.is_face_of(b) == expected, (a, b)
             outcomes[expected] += 1
     assert outcomes[True] > 200 and outcomes[False] > 100
+
+
+def three_pass_cone(normals, rank):
+    """The earlier H-route, kept as the reference: one pass for the
+    rays of {x : n·x ≥ 0}, then a Cone built on them (two more passes)."""
+    rays, lin = _double_description(normals, rank)
+    return Cone(list(rays) + lin + [tuple(-x for x in l) for l in lin], rank)
+
+
+def three_pass_polytope(pairs, rank):
+    rows = [_primitive_lift(a, off) for a, off in pairs]
+    rows.append((0,) * rank + (1,))
+    return Polytope._from_homogenization(three_pass_cone(rows, rank + 1), rank)
+
+
+def same_lattice(a, b):
+    """Whether two bases span the same lattice (equal Hermite forms)."""
+    if not a or not b:
+        return not a and not b
+    return hnf(LatticeMap.from_rows(a))[0] == hnf(LatticeMap.from_rows(b))[0]
+
+
+def assert_same_cone(new, old):
+    assert new.extreme_rays == old.extreme_rays
+    assert new.facet_normals == old.facet_normals
+    assert (new.dim, new.lineality_rank) == (old.dim, old.lineality_rank)
+    # a line's basis is the kernel basis its pass found: only its span
+    # is canonical, so the padded generators agree up to that choice
+    assert same_lattice(new._lineality, old._lineality)
+    if new.is_strongly_convex():
+        assert new.generators == old.generators
+
+
+def assert_irredundant(cone):
+    """No extreme ray lies in the cone of the other generators."""
+    for r in cone.extreme_rays:
+        others = [g for g in cone.generators if g != r]
+        # Caratheodory: independent subsets have at most dim members
+        assert not in_cone_brute(r, others, cone.dim), (r, cone)
+
+
+def random_normals(rng, rank):
+    """Inequalities, some of them forced equations (n and -n)."""
+    normals = [
+        tuple(rng.randint(-3, 3) for _ in range(rank))
+        for _ in range(rng.randrange(0, rank + 3))
+    ]
+    if normals and rng.randrange(3) == 0:
+        normals.append(tuple(-x for x in rng.choice(normals)))
+    return normals
+
+
+def test_double_description_keeps_only_extreme_rays():
+    rng = random.Random(60211)
+    kinds = Counter()
+    for _ in range(80):
+        rank = rng.randrange(2, 6)
+        v_cone = random_cone(rng, rank)
+        h_cone = Cone.from_inequalities(random_normals(rng, rank), rank)
+        for cone in (v_cone, h_cone):
+            for side in (cone, cone.dual()):
+                gens = LatticeMap.from_rows(side.generators, ncols=rank)
+                assert side.dim == gens.rank()
+                if len(side.generators) > 8:
+                    continue  # the brute force grows like C(generators, dim)
+                assert_irredundant(side)
+                kinds["line" if side.lineality_rank else "pointed"] += 1
+                kinds["flat" if side.dim < rank else "full"] += 1
+                kinds[f"rank {rank}"] += 1
+    assert min(kinds.values()) > 40, kinds
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_cube_and_cross_polytope_face_counts(d):
+    """Closed-form counts: the d-cube has 2^d vertices and 2d facets, the
+    cross-polytope the other way round.  Both are degenerate enough that
+    an adjacency test admitting non-adjacent pairs adds rays at d = 5."""
+    cube = [p + (1,) for p in product((0, 1), repeat=d)]
+    cross = [
+        tuple(s * (i == j) for j in range(d)) + (1,)
+        for i in range(d)
+        for s in (1, -1)
+    ]
+    for points, facets in ((cube, 2 * d), (cross, 2 ** d)):
+        cone = Cone(points, d + 1)
+        assert set(cone.extreme_rays) == set(points)
+        assert len(cone.facet_normals) == facets
+        again = Cone.from_inequalities(cone.facet_normals, d + 1)
+        assert again.extreme_rays == cone.extreme_rays
+
+
+def test_h_descriptions_match_the_three_pass_route():
+    rng = random.Random(71443)
+    lines = 0
+    for _ in range(120):
+        rank = rng.randrange(2, 6)
+        normals = random_normals(rng, rank)
+        new = Cone.from_inequalities(normals, rank)
+        assert_same_cone(new, three_pass_cone(normals, rank))
+        a, b = random_cone(rng, rank), random_cone(rng, rank)
+        both = list(a.facet_normals) + list(b.facet_normals)
+        assert_same_cone(a.intersection(b), three_pass_cone(both, rank))
+        lines += bool(new.lineality_rank)
+    assert lines > 20
+
+
+def test_from_hrep_matches_the_three_pass_route():
+    rng = random.Random(82907)
+    unbounded = 0
+    for _ in range(120):
+        rank = rng.randrange(1, 5)
+        pairs = [
+            (tuple(rng.randint(-3, 3) for _ in range(rank)),
+             Fraction(rng.randint(-4, 6), rng.randint(1, 3)))
+            for _ in range(rng.randrange(0, 2 * rank + 2))
+        ]
+        new = Polytope.from_hrep(pairs, rank)
+        old = three_pass_polytope(pairs, rank)
+        assert new == old  # vertices, recession rays and lines
+        assert (new.hrep, new.bounded, new.dim) == (
+            old.hrep, old.bounded, old.dim)
+        unbounded += not new.bounded
+    assert 20 < unbounded < 100
+
+
+@pytest.mark.parametrize("pairs, redundant", [
+    ([((-2, 2, 2), 0)], ((-4, 4, 4), 1)),
+    ([((-1, -1), 0), ((1, 1), 3)], ((-2, -2), 1)),
+])
+def test_polytopes_with_lines_compare_as_sets(pairs, redundant):
+    rank = len(redundant[0])
+    plain = Polytope.from_hrep(pairs, rank)
+    assert plain._lineality and not plain.bounded
+    assert Polytope.from_hrep(pairs + [redundant], rank) == plain
 
 
 def test_cone_equality_is_geometric():
