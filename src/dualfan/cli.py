@@ -17,14 +17,13 @@ from fractions import Fraction
 from ._value import Value
 from .fans import Fan, is_complete, is_dual_pair, is_smooth, validate_fan
 from .mirrors import (
-    bb_mirror_pair,
     bhk_pair,
     givental_mirror,
     hori_vafa_mirror,
     is_reflexive,
-    phase_symmetries,
     quintic_pipeline,
 )
+from .mirrors.bb import _bb_pair
 from .polyhedra import Cone
 from .toric_lg import ToricDivisor, is_cartier, section_polytope, split_bundle_fan
 
@@ -265,7 +264,7 @@ def _cmd_bhk(request):
     rep = bhk_pair(p, phases)
     crit = rep.criterion
     groups = {
-        "symmetry_factors": list(phase_symmetries(p).invariant_factors),
+        "symmetry_factors": list(crit.symmetry_group.invariant_factors),
         "q_factors": list(crit.q_group.invariant_factors),
         "q_dual_factors": list(crit.q_dual_group.invariant_factors),
         "quotient_factors": list(crit.quotient_factors),
@@ -298,8 +297,8 @@ def _cmd_bb(request):
         raise InputError(
             f"ell_dual {list(ell_dual)} does not match the height functional "
             f"{list(refl.cone_report.functional)} of the cone")
-    rep = bb_mirror_pair(gens, splitting, dual_splitting,
-                         height_bound=request.height_bound)
+    rep = _bb_pair(cone, refl, splitting, dual_splitting,
+                   request.height_bound)
     return ReportDocument(request.command, {"report": _mirror_json(rep)},
                           not rep.passed)
 

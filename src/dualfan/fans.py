@@ -1,10 +1,11 @@
 """Fans of strongly convex rational cones, stored via maximal cones.
 
 Lower-dimensional cones are derived on demand from the maximal ones, so
-closure under faces holds by construction.  Rays may carry marked
-generators: integer multiples of the primitive generators that record
-images under lattice maps before any primitivization.  Pairing-based
-checks use the marks; geometry always uses the primitive rays.
+closure under faces holds by construction; the maximal cones themselves
+are built on first use.  Rays may carry marked generators: integer
+multiples of the primitive generators that record images under lattice
+maps before any primitivization.  Pairing-based checks use the marks;
+geometry always uses the primitive rays.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class Fan(Value):
     does, and reports what went wrong.
     """
 
-    __slots__ = ("lattice_rank", "rays", "marked_generators", "max_cones", "cones")
+    __slots__ = ("lattice_rank", "rays", "marked_generators", "max_cones", "_cones")
 
     def __init__(self, rays, max_cones, lattice_rank, marked_generators=None):
         rays = tuple(tuple(int(x) for x in r) for r in rays)
@@ -95,13 +96,16 @@ class Fan(Value):
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "marked_generators", marked)
         object.__setattr__(self, "max_cones", cleaned)
-        object.__setattr__(
-            self,
-            "cones",
-            tuple(
-                Cone([rays[i] for i in ixs], lattice_rank) for ixs in cleaned
-            ),
-        )
+        object.__setattr__(self, "_cones", None)
+
+    @property
+    def cones(self):
+        """The maximal cones, in `max_cones` order, built on first use."""
+        if self._cones is None:
+            object.__setattr__(self, "_cones", tuple(
+                Cone([self.rays[i] for i in ixs], self.lattice_rank)
+                for ixs in self.max_cones))
+        return self._cones
 
     @classmethod
     def from_generators(cls, generators, max_cones, lattice_rank):

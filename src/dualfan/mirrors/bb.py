@@ -315,7 +315,13 @@ def bb_mirror_pair(generators, splitting, dual_splitting=None,
     k = Cone(gens, rank)
     if not k.is_strongly_convex() or k.dim != rank:
         raise ValueError("cone must be pointed and full-dimensional")
-    refl = is_reflexive(k, height_bound)
+    return _bb_pair(k, is_reflexive(k, height_bound), splitting,
+                    dual_splitting, height_bound)
+
+
+def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
+    """`bb_mirror_pair` from the cone K and its reflexivity report."""
+    rank = k.ambient_rank
     if not refl.holds:
         raise ValueError(
             f"cone pair is not reflexive at heights up to {height_bound}")

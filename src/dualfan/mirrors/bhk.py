@@ -62,13 +62,15 @@ def phase_symmetries(p) -> FiniteAbelianGroup:
 
 
 def _dual_data(p, q_gens):
-    """(A, X, Q, Q_dual) with A a basis of the Q-invariant characters
-    and X the exponents of P written in that basis, A @ X == P."""
+    """(P, A, X, Q, Q_dual, G) with A a basis of the Q-invariant
+    characters, X the exponents of P written in that basis, A @ X == P,
+    and G the full symmetry group of P."""
     p = _as_matrix(p)
     n = p.rows
     gens = _as_phases(q_gens, n)
     q_group = FiniteAbelianGroup.from_phases(gens, n)
-    if not q_group.is_subgroup_of(phase_symmetries(p)):
+    symmetries = phase_symmetries(p)
+    if not q_group.is_subgroup_of(symmetries):
         raise ValueError("Q is not a subgroup of the symmetry group of P")
     a = annihilator_lattice(gens, n)
     x = solve_integer_matrix(a, p)
@@ -76,7 +78,7 @@ def _dual_data(p, q_gens):
     assert x is not None
     dual_gens = tuple(zip(*rational_inverse(x)))
     q_dual = FiniteAbelianGroup.from_phases(dual_gens, n)
-    return p, a, x, q_group, q_dual
+    return p, a, x, q_group, q_dual, symmetries
 
 
 def krawitz_dual_group(p, q_gens) -> FiniteAbelianGroup:
@@ -92,15 +94,17 @@ def krawitz_dual_group(p, q_gens) -> FiniteAbelianGroup:
 class BhkCriterionReport(Value):
     """Both groups of a dual pair with the mirror-symmetry comparison.
 
-    `holds` records that Q and the quotient on the transposed side are
-    isomorphic, and symmetrically for the dual group.
+    `symmetry_group` is the full group of diagonal phase symmetries of
+    P.  `holds` records that Q and the quotient on the transposed side
+    are isomorphic, and symmetrically for the dual group.
     """
 
-    __slots__ = ("q_group", "q_dual_group", "quotient_factors",
-                 "dual_quotient_factors", "holds")
+    __slots__ = ("symmetry_group", "q_group", "q_dual_group",
+                 "quotient_factors", "dual_quotient_factors", "holds")
 
-    def __init__(self, q_group, q_dual_group, quotient_factors,
-                 dual_quotient_factors):
+    def __init__(self, symmetry_group, q_group, q_dual_group,
+                 quotient_factors, dual_quotient_factors):
+        object.__setattr__(self, "symmetry_group", symmetry_group)
         object.__setattr__(self, "q_group", q_group)
         object.__setattr__(self, "q_dual_group", q_dual_group)
         object.__setattr__(self, "quotient_factors", tuple(quotient_factors))
@@ -119,14 +123,15 @@ class BhkCriterionReport(Value):
 def verify_bhk_criterion(p, q_gens) -> BhkCriterionReport:
     """Check Q against the quotient of the transposed symmetries and
     the dual group against the quotient of the original ones."""
-    p, _, _, q_group, q_dual = _dual_data(p, q_gens)
-    return _criterion(p, q_group, q_dual)
+    p, _, _, q_group, q_dual, symmetries = _dual_data(p, q_gens)
+    return _criterion(p, q_group, q_dual, symmetries)
 
 
-def _criterion(p, q_group, q_dual):
-    g_factors = phase_symmetries(p).quotient_factors(q_group)
+def _criterion(p, q_group, q_dual, symmetries):
+    g_factors = symmetries.quotient_factors(q_group)
     g_dual_factors = phase_symmetries(p.transpose()).quotient_factors(q_dual)
-    return BhkCriterionReport(q_group, q_dual, g_factors, g_dual_factors)
+    return BhkCriterionReport(symmetries, q_group, q_dual, g_factors,
+                              g_dual_factors)
 
 
 def bhk_pair(p, q_gens=()) -> MirrorReport:
@@ -138,7 +143,7 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
     the potential exponents of the other, and they pair to the entries
     of P.
     """
-    p, a, x, q_group, q_dual = _dual_data(p, q_gens)
+    p, a, x, q_group, q_dual, symmetries = _dual_data(p, q_gens)
     n = p.rows
     orthant = orthant_fan(n)
 
@@ -158,7 +163,7 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
         for i in range(n) for j in range(n))
     checks.append(("markers_pair_to_exponents", pairing_ok))
 
-    crit = _criterion(p, q_group, q_dual)
+    crit = _criterion(p, q_group, q_dual, symmetries)
     checks.append(("group_duality", crit.holds))
     checks.append(("order_law",
                    q_group.order * q_dual.order == abs(p.det())))

@@ -3,10 +3,12 @@
 Both representations of every cone are computed eagerly at construction
 by two integer-only incremental double description passes, generators to
 facet normals and back; inequalities go through `Cone(normals).dual()`.
-Constraints are inserted in sorted order, so results are deterministic,
-and two rays are adjacent when no third ray is tight on every constraint
-tight on both (Fukuda & Prodon, *Double Description Method Revisited*,
-1996).  Polytopes ride on top of their homogenization cones: a polytope
+Constraints are inserted in sorted order, so results are deterministic.
+Each ray carries its tight set as an int bitmask over the inserted
+constraints, and two rays are adjacent when no third ray's mask covers
+the AND of theirs (Fukuda & Prodon, *Double Description Method
+Revisited*, 1996).  A kernel is computed only when lines remain.
+Polytopes ride on top of their homogenization cones: a polytope
 in rank n is the slice at height one of a cone in rank n+1.
 """
 
@@ -14,28 +16,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from ._value import Value
 from .lattice import LatticeMap, hnf, kernel_basis
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def primitive_vector(v):
     """Divide out the content; the direction is preserved."""
     v = tuple(int(x) for x in v)
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g <= 1:
         return v
     return tuple(x // g for x in v)
 
 
-def _dedup(vectors):
-    return list(dict.fromkeys(vectors))
+def _combine(s, u, t, v):
+    """The primitive vector along s·u − t·v."""
+    return primitive_vector(tuple(s * x - t * y for x, y in zip(u, v)))
 
 
 def _double_description(constraints, ambient):
@@ -45,69 +47,51 @@ def _double_description(constraints, ambient):
     `lineality` is the canonical saturated basis (columns of a kernel) of
     the largest linear subspace inside.  Constraints are deduplicated and
     processed in lexicographic order, making the ray list reproducible.
+    Each ray carries the bitmask of the inserted constraints it is tight
+    on, bit k for the k-th constraint, updated as constraints go in.
     """
     cons = sorted({primitive_vector(c) for c in constraints if any(c)})
     lin = [tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
-    rays = []
-    inserted = []
-    for a in cons:
-        pivot = next((l for l in lin if _dot(a, l) != 0), None)
-        if pivot is not None:
+    rays = []  # (ray, tight mask) pairs
+    for k, a in enumerate(cons):
+        bit = 1 << k
+        dots = [_dot(a, l) for l in lin]
+        vals = [_dot(a, r) for r, _ in rays]
+        j = next((j for j, v in enumerate(dots) if v), None)
+        if j is not None:
             # the constraint cuts the lineality space: the new cone is
-            # (old ∩ {a = 0}) + ray(pivot), everything else projects in
-            if _dot(a, pivot) < 0:
-                pivot = tuple(-x for x in pivot)
-            ap = _dot(a, pivot)
-            lin = [
-                primitive_vector(
-                    tuple(ap * x - _dot(a, l) * p for x, p in zip(l, pivot))
-                )
-                for l in lin
-                if l is not pivot
-            ]
-            lin = [l for l in lin if any(l)]
-            rays = _dedup(
-                [
-                    primitive_vector(
-                        tuple(ap * x - _dot(a, r) * p for x, p in zip(r, pivot))
-                    )
-                    for r in rays
-                ]
-                + [pivot]
-            )
-            rays = [r for r in rays if any(r)]
-            inserted.append(a)
+            # (old ∩ {a = 0}) + ray(pivot), everything else projects in;
+            # the pivot lies in the old lineality, so it is tight on
+            # every earlier constraint and no earlier bit changes
+            ap = abs(dots[j])
+            pivot = lin[j] if dots[j] > 0 else tuple(-x for x in lin[j])
+            lin = [_combine(ap, l, v, pivot)
+                   for i, (l, v) in enumerate(zip(lin, dots)) if i != j]
+            rays = [(_combine(ap, r, v, pivot), m | bit)
+                    for (r, m), v in zip(rays, vals)]
+            rays.append((pivot, bit - 1))
             continue
-        pos = [r for r in rays if _dot(a, r) > 0]
-        zero = [r for r in rays if _dot(a, r) == 0]
-        neg = [r for r in rays if _dot(a, r) < 0]
-        combined = []
+        # lin is the lineality, so `need` < 0 leaves at most one ray
         need = ambient - len(lin) - 2
-        if neg and pos and need >= 0:
-            # p and n span a 2-face iff no third ray is tight wherever both are
-            tight = {
-                r: {i for i, c in enumerate(inserted) if _dot(c, r) == 0}
-                for r in rays
-            }
-            for p in pos:
-                vp = _dot(a, p)
-                for n in neg:
-                    common = tight[p] & tight[n]
-                    if len(common) < need or any(
-                        common <= z for r, z in tight.items() if r != p and r != n
-                    ):
-                        continue
-                    vn = _dot(a, n)
-                    combined.append(
-                        primitive_vector(
-                            tuple(vp * x - vn * y for x, y in zip(n, p))
-                        )
-                    )
-        rays = _dedup(pos + zero + combined)
-        inserted.append(a)
-    lin_basis = kernel_basis(LatticeMap.from_rows(cons, ncols=ambient))
-    lineality = [lin_basis.col(j) for j in range(lin_basis.cols)]
-    return sorted(rays), lineality
+        masks = [m for _, m in rays]
+        pos = [(r, m, v) for (r, m), v in zip(rays, vals) if v > 0]
+        neg = [(r, m, v) for (r, m), v in zip(rays, vals) if v < 0]
+        rays = [(r, m if v else m | bit) for (r, m), v in zip(rays, vals)
+                if v >= 0]
+        for p, mp, vp in pos:
+            for n, mn, vn in neg:
+                # p and n span a 2-face iff no third ray is tight
+                # wherever both are
+                common = mp & mn
+                if common.bit_count() >= need and sum(
+                    m & common == common for m in masks
+                ) == 2:
+                    rays.append((_combine(vp, n, vn, p), common | bit))
+    lineality = []
+    if lin:  # lin spans the kernel of the constraints, so {0} when empty
+        lin_basis = kernel_basis(LatticeMap.from_rows(cons, ncols=ambient))
+        lineality = [lin_basis.col(j) for j in range(lin_basis.cols)]
+    return sorted(r for r, _ in rays), lineality
 
 
 def _with_flips(rays, lineality):

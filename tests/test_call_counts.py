@@ -1,0 +1,68 @@
+"""Deterministic call counts that keep known wasted work from returning.
+
+Each test wraps one library function wherever a dualfan module bound it
+by name, runs a small job, and pins how often the function ran.  The
+counts do not depend on timing, so they hold on any machine.
+"""
+
+import io
+import json
+import sys
+
+import dualfan.lattice
+import dualfan.mirrors.bb
+import dualfan.mirrors.bhk
+from dualfan.cli import main
+from dualfan.polyhedra import Cone
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one entry per call of `module.name`."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "dualfan" or mod_name.startswith("dualfan."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def run_job(monkeypatch, capsys, argv, job):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(job)))
+    code = main(argv + ["-"])
+    capsys.readouterr()
+    return code
+
+
+def test_kernel_basis_runs_only_when_a_cone_has_lines(monkeypatch):
+    calls = count_calls(monkeypatch, dualfan.lattice, "kernel_basis")
+    pointed = Cone([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)], 3)
+    assert pointed.dim == 3 and pointed.is_strongly_convex()
+    assert calls == []
+    with_line = Cone([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    assert with_line.lineality_rank == 1
+    assert len(calls) >= 1
+
+
+def test_bhk_job_builds_each_symmetry_group_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, dualfan.mirrors.bhk, "phase_symmetries")
+    job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
+           "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
+    assert run_job(monkeypatch, capsys, ["bhk"], job) == 0
+    assert len(calls) == 2  # one for P, one for its transpose
+
+
+def test_bb_job_tests_reflexivity_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, dualfan.mirrors.bb, "is_reflexive")
+    job = {"rank": 3,
+           "generators": [[-1, -1, 1], [2, -1, 1], [-1, 2, 1]],
+           "ell_dual": [0, 0, 1],
+           "splitting": [[0, 0, 1]]}
+    assert run_job(monkeypatch, capsys, ["bb"], job) == 0
+    assert len(calls) == 1

@@ -190,6 +190,48 @@ def test_bb_ell_dual_mismatch_is_exit_2(capsys, monkeypatch):
     assert "does not match the height functional" in err
 
 
+P2_CONE = [[-1, -1, 1], [2, -1, 1], [-1, 2, 1]]
+# Gorenstein at height one, but its dual is not: the triangle of side 2
+# has no interior lattice point
+TRIANGLE_CONE = [[0, 0, 1], [2, 0, 1], [0, 2, 1]]
+
+
+@pytest.mark.parametrize("job, message", [
+    ({"generators": P2_CONE + [[1, 1, -1]], "ell_dual": [1, 0, 0],
+      "splitting": [[0, 0, 1]]},
+     "reflexivity needs a full-dimensional pointed cone"),
+    ({"generators": P2_CONE[:2], "ell_dual": [1, 0, 0],
+      "splitting": [[0, 0, 1]]},
+     "reflexivity needs a full-dimensional pointed cone"),
+    ({"generators": TRIANGLE_CONE, "ell_dual": [0, 0, 2],
+      "splitting": [[5, 5, 5]]},
+     "ell_dual [0, 0, 2] does not match the height functional [0, 0, 1]"),
+    ({"generators": TRIANGLE_CONE, "ell_dual": [0, 0, 1],
+      "splitting": [[5, 5, 5]]},
+     "cone pair is not reflexive at heights up to 3"),
+    # no height functional at all, so no ell_dual can mismatch it
+    ({"generators": [[1, 0, 0], [0, 1, 0], [1, 1, 2]], "ell_dual": [7, 7, 7],
+      "splitting": [[5, 5, 5]]},
+     "cone pair is not reflexive at heights up to 3"),
+    ({"generators": P2_CONE, "ell_dual": [1, 0, 0],
+      "splitting": [[0, 0, 1], [0, 0, 1]], "dual_splitting": [[9, 9, 9]]},
+     "ell_dual [1, 0, 0] does not match the height functional [0, 0, 1]"),
+    ({"generators": P2_CONE, "ell_dual": [0, 0, 1],
+      "splitting": [[0, 0, 2]], "dual_splitting": [[9, 9, 9]]},
+     "splitting does not sum to the dual height functional"),
+    ({"generators": P2_CONE, "ell_dual": [0, 0, 1],
+      "splitting": [[0, 0, 1]], "dual_splitting": [[9, 9, 9]]},
+     "dual splitting does not sum to the height functional"),
+])
+def test_bb_first_failing_check_names_the_error(capsys, monkeypatch, job,
+                                                message):
+    """Input failing several checks is rejected by the earliest: cone
+    shape, then ell_dual, then reflexivity, then the splittings."""
+    code, body, err = run(capsys, ["bb"], {"rank": 3, **job}, monkeypatch)
+    assert (code, body) == (2, None)
+    assert err.startswith(f"error: {message}")
+
+
 def test_givental_and_hori_vafa_differ_only_in_fiber_signs(capsys,
                                                            monkeypatch):
     job = {"fan": LINE, "bundles": [{"coeffs": [0, 2]}]}

@@ -17,10 +17,11 @@ from dualfan.fans import (
     orthant_fan,
     projective_space_fan,
     quotient_fan,
+    relabel_fan,
     validate_fan,
 )
 from dualfan.lattice import LatticeMap
-from dualfan.polyhedra import Polytope, primitive_vector
+from dualfan.polyhedra import Cone, Polytope, primitive_vector
 
 
 def test_fan_constructor_validation():
@@ -34,6 +35,37 @@ def test_fan_constructor_validation():
         Fan([(1, 0)], [(0,)], 2, marked_generators=[(-2, 0)])
     with pytest.raises(ValueError, match="positive multiple"):
         Fan([(1, 0)], [(0,)], 2, marked_generators=[(1, 1)])
+
+
+def count_cone_builds(monkeypatch):
+    """A list that grows by one entry per `Cone.__init__` call."""
+    builds = []
+    init = Cone.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cone, "__init__", counting)
+    return builds
+
+
+def test_fan_cones_are_built_on_first_use(monkeypatch):
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    max_cones = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2), (0, 1, 2)]
+    expected = tuple(Cone([rays[i] for i in c], 3) for c in max_cones[:4])
+    builds = count_cone_builds(monkeypatch)
+    f = Fan(rays, max_cones, 3)
+    t = LatticeMap([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
+    other = relabel_fan(f, t)
+    assert is_dual_pair(f, orthant_fan(3)).verdict is False
+    assert builds == []
+    cones = f.cones
+    assert len(builds) == 4
+    assert cones == expected
+    assert [c.generators for c in cones] == [c.generators for c in expected]
+    assert f.cones is cones and len(builds) == 4
+    assert other.max_cones == f.max_cones and builds[4:] == []
 
 
 def test_from_generators_marks():

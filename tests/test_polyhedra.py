@@ -16,7 +16,7 @@ from math import comb, floor
 import numpy as np
 import pytest
 
-from dualfan.lattice import LatticeMap, hnf
+from dualfan.lattice import LatticeMap, hnf, kernel_basis
 from dualfan.polyhedra import (
     Cone,
     Polytope,
@@ -323,6 +323,100 @@ def test_double_description_keeps_only_extreme_rays():
                 kinds["flat" if side.dim < rank else "full"] += 1
                 kinds[f"rank {rank}"] += 1
     assert min(kinds.values()) > 40, kinds
+
+
+def reference_double_description(constraints, ambient):
+    """The pass as it stood before tight sets became bitmasks, kept as
+    the reference: every step re-dots each inserted constraint against
+    every ray, and the lineality always comes from a kernel."""
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def dedup(vectors):
+        return list(dict.fromkeys(vectors))
+
+    cons = sorted({primitive_vector(c) for c in constraints if any(c)})
+    lin = [tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
+    rays = []
+    inserted = []
+    for a in cons:
+        pivot = next((l for l in lin if dot(a, l) != 0), None)
+        if pivot is not None:
+            if dot(a, pivot) < 0:
+                pivot = tuple(-x for x in pivot)
+            ap = dot(a, pivot)
+            lin = [
+                primitive_vector(
+                    tuple(ap * x - dot(a, l) * p for x, p in zip(l, pivot))
+                )
+                for l in lin
+                if l is not pivot
+            ]
+            lin = [l for l in lin if any(l)]
+            rays = dedup(
+                [
+                    primitive_vector(
+                        tuple(ap * x - dot(a, r) * p for x, p in zip(r, pivot))
+                    )
+                    for r in rays
+                ]
+                + [pivot]
+            )
+            rays = [r for r in rays if any(r)]
+            inserted.append(a)
+            continue
+        pos = [r for r in rays if dot(a, r) > 0]
+        zero = [r for r in rays if dot(a, r) == 0]
+        neg = [r for r in rays if dot(a, r) < 0]
+        combined = []
+        need = ambient - len(lin) - 2
+        if neg and pos and need >= 0:
+            tight = {
+                r: {i for i, c in enumerate(inserted) if dot(c, r) == 0}
+                for r in rays
+            }
+            for p in pos:
+                vp = dot(a, p)
+                for n in neg:
+                    common = tight[p] & tight[n]
+                    if len(common) < need or any(
+                        common <= z for r, z in tight.items() if r != p and r != n
+                    ):
+                        continue
+                    vn = dot(a, n)
+                    combined.append(
+                        primitive_vector(
+                            tuple(vp * x - vn * y for x, y in zip(n, p))
+                        )
+                    )
+        rays = dedup(pos + zero + combined)
+        inserted.append(a)
+    lin_basis = kernel_basis(LatticeMap.from_rows(cons, ncols=ambient))
+    lineality = [lin_basis.col(j) for j in range(lin_basis.cols)]
+    return sorted(rays), lineality
+
+
+def test_double_description_matches_the_reference_pass():
+    rng = random.Random(31337)
+    kinds = Counter()
+    for _ in range(2400):
+        rank = rng.randrange(1, 6)
+        rows = [
+            tuple(rng.randint(-3, 3) for _ in range(rank))
+            for _ in range(rng.randrange(0, rank + 4))
+        ]
+        if rows and rng.randrange(3) == 0:  # a forced equation
+            rows.append(tuple(-x for x in rng.choice(rows)))
+        if len(rows) >= 2 and rng.randrange(3) == 0:  # a redundant row
+            a, b = rng.sample(rows, 2)
+            rows.append(tuple(x + y for x, y in zip(a, b)))
+        rays, lin = _double_description(rows, rank)
+        assert (rays, lin) == reference_double_description(rows, rank), rows
+        kinds["line" if lin else "pointed"] += 1
+        kinds["rays" if rays else "no rays"] += 1
+        kinds[f"rank {rank}"] += 1
+    assert min(kinds.values()) > 300, kinds
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
