@@ -412,24 +412,37 @@ def _load_payload(args):
         raise InputError(f"invalid JSON: {e}")
 
 
-def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, metavar="PATH",
-                        help="write the report here instead of stdout")
-    common.add_argument("--height-bound", type=int, default=3, metavar="H",
-                        help="reflexivity scan depth (default 3)")
-    common.add_argument("--verbose", action="store_true",
-                        help="print timing to stderr")
+def _parser(names):
+    """The `dualfan` parser with a subparser for each command in `names`."""
     parser = argparse.ArgumentParser(
         prog="dualfan",
         description="dual fans, bundle total spaces, and mirror pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_input, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    for name in names:
+        _, needs_input, help_text = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write the report here instead of stdout")
+        p.add_argument("--height-bound", type=int, default=3, metavar="H",
+                       help="reflexivity scan depth (default 3)")
+        p.add_argument("--verbose", action="store_true",
+                       help="print timing to stderr")
         if needs_input:
             p.add_argument("input",
                            help="path to a JSON job file, or - for stdin")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # A job needs only its command's subparser, whose help and errors do
+    # not depend on its siblings.  Leftover arguments go to the full tree:
+    # its "unrecognized arguments" usage line lists every command.
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    args, extra = _parser(named).parse_known_args(argv)
+    if extra:
+        _parser(_COMMANDS).parse_args(argv)
 
     started = time.monotonic()
     try:

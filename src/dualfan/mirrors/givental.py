@@ -14,8 +14,8 @@ from ..symbols import ParamPoly
 from ..toric_lg import (
     AuxiliaryLG,
     Specialization,
+    _ci_family,
     apply_specialization,
-    auxiliary_lg_from_ci,
     base_change_check,
     is_cartier,
     section_polytope,
@@ -103,7 +103,7 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
 
     basis = splitting_basis(fan, basis_rays)
     sigma_x = split_bundle_fan(divisors)
-    gamma, _ = auxiliary_lg_from_ci(divisors)
+    gamma, _ = _ci_family(divisors, sigma_x, sections)
 
     lifted = []
     for a, poly in enumerate(sections):

@@ -204,13 +204,18 @@ def auxiliary_lg_from_ci(divisors):
     fan's vertical rays; `tags` records the summand of each exponent.
     """
     divisors = tuple(divisors)
-    total = split_bundle_fan(divisors)
+    return _ci_family(divisors, split_bundle_fan(divisors),
+                      [section_polytope(d) for d in divisors])
+
+
+def _ci_family(divisors, total, sections):
+    """`auxiliary_lg_from_ci` from a built total fan and section polytopes."""
     c = len(divisors)
     exponents = []
     tags = []
-    for i, d in enumerate(divisors):
+    for i, poly in enumerate(sections):
         indicator = tuple(int(j == i) for j in range(c))
-        for m in section_polytope(d).lattice_points():
+        for m in poly.lattice_points():
             exponents.append(tuple(m) + indicator)
             tags.append(i)
     base_rays = len(divisors[0].fan.rays)

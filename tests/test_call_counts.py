@@ -5,14 +5,18 @@ by name, runs a small job, and pins how often the function ran.  The
 counts do not depend on timing, so they hold on any machine.
 """
 
+import argparse
 import io
 import json
 import sys
 
+import pytest
+
 import dualfan.lattice
 import dualfan.mirrors.bb
 import dualfan.mirrors.bhk
-from dualfan.cli import main
+import dualfan.toric_lg
+from dualfan.cli import _COMMANDS, main
 from dualfan.polyhedra import Cone
 
 
@@ -66,3 +70,46 @@ def test_bb_job_tests_reflexivity_once(monkeypatch, capsys):
            "splitting": [[0, 0, 1]]}
     assert run_job(monkeypatch, capsys, ["bb"], job) == 0
     assert len(calls) == 1
+
+
+def count_parsers(monkeypatch):
+    """The `prog` of every `argparse.ArgumentParser` built from now on."""
+    original = argparse.ArgumentParser.__init__
+    progs = []
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return progs
+
+
+def test_a_job_builds_only_its_own_subparser(monkeypatch, capsys):
+    progs = count_parsers(monkeypatch)
+    job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]}}
+    assert run_job(monkeypatch, capsys, ["bhk"], job) == 0
+    assert len(progs) <= 3
+    assert [p for p in progs if p and p.startswith("dualfan ")] == [
+        "dualfan bhk"]
+
+
+def test_an_unknown_command_builds_the_full_tree(monkeypatch, capsys):
+    progs = count_parsers(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(["nope"])
+    capsys.readouterr()
+    assert {p for p in progs if p and p.startswith("dualfan ")} == {
+        f"dualfan {name}" for name in _COMMANDS}
+
+
+def test_givental_job_builds_each_section_polytope_once(monkeypatch,
+                                                         capsys):
+    sections = count_calls(monkeypatch, dualfan.toric_lg, "section_polytope")
+    totals = count_calls(monkeypatch, dualfan.toric_lg, "split_bundle_fan")
+    job = {"bundles": [{"coeffs": [1, 1, 0, 0]}, {"coeffs": [0, 0, 1, 1]}],
+           "fan": {"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                   "max_cones": [[0, 2], [0, 3], [1, 2], [1, 3]]}}
+    assert run_job(monkeypatch, capsys, ["givental"], job) == 0
+    assert len(sections) == 2  # one per summand
+    assert len(totals) == 1

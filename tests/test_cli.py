@@ -6,12 +6,17 @@ a mathematical failure with a witness in the report, exit 2 is input
 that could not be interpreted.
 """
 
+import argparse
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dualfan.cli
 from dualfan.cli import canonical_json, emit_fan, main, parse_fan
 from dualfan.fans import Fan, projective_space_fan
 from dualfan.polyhedra import Polytope
@@ -414,3 +419,78 @@ def test_height_bound_flag_reaches_the_reflexivity_scan(capsys, monkeypatch):
     code = main(["bb", "-", "--height-bound", "1"])
     capsys.readouterr()
     assert code == 0
+
+
+def _reference_parse(argv):
+    """The full parser tree every `main` call used to build, as the
+    reference for argv handling: parse, then hand over to the job."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None, metavar="PATH",
+                        help="write the report here instead of stdout")
+    common.add_argument("--height-bound", type=int, default=3, metavar="H",
+                        help="reflexivity scan depth (default 3)")
+    common.add_argument("--verbose", action="store_true",
+                        help="print timing to stderr")
+    parser = argparse.ArgumentParser(
+        prog="dualfan",
+        description="dual fans, bundle total spaces, and mirror pipelines")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, needs_input, help_text) in dualfan.cli._COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if needs_input:
+            p.add_argument("input",
+                           help="path to a JSON job file, or - for stdin")
+    args = parser.parse_args(argv)
+    dualfan.cli._load_payload(args)
+
+
+ARGV_CASES = [
+    "", "-h", "--help", "nope", "bhk", "bhk -h", "quintic -h",
+    "quintic extra", "quintic --bogus", "bhk - --bogus", "bhk - x",
+    "bundle-fan a b", "bb - --height-bound x", "bb --height-bound",
+    "--verbose bhk -", "-h bhk", "dualcheck --ver", "fan-validate -- -",
+    "Bhk -", "bh -", "givental - --height-bound=2 --height-bound z",
+    "quintic", "bhk -", "section-polytope --out o --height-bound 7 -",
+    "hori-vafa --verbose=1 -",
+]
+
+
+@pytest.mark.parametrize("line", ARGV_CASES)
+def test_argv_handling_matches_the_full_parser_tree(line, capsys,
+                                                    monkeypatch):
+    # a parse that succeeds shows its namespace instead of running the job
+    def show_args(args):
+        print(sorted(vars(args).items()))
+        sys.exit(3)
+
+    monkeypatch.setattr(dualfan.cli, "_load_payload", show_args)
+    for columns in (40, 80, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        outcomes = []
+        for run_argv in (main, _reference_parse):
+            try:
+                status = ("returned", run_argv(line.split()))
+            except SystemExit as e:
+                status = ("exited", e.code)
+            outcomes.append((status, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], columns
+
+
+def _run_module(*args):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "dualfan.cli", *args], capture_output=True,
+        stdin=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def test_module_entry_reads_sys_argv():
+    golden = Path(__file__).resolve().parent / "golden" / "quintic.stdout"
+    proc = _run_module("quintic")
+    assert proc.returncode == 0
+    assert proc.stdout == golden.read_bytes()
+    proc = _run_module()
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"usage: dualfan ")
+    proc = _run_module("bhk")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"usage: dualfan bhk ")
