@@ -111,12 +111,8 @@ class Fan(Value):
     def from_generators(cls, generators, max_cones, lattice_rank):
         """Rays are primitivized; the inputs become the marked generators."""
         gens = [tuple(int(x) for x in g) for g in generators]
-        return cls(
-            [primitive_vector(g) for g in gens],
-            max_cones,
-            lattice_rank,
-            marked_generators=gens,
-        )
+        return cls([primitive_vector(g) for g in gens], max_cones,
+                   lattice_rank, marked_generators=gens)
 
     @classmethod
     def from_maximal_cones(cls, cones, lattice_rank):
@@ -152,8 +148,24 @@ class Fan(Value):
         )
 
 
+def _separated(s, t):
+    """Whether u, the sum of the facet normals of s that vanish on the
+    shared rays S, is > 0 on the other rays of s and < 0 on those of t."""
+    shared = set(s.extreme_rays) & set(t.extreme_rays)
+    u = [sum(c) for c in zip(*(n for n in s.facet_normals
+                              if not any(_dot(n, r) for r in shared)))]
+    return all(_dot(u, r) > 0 for r in set(s.extreme_rays) - shared) and all(
+        _dot(u, r) < 0 for r in set(t.extreme_rays) - shared)
+
+
 def validate_fan(f: Fan) -> FanValidation:
-    """The fan condition: strong convexity plus the pairwise face test."""
+    """The fan condition: strong convexity plus the pairwise face test.
+
+    Once every cone is pointed, a pair that `_separated` accepts in either
+    order passes without an intersection: u ≥ 0 on s and u ≤ 0 on t cut
+    both in the face cone(S), so s ∩ t = cone(S) is a face of each (the
+    separation lemma, Fulton, *Introduction to Toric Varieties*, §1.2).
+    """
     problems = []
     for ixs, cone in zip(f.max_cones, f.cones):
         if not cone.is_strongly_convex():
@@ -161,10 +173,11 @@ def validate_fan(f: Fan) -> FanValidation:
     if not problems:
         for i in range(len(f.cones)):
             for j in range(i + 1, len(f.cones)):
-                meet = f.cones[i].intersection(f.cones[j])
-                if not meet.is_face_of(f.cones[i]) or not meet.is_face_of(
-                    f.cones[j]
-                ):
+                s, t = f.cones[i], f.cones[j]
+                if _separated(s, t) or _separated(t, s):
+                    continue
+                meet = s.intersection(t)
+                if not meet.is_face_of(s) or not meet.is_face_of(t):
                     problems.append(
                         f"intersection of cones {list(f.max_cones[i])} and "
                         f"{list(f.max_cones[j])} is not a common face"
@@ -239,7 +252,9 @@ def quotient_fan(f: Fan, q: LatticeMap):
     the kernel of the transposed map on characters and torsion is the
     finite subgroup of the fan's torus that the map kills (its invariant
     factors equal those of the torsion of the transposed cokernel).
-    Raises when the image cones do not form a fan.
+    Raises when the image cones do not form a fan.  The face-image check
+    skips a pointed source cone whose k rays push to a k-dimensional
+    image: the pushed rays are independent, so every subset spans a face.
     """
     if q.cols != f.lattice_rank:
         raise ValueError("map does not start at the fan's lattice")
@@ -267,13 +282,8 @@ def quotient_fan(f: Fan, q: LatticeMap):
             new_marked.append(mark)
         ray_image[i] = index_of[prim]
 
-    image_cones = []
-    for ixs in f.max_cones:
-        image_cones.append(
-            tuple(
-                sorted({ray_image[i] for i in ixs if ray_image[i] is not None})
-            )
-        )
+    image_cones = [tuple(sorted({ray_image[i] for i in ixs} - {None}))
+                   for ixs in f.max_cones]
     image = Fan(new_rays, image_cones, q.rows, new_marked)
 
     check = validate_fan(image)
@@ -283,6 +293,8 @@ def quotient_fan(f: Fan, q: LatticeMap):
     # rays span a face of the pointed image iff their closure adds no ray
     for src, img in zip(f.cones, image.cones):
         rays = src.extreme_rays
+        if src.is_strongly_convex() and img.dim == len(rays):
+            continue
         pushed = [primitive_vector(q @ r) for r in rays]
         bad = []
         for key in src._face_index_sets():

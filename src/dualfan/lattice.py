@@ -387,7 +387,11 @@ def solve_integer(a: LatticeMap, b):
     b = tuple(_as_int(x) for x in b)
     if len(b) != a.rows:
         raise ValueError("right-hand side has wrong length")
-    dec = snf(a)
+    return _solve(a, snf(a), b)
+
+
+def _solve(a, dec, b):
+    """`solve_integer` given the Smith decomposition `dec` of A."""
     c = dec.U @ b
     y = [0] * a.cols
     for i in range(a.rows):
@@ -403,12 +407,14 @@ def solve_integer(a: LatticeMap, b):
 
 
 def solve_integer_matrix(a: LatticeMap, b: LatticeMap):
-    """Integer X with A·X = B, or None.  Solved column by column."""
+    """Integer X with A·X = B, or None.  One Smith decomposition of A
+    serves every column."""
     if a.rows != b.rows:
         raise ValueError("shape mismatch")
+    dec = snf(a)
     cols = []
     for j in range(b.cols):
-        x = solve_integer(a, b.col(j))
+        x = _solve(a, dec, b.col(j))
         if x is None:
             return None
         cols.append(x)

@@ -18,8 +18,8 @@ from ..toric_lg import (
     AuxiliaryLG,
     Specialization,
     ToricDivisor,
+    _ci_family,
     apply_specialization,
-    auxiliary_lg_from_ci,
     base_change_check,
     section_polytope,
     split_bundle_fan,
@@ -225,7 +225,7 @@ class _Side(Value):
     """Everything one side of the pair produces."""
 
     __slots__ = ("base", "divisors", "sections", "section_sum", "ambient",
-                 "psi", "sections_match")
+                 "psi", "sections_match", "total", "recomputed")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -288,12 +288,13 @@ def _total_space(parts, splitting, dual_splitting, opposite_parts, rank):
         ToricDivisor(base, tuple(1 if c == i else 0 for c in classes))
         for i in range(r))
 
-    sections_match = all(section_polytope(d) == s
-                         for d, s in zip(divisors, sections))
-    ambient = relabel_fan(split_bundle_fan(divisors), psi_inv.transpose())
+    recomputed = tuple(section_polytope(d) for d in divisors)
+    total = split_bundle_fan(divisors)
     return _Side(base=base, divisors=divisors, sections=tuple(sections),
-                 section_sum=section_sum, ambient=ambient, psi=psi,
-                 sections_match=sections_match)
+                 section_sum=section_sum, psi=psi, total=total,
+                 ambient=relabel_fan(total, psi_inv.transpose()),
+                 sections_match=recomputed == tuple(sections),
+                 recomputed=recomputed)
 
 
 def bb_mirror_pair(generators, splitting, dual_splitting=None,
@@ -411,7 +412,7 @@ def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
 
     for name, side, pts in (("section_dictionary", side_a, xi),
                             ("dual_section_dictionary", side_b, xi_prime)):
-        aux_ci, _ = auxiliary_lg_from_ci(side.divisors)
+        aux_ci, _ = _ci_family(side.divisors, side.total, side.recomputed)
         mapped = {tuple(side.psi @ e) for e in aux_ci.exponents}
         checks.append((name, mapped == set(pts)))
 

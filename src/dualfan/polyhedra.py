@@ -3,6 +3,10 @@
 Both representations of every cone are computed eagerly at construction
 by two integer-only incremental double description passes, generators to
 facet normals and back; inequalities go through `Cone(normals).dual()`.
+A cone over n independent generators in rank n skips both passes: its
+rays are the generators and its facet normals the primitive columns of
+the adjugate of the generator matrix, just what double description
+finds for such a simplicial cone.
 Constraints are inserted in sorted order, so results are deterministic.
 Each ray carries its tight set as an int bitmask over the inserted
 constraints, and two rays are adjacent when no third ray's mask covers
@@ -94,6 +98,32 @@ def _double_description(constraints, ambient):
     return sorted(r for r, _ in rays), lineality
 
 
+def _simplicial_normals(gens, n):
+    """Sorted facet normals of the cone over n independent vectors in
+    rank n, or None for any other list.  Fraction-free Gauss–Jordan
+    (Bareiss) takes [G | I] to [d·I | d·G⁻¹] in integers; column i of
+    d·G⁻¹ is orthogonal to every g_j but g_i and pairs to d with it."""
+    if len(gens) != n:
+        return None
+    m = [list(g) + [int(i == j) for j in range(n)] for i, g in enumerate(gens)]
+    d = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return None
+        m[k], m[p] = m[p], m[k]
+        pivot = m[k]
+        for i, row in enumerate(m):
+            if i != k:
+                c = row[k]
+                m[i] = [(pivot[k] * x - c * y) // d
+                        for x, y in zip(row, pivot)]
+        d = pivot[k]
+    sign = 1 if d > 0 else -1
+    return sorted(primitive_vector([sign * row[n + i] for row in m])
+                  for i in range(n))
+
+
 def _with_flips(rays, lineality):
     flips = (tuple(-x for x in l) for l in lineality)
     return tuple(sorted({*rays, *lineality, *flips}))
@@ -105,28 +135,24 @@ class Cone(Value):
     `generators` lists the primitive extreme rays, padded with a ± pair
     per lineality basis vector when the cone contains lines.  The facet
     normals play the same role for the dual cone, so a lower-dimensional
-    cone carries ± pairs of span equations among its normals.
+    cone carries ± pairs of span equations among its normals.  For n
+    independent generators in rank n the cone is simplicial and pointed:
+    each generator is a ray and each facet misses exactly one of them.
     """
 
-    __slots__ = (
-        "ambient_rank",
-        "generators",
-        "facet_normals",
-        "lineality_rank",
-        "dim",
-        "_rays",
-        "_lineality",
-        "_dual_rays",
-        "_dual_lineality",
-    )
+    __slots__ = ("ambient_rank", "generators", "facet_normals",
+                 "lineality_rank", "dim", "_rays", "_lineality",
+                 "_dual_rays", "_dual_lineality")
 
     def __init__(self, generators, ambient_rank):
-        gens = sorted(
-            {primitive_vector(g) for g in generators if any(g)}
-        )
+        gens = sorted({primitive_vector(g) for g in generators if any(g)})
         for g in gens:
             if len(g) != ambient_rank:
                 raise ValueError("generator has wrong length")
+        normals = _simplicial_normals(gens, ambient_rank)
+        if normals is not None:  # simplicial and full-dimensional
+            self._install(ambient_rank, gens, (), normals, ())
+            return
         dual_rays, dual_lin = _double_description(gens, ambient_rank)
         rays, lin = _double_description(
             _with_flips(dual_rays, dual_lin), ambient_rank
@@ -178,9 +204,7 @@ class Cone(Value):
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
         return Cone.from_inequalities(
-            list(self.facet_normals) + list(other.facet_normals),
-            self.ambient_rank,
-        )
+            self.facet_normals + other.facet_normals, self.ambient_rank)
 
     def _closure(self, vectors):
         """Generators of the smallest face whose span admits the vectors."""
@@ -275,15 +299,8 @@ class Polytope(Value):
     homogenization cone.
     """
 
-    __slots__ = (
-        "ambient_rank",
-        "vertices",
-        "hrep",
-        "bounded",
-        "dim",
-        "_recession",
-        "_lineality",
-    )
+    __slots__ = ("ambient_rank", "vertices", "hrep", "bounded", "dim",
+                 "_recession", "_lineality")
 
     def __init__(self, *, ambient_rank, vertices, hrep, bounded, recession, lineality, dim):
         object.__setattr__(self, "ambient_rank", ambient_rank)
@@ -370,11 +387,8 @@ class Polytope(Value):
         if not (self.bounded and other.bounded):
             raise ValueError("unbounded")
         return Polytope.from_vertices(
-            [
-                tuple(a + b for a, b in zip(p, q))
-                for p in self.vertices
-                for q in other.vertices
-            ],
+            [tuple(a + b for a, b in zip(p, q))
+             for p in self.vertices for q in other.vertices],
             self.ambient_rank,
         )
 

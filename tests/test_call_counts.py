@@ -17,6 +17,8 @@ import dualfan.mirrors.bb
 import dualfan.mirrors.bhk
 import dualfan.toric_lg
 from dualfan.cli import _COMMANDS, main
+from dualfan.fans import Fan, validate_fan
+from dualfan.lattice import LatticeMap, solve_integer_matrix
 from dualfan.polyhedra import Cone
 
 
@@ -62,14 +64,62 @@ def test_bhk_job_builds_each_symmetry_group_once(monkeypatch, capsys):
     assert len(calls) == 2  # one for P, one for its transpose
 
 
+BB_P2 = {"rank": 3,
+         "generators": [[-1, -1, 1], [2, -1, 1], [-1, 2, 1]],
+         "ell_dual": [0, 0, 1],
+         "splitting": [[0, 0, 1]]}
+
+
 def test_bb_job_tests_reflexivity_once(monkeypatch, capsys):
     calls = count_calls(monkeypatch, dualfan.mirrors.bb, "is_reflexive")
-    job = {"rank": 3,
-           "generators": [[-1, -1, 1], [2, -1, 1], [-1, 2, 1]],
-           "ell_dual": [0, 0, 1],
-           "splitting": [[0, 0, 1]]}
-    assert run_job(monkeypatch, capsys, ["bb"], job) == 0
+    assert run_job(monkeypatch, capsys, ["bb"], BB_P2) == 0
     assert len(calls) == 1
+
+
+def test_bb_job_builds_each_section_polytope_once(monkeypatch, capsys):
+    sections = count_calls(monkeypatch, dualfan.toric_lg, "section_polytope")
+    totals = count_calls(monkeypatch, dualfan.toric_lg, "split_bundle_fan")
+    assert run_job(monkeypatch, capsys, ["bb"], BB_P2) == 0
+    assert len(sections) == 2  # one per side
+    assert len(totals) == 2
+
+
+def test_a_matrix_solve_factors_once(monkeypatch):
+    calls = count_calls(monkeypatch, dualfan.lattice, "snf")
+    a = LatticeMap([[2, 0], [0, 3], [1, 1]])
+    b = LatticeMap([[2, 4, 0], [3, 0, -3], [2, 2, -1]])
+    x = solve_integer_matrix(a, b)
+    assert a @ x == b
+    assert len(calls) == 1
+
+
+def count_intersections(monkeypatch):
+    original = Cone.intersection
+    calls = []
+
+    def counting(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Cone, "intersection", counting)
+    return calls
+
+
+def test_validate_fan_intersects_only_unseparated_pairs(monkeypatch):
+    calls = count_intersections(monkeypatch)
+    axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+            (0, 0, -1)]
+    octants = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    assert validate_fan(Fan(axes, octants, 3)).ok
+    assert calls == []  # all 28 pairs separated by a sum of normals
+    # 12 of the octagon's 28 pairs, such as the cones over (1, 0), (1, 1)
+    # and (0, 1), (-1, 1), meet only at the origin, but neither normal
+    # sum is negative on the other cone
+    octagon = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
+               (1, -1)]
+    assert validate_fan(
+        Fan(octagon, [(i, (i + 1) % 8) for i in range(8)], 2)).ok
+    assert len(calls) == 12
 
 
 def count_parsers(monkeypatch):

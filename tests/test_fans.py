@@ -2,7 +2,9 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -111,6 +113,80 @@ def test_fan_with_lineality_cone_is_invalid():
     v = validate_fan(f)
     assert not v.ok
     assert "strongly convex" in v.diagnostics[0]
+
+
+def validate_by_intersections(f):
+    """The fan condition with a double description intersection for
+    every pair of cones, kept as the reference for `validate_fan`."""
+    problems = [f"cone {list(ixs)} is not strongly convex"
+                for ixs, c in zip(f.max_cones, f.cones)
+                if not c.is_strongly_convex()]
+    if not problems:
+        for (i, a), (j, b) in combinations(enumerate(f.cones), 2):
+            meet = a.intersection(b)
+            if not meet.is_face_of(a) or not meet.is_face_of(b):
+                problems.append(
+                    f"intersection of cones {list(f.max_cones[i])} and "
+                    f"{list(f.max_cones[j])} is not a common face")
+    return problems
+
+
+def random_fan(rng, rank):
+    """Faces of a random normal fan (valid, often lower-dimensional), the
+    same with one stray cone on its rays, or random cones on random rays
+    (mostly invalid, some with lines)."""
+    kind = rng.randrange(4)
+    if kind >= 2:
+        rays = sorted({primitive_vector([rng.randint(-2, 2)
+                                         for _ in range(rank)])
+                       for _ in range(rank + 3)} - {(0,) * rank})
+        cones = [rng.sample(range(len(rays)),
+                            rng.randint(1, min(len(rays), rank + 1)))
+                 for _ in range(rng.randint(3, 5))]
+        return Fan(rays, cones, rank)
+    while True:
+        pts = [[rng.randint(-2, 2) for _ in range(rank)]
+               for _ in range(rank + 2)]
+        poly = Polytope.from_vertices(pts)
+        if poly.dim == rank:
+            break
+    fan = poly.normal_fan()
+    index = {r: i for i, r in enumerate(fan.rays)}
+    cones = []
+    for cone in fan.cones:
+        faces = sorted(map(sorted, cone._face_index_sets()))
+        face = faces[-1] if rng.random() < 0.5 else rng.choice(faces)
+        cones.append([index[cone.extreme_rays[k]] for k in face])
+    if kind == 1:
+        cones.append(rng.sample(range(len(fan.rays)),
+                                rng.randint(2, rank + 1)))
+    return Fan(fan.rays, cones, rank)
+
+
+def test_validate_fan_matches_the_pairwise_intersection_test():
+    rng = random.Random(20151)
+    outcomes = Counter()
+    for rank in (2, 3, 4):
+        for _ in range(60):
+            f = random_fan(rng, rank)
+            problems = validate_by_intersections(f)
+            v = validate_fan(f)
+            assert (v.ok, list(v.diagnostics)) == (not problems, problems), f
+            outcomes[rank, v.ok] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_a_separating_sum_needs_strict_signs_on_the_other_cone():
+    # s ∩ t = cone(a, b) but a and b are opposite corners of a square
+    # facet of t; the normal sum of s is zero on that whole facet
+    a, b = (1, 0, 1, 0), (-1, 0, 1, 0)
+    rays = [a, b, (0, 1, 0, 1), (0, -1, 0, 1), (0, 1, 1, 0), (0, -1, 1, 0),
+            (0, 0, 0, -1)]
+    f = Fan(rays, [(0, 1, 2, 3), (0, 1, 4, 5, 6)], 4)
+    assert validate_fan(f).diagnostics == (
+        "intersection of cones [0, 1, 2, 3] and [0, 1, 4, 5, 6] is not a "
+        "common face",)
+    assert validate_by_intersections(f) == list(validate_fan(f).diagnostics)
 
 
 def test_k_cones():
@@ -286,6 +362,13 @@ def test_quotient_rejects_a_face_image_that_is_not_a_face():
         "quotient not a fan: a face image is not a face of its cone image "
         "([[0, 0, 1]])"
     )
+
+
+def test_quotient_of_a_cone_with_a_line_still_raises():
+    # the map kills the line, so the image cone is a single ray
+    f = Fan([(1, 0), (-1, 0), (0, 1)], [(0, 1, 2)], 2)
+    with pytest.raises(ValueError, match="has lineality"):
+        quotient_fan(f, LatticeMap([[0, 1]]))
 
 
 def test_quotient_group_order_matches_determinant():

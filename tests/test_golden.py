@@ -5,10 +5,12 @@ stdin text (or null), the exit code and the stderr text.  The stdout
 bytes live next to it in `<case>.stdout`.  Every case runs `cli.main`
 in process and must reproduce all three exactly.
 
-To add a case, add its argv and stdin to `jobs.json` and run
+To add a case, add its argv and stdin at the end of `jobs.json` and run
 `python tests/test_golden.py`: it records the outputs of cases that have
-none yet and never rewrites an existing one.  A failing case means a
-report changed; mend the program, not the golden file.
+none yet and never rewrites an existing one.  Cases run in file order,
+so an appended case leaves the test ids of the others as they were.  A
+failing case means a report changed; mend the program, not the golden
+file.
 """
 
 import contextlib
@@ -42,7 +44,7 @@ def run_job(argv, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("name, job", sorted(_load_jobs().items()))
+@pytest.mark.parametrize("name, job", list(_load_jobs().items()))
 def test_golden_report(name, job):
     code, out, err = run_job(job["argv"], job["stdin"])
     expected = (GOLDEN / f"{name}.stdout").read_bytes()
@@ -61,7 +63,7 @@ def test_goldens_cover_every_command_and_exit_code():
 
 def _record_new_cases():
     jobs = _load_jobs()
-    for name, job in sorted(jobs.items()):
+    for name, job in jobs.items():
         if "exit" in job:
             continue
         code, out, err = run_job(job["argv"], job["stdin"])
@@ -69,7 +71,7 @@ def _record_new_cases():
         job.update(exit=code, stderr=err)
         print(f"recorded {name}: exit {code}")
     lines = [f" {json.dumps(name)}: {json.dumps(job, sort_keys=True)}"
-             for name, job in sorted(jobs.items())]
+             for name, job in jobs.items()]
     JOBS.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 

@@ -16,12 +16,14 @@ from math import comb, floor
 import numpy as np
 import pytest
 
+import dualfan.polyhedra
 from dualfan.lattice import LatticeMap, hnf, kernel_basis
 from dualfan.polyhedra import (
     Cone,
     Polytope,
     _double_description,
     _primitive_lift,
+    _with_flips,
     primitive_vector,
 )
 
@@ -156,6 +158,52 @@ def test_face_counts_random_simplicial():
         found += 1
         for k in range(d + 1):
             assert len(c.faces(k)) == comb(d, k)
+
+
+def test_simplicial_cones_match_double_description(monkeypatch):
+    """n independent generators in rank n skip both passes and land on
+    exactly what the two double description passes give."""
+    rng = random.Random(60607)
+    cases = []
+    while len(cases) < 2400:
+        n = rng.randint(1, 6)
+        gens = [tuple(rng.randint(-50, 50) for _ in range(n))
+                for _ in range(n)]
+        if LatticeMap(gens).det():
+            cases.append((gens, n))
+    expected = []
+    for gens, n in cases:
+        dual_rays, dual_lin = _double_description(gens, n)
+        rays, lin = _double_description(dual_rays, n)
+        assert dual_lin == [] and lin == []
+        expected.append((tuple(rays), tuple(dual_rays)))
+
+    def no_pass(*args):
+        raise AssertionError("double description ran on a simplicial cone")
+
+    monkeypatch.setattr(dualfan.polyhedra, "_double_description", no_pass)
+    for (gens, n), (rays, dual_rays) in zip(cases, expected):
+        cone = Cone(gens, n)
+        assert cone.extreme_rays == cone.generators == rays
+        assert cone.facet_normals == cone.dual().extreme_rays == dual_rays
+        assert (cone.dim, cone.lineality_rank) == (n, 0)
+        assert cone.dual().lineality_rank == 0
+
+
+def test_other_generator_lists_take_both_passes():
+    for gens, rank in [
+        ([(1, 2), (2, 4)], 2),                   # one ray, twice
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),  # in a plane
+        ([(1, 0), (-1, 0)], 2),                  # a line
+        ([(1, 0), (0, 1), (1, 1)], 2),           # more rays than rank
+    ]:
+        dual_rays, dual_lin = _double_description(gens, rank)
+        rays, lin = _double_description(_with_flips(dual_rays, dual_lin), rank)
+        cone = Cone(gens, rank)
+        assert cone.extreme_rays == tuple(rays)
+        assert cone.facet_normals == _with_flips(dual_rays, dual_lin)
+        assert cone.lineality_rank == len(lin)
+        assert cone.dim == rank - len(dual_lin)
 
 
 def test_double_description_against_membership_oracle():
