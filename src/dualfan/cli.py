@@ -225,10 +225,7 @@ def _cmd_dualcheck(request):
     payload = request.payload
     fan, w1 = parse_fan(_require(payload, "fan", "job"))
     dual, w2 = parse_fan(_require(payload, "dual_fan", "job"))
-    try:
-        rep = is_dual_pair(fan, dual)
-    except ValueError as e:
-        raise InputError(str(e))
+    rep = is_dual_pair(fan, dual)
     body = {"duality": _duality_json(rep), "warnings": list(w1 + w2)}
     return ReportDocument(request.command, body, not rep.verdict)
 
@@ -287,11 +284,8 @@ def _cmd_bb(request):
     if payload.get("dual_splitting") is not None:
         dual_splitting = _int_matrix(payload["dual_splitting"],
                                      "dual_splitting")
-    try:
-        cone = Cone(list(gens), rank)
-        refl = is_reflexive(cone, request.height_bound)
-    except ValueError as e:
-        raise InputError(str(e))
+    cone = Cone(list(gens), rank)
+    refl = is_reflexive(cone, request.height_bound)
     if refl.cone_report.functional is not None \
             and tuple(ell_dual) != refl.cone_report.functional:
         raise InputError(
@@ -343,10 +337,7 @@ def _cmd_section_polytope(request):
     fan, warnings = parse_fan(_require(payload, "fan", "job"))
     divisor = _parse_divisor(fan, _require(payload, "divisor", "job"),
                              "divisor")
-    try:
-        poly = section_polytope(divisor)
-    except ValueError as e:
-        raise InputError(str(e))
+    poly = section_polytope(divisor)
     points = poly.lattice_points()
     body = {
         "cartier": is_cartier(divisor) is not None,
@@ -365,10 +356,7 @@ def _cmd_bundle_fan(request):
     if not isinstance(summands, (list, tuple)) or not summands:
         raise InputError("divisors must be a nonempty list")
     divisors = [_parse_divisor(fan, d, "divisor") for d in summands]
-    try:
-        total = split_bundle_fan(divisors)
-    except ValueError as e:
-        raise InputError(str(e))
+    total = split_bundle_fan(divisors)
     body = {"fan": emit_fan(total), "warnings": list(warnings)}
     return ReportDocument(request.command, body, False)
 
@@ -454,8 +442,12 @@ def main(argv=None) -> int:
         return 2
     text = document.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if args.verbose:

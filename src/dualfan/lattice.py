@@ -5,12 +5,18 @@ Everything here runs on Python ints (arbitrary precision) and
 The normal forms use a fixed pivoting rule (smallest nonzero absolute
 value, then lowest index), which makes every output reproducible across
 runs and platforms.
+
+Square matrices go through one elimination, `_adjugate`: fraction-free
+Gauss–Jordan (Bareiss, *Math. Comp.* 22, 1968) on [A | I].  By Sylvester's
+identity each update at step k is the previous pivot times a (k+1)-minor
+of [A | I] before its `//`, so every division is exact.  `det`, both
+inverses and the simplicial facet normals of `polyhedra` read it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from ._value import Value
 
@@ -136,30 +142,10 @@ class LatticeMap(Value):
         )
 
     def det(self):
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant, from the one square-matrix elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _adjugate(self.entries)[0]
 
     def rank(self):
         return len([d for d in smith_diagonal(self) if d != 0])
@@ -347,39 +333,50 @@ def kernel_basis(a: LatticeMap) -> LatticeMap:
     return LatticeMap.from_cols(cols, nrows=a.cols)
 
 
+def _adjugate(rows):
+    """(det A, adj A) for the square matrix with these integer rows, or
+    (0, None) when A is singular.  [A | I] ends at [d·I | d·A⁻¹] with
+    d = ±det A, the sign counting the row swaps."""
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    d, sign = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot, pk = m[k], m[k][k]
+        for i, row in enumerate(m):
+            if i != k:
+                c = row[k]
+                m[i] = [(pk * x - c * y) // d for x, y in zip(row, pivot)]
+        d = pk
+    return sign * d, [r[n:] if sign > 0 else [-x for x in r[n:]] for r in m]
+
+
+def _square_adjugate(a):
+    if a.rows != a.cols:
+        raise ValueError("inverse of a non-square matrix")
+    det, adj = _adjugate(a.entries)
+    if adj is None:
+        raise ValueError("matrix is singular")
+    return det, adj
+
+
 def int_inverse(a: LatticeMap) -> LatticeMap:
     """Inverse of a unimodular integer matrix, again integral."""
-    inv = rational_inverse(a)
-    ent = []
-    for row in inv:
-        out = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out.append(x.numerator)
-        ent.append(tuple(out))
-    return LatticeMap(ent) if ent else LatticeMap.zero(0, 0)
+    det, adj = _square_adjugate(a)
+    if abs(det) != 1:
+        raise ValueError("matrix is not unimodular")
+    return LatticeMap([[det * x for x in row] for row in adj], cols=a.rows)
 
 
 def rational_inverse(a: LatticeMap):
     """Exact inverse over Q as a tuple-of-tuples of Fractions."""
-    if a.rows != a.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = a.rows
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a.entries)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if p is None:
-            raise ValueError("matrix is singular")
-        m[c], m[p] = m[p], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
+    det, adj = _square_adjugate(a)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
 def solve_integer(a: LatticeMap, b):
@@ -480,10 +477,7 @@ def annihilator_lattice(phases, ambient_rank) -> LatticeMap:
             raise ValueError("phase vector has wrong length")
     if not phases:
         return LatticeMap.identity(ambient_rank)
-    ell = 1
-    for q in phases:
-        for x in q:
-            ell = ell * x.denominator // gcd(ell, x.denominator)
+    ell = lcm(*(x.denominator for q in phases for x in q))
     # m annihilates all phases iff (ell·Q)ᵗ·m ≡ 0 mod ell
     rows = [
         tuple(int(x * ell) for x in q) for q in phases

@@ -5,8 +5,8 @@ by two integer-only incremental double description passes, generators to
 facet normals and back; inequalities go through `Cone(normals).dual()`.
 A cone over n independent generators in rank n skips both passes: its
 rays are the generators and its facet normals the primitive columns of
-the adjugate of the generator matrix, just what double description
-finds for such a simplicial cone.
+the adjugate of the generator matrix from `lattice._adjugate`, just
+what double description finds for such a simplicial cone.
 Constraints are inserted in sorted order, so results are deterministic.
 Each ray carries its tight set as an int bitmask over the inserted
 constraints, and two rays are adjacent when no third ray's mask covers
@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ._value import Value
-from .lattice import LatticeMap, hnf, kernel_basis
+from .lattice import LatticeMap, _adjugate, hnf, kernel_basis
 
 
 def _dot(a, b):
@@ -100,28 +100,14 @@ def _double_description(constraints, ambient):
 
 def _simplicial_normals(gens, n):
     """Sorted facet normals of the cone over n independent vectors in
-    rank n, or None for any other list.  Fraction-free Gauss–Jordan
-    (Bareiss) takes [G | I] to [d·I | d·G⁻¹] in integers; column i of
-    d·G⁻¹ is orthogonal to every g_j but g_i and pairs to d with it."""
-    if len(gens) != n:
+    rank n, or None for any other list.  With the g_j as the rows of G,
+    column i of adj G, signed by det G, is orthogonal to every g_j but
+    g_i and pairs to |det G| with it."""
+    det, adj = _adjugate(gens) if len(gens) == n else (0, None)
+    if adj is None:
         return None
-    m = [list(g) + [int(i == j) for j in range(n)] for i, g in enumerate(gens)]
-    d = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
-            return None
-        m[k], m[p] = m[p], m[k]
-        pivot = m[k]
-        for i, row in enumerate(m):
-            if i != k:
-                c = row[k]
-                m[i] = [(pivot[k] * x - c * y) // d
-                        for x, y in zip(row, pivot)]
-        d = pivot[k]
-    sign = 1 if d > 0 else -1
-    return sorted(primitive_vector([sign * row[n + i] for row in m])
-                  for i in range(n))
+    return sorted(primitive_vector(c if det > 0 else [-x for x in c])
+                  for c in zip(*adj))
 
 
 def _with_flips(rays, lineality):

@@ -400,6 +400,19 @@ def test_out_flag_and_byte_determinism(tmp_path, capsys):
                       separators=(",", ":")).encode() + b"\n" == a
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_exit_2(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "r.json" if where == "missing-dir" \
+        else tmp_path
+    code = main(["quintic", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_verbose_timing_goes_to_stderr_only(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["quintic", "--out", str(out), "--verbose"])

@@ -1,0 +1,194 @@
+"""Square-matrix kernels against two independent references.
+
+`det`, `rational_inverse` and `int_inverse` all read one fraction-free
+elimination.  They are checked here against textbook routines kept
+below (forward Bareiss for the determinant, Gauss–Jordan over `Fraction`
+for the inverse), and against sympy, which also serves as the oracle
+for the Smith diagonal.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
+
+from dualfan.lattice import LatticeMap, int_inverse, rational_inverse, snf
+
+
+def reference_det(a):
+    """Determinant by forward-only fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def reference_rational_inverse(a):
+    """Gauss–Jordan over Fraction."""
+    if a.rows != a.cols:
+        raise ValueError("inverse of a non-square matrix")
+    n = a.rows
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a.entries)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        m[c], m[p] = m[p], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def reference_int_inverse(inv):
+    """The integral inverse, or the error, from a rational inverse."""
+    ent = []
+    for row in inv:
+        out = []
+        for x in row:
+            if x.denominator != 1:
+                raise ValueError("matrix is not unimodular")
+            out.append(x.numerator)
+        ent.append(tuple(out))
+    return LatticeMap(ent) if ent else LatticeMap.zero(0, 0)
+
+
+def outcome(f, a):
+    try:
+        return "value", f(a)
+    except ValueError as e:
+        return "error", str(e)
+
+
+def unimodular(rng, n, size=3):
+    """L·U with random ±1 diagonals and small entries off them, rows
+    shuffled so that elimination has to swap."""
+    def triangle(lower):
+        return [[rng.choice((-1, 1)) if i == j
+                 else rng.randint(-size, size) if (i > j) == lower else 0
+                 for j in range(n)] for i in range(n)]
+    rows = list((LatticeMap(triangle(True), cols=n)
+                 @ LatticeMap(triangle(False), cols=n)).entries)
+    rng.shuffle(rows)
+    return rows
+
+
+def singular(rng, n, size=50):
+    """n rows of which the last is an integer combination of the others,
+    shuffled."""
+    rows = [[rng.randint(-size, size) for _ in range(n)] for _ in range(n - 1)]
+    coeffs = [rng.randint(-2, 2) for _ in rows]
+    rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
+                 for j in range(n)])
+    rng.shuffle(rows)
+    return rows
+
+
+def square_cases(count, seed):
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        n = i % 8
+        kind = rng.random()
+        if n and kind < 0.15:
+            rows = singular(rng, n)
+        elif kind < 0.25:
+            rows = unimodular(rng, n)
+        else:
+            rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        cases.append(LatticeMap(rows, cols=n))
+    return cases
+
+
+def test_square_kernels_match_the_textbook_routines():
+    cases = square_cases(5000, seed=19680101)
+    cases += [LatticeMap.zero(r, c) for r, c in [(0, 2), (2, 0), (1, 3)]]
+    cases += [LatticeMap([[1, 2, 3], [4, 5, 6]]), LatticeMap([[1], [2]])]
+    dets = []
+    for a in cases:
+        expected = outcome(reference_det, a)
+        assert outcome(LatticeMap.det, a) == expected
+        dets.append(expected[1])
+        expected = outcome(reference_rational_inverse, a)
+        assert outcome(rational_inverse, a) == expected
+        if expected[0] == "value":
+            expected = outcome(reference_int_inverse, expected[1])
+        assert outcome(int_inverse, a) == expected
+    # the seeded mix holds singular, unimodular and non-square matrices
+    assert 0.10 < dets.count(0) / len(cases) < 0.20
+    assert sum(d in (1, -1) for d in dets) > 500
+    assert sum(d == -1 for d in dets) > 100
+    assert dets.count("determinant of a non-square matrix") == 5
+
+
+@st.composite
+def square_matrices(draw, max_dim=6, max_entry=20):
+    n = draw(st.integers(1, max_dim))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["random", "unimodular", "singular"]))
+    if kind == "unimodular":
+        return LatticeMap(unimodular(rng, n), cols=n)
+    if kind == "singular":
+        return LatticeMap(singular(rng, n, max_entry), cols=n)
+    entries = st.integers(-max_entry, max_entry)
+    return LatticeMap(draw(st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_square_kernels_match_sympy(a):
+    m = Matrix(a.entries)
+    det = m.det()
+    assert a.det() == det
+    if det == 0:
+        assert outcome(rational_inverse, a) == ("error", "matrix is singular")
+        assert outcome(int_inverse, a) == ("error", "matrix is singular")
+        return
+    inv = m.inv()
+    assert rational_inverse(a) == tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in inv.row(i))
+        for i in range(a.rows))
+    if abs(det) == 1:
+        assert int_inverse(a) == LatticeMap(
+            [[int(x) for x in row] for row in inv.tolist()])
+        assert a @ int_inverse(a) == LatticeMap.identity(a.rows)
+    else:
+        assert outcome(int_inverse, a) == ("error", "matrix is not unimodular")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_smith_diagonal_matches_sympy(rows, cols, rng):
+    size = rng.choice((1, 3, 30))
+    a = LatticeMap([[rng.randint(-size, size) for _ in range(cols)]
+                    for _ in range(rows)])
+    s = smith_normal_form(Matrix(a.entries), domain=ZZ)
+    expected = tuple(abs(int(s[i, i])) for i in range(min(rows, cols)))
+    assert snf(a).diagonal == expected
