@@ -38,16 +38,22 @@ class InputError(ValueError):
 
 
 def _jsonable(x):
+    # exact types first; no class is both a container and a scalar, so
+    # testing containers before the scalar chain changes no result
+    if type(x) is int:
+        return x if -_INT_LIMIT < x < _INT_LIMIT else str(x)
+    if isinstance(x, (list, tuple)):
+        # a small exact int is its own JSON value and costs no call
+        return [v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT
+                else _jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, bool) or x is None or isinstance(x, str):
         return x
     if isinstance(x, int):
         return str(x) if abs(x) >= _INT_LIMIT else x
     if isinstance(x, Fraction):
         return _jsonable(int(x)) if x.denominator == 1 else str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
@@ -139,11 +145,11 @@ def parse_fan(obj):
 def emit_fan(fan):
     out = {
         "rank": fan.lattice_rank,
-        "rays": [list(r) for r in fan.rays],
-        "max_cones": [list(c) for c in fan.max_cones],
+        "rays": fan.rays,
+        "max_cones": fan.max_cones,
     }
     if any(m != r for m, r in zip(fan.marked_generators, fan.rays)):
-        out["marked"] = [list(m) for m in fan.marked_generators]
+        out["marked"] = fan.marked_generators
     return out
 
 
@@ -160,7 +166,7 @@ def _duality_json(rep):
         witness = None
     else:
         m, n, value = rep.witness
-        witness = {"m": list(m), "n": list(n), "pairing": value}
+        witness = {"m": m, "n": n, "pairing": value}
     return {"verdict": rep.verdict, "witness": witness}
 
 
@@ -170,13 +176,13 @@ def _base_change_json(rep):
     return {
         "verdict": rep.verdict,
         "is_isomorphism": rep.is_isomorphism,
-        "surviving": list(rep.surviving),
-        "witness": None if rep.witness is None else list(rep.witness),
+        "surviving": rep.surviving,
+        "witness": rep.witness,
     }
 
 
 def _potential_json(pot):
-    return [{"exponent": list(e), "coefficient": str(c)} for e, c in pot.terms]
+    return [{"exponent": e, "coefficient": str(c)} for e, c in pot.terms]
 
 
 def _mirror_json(rep):
@@ -190,7 +196,7 @@ def _mirror_json(rep):
         "checks": dict(rep.checks),
         "counts": dict(rep.counts),
         "potentials": {name: _potential_json(p) for name, p in rep.potentials},
-        "notes": list(rep.notes),
+        "notes": rep.notes,
     }
 
 
@@ -226,7 +232,7 @@ def _cmd_dualcheck(request):
     fan, w1 = parse_fan(_require(payload, "fan", "job"))
     dual, w2 = parse_fan(_require(payload, "dual_fan", "job"))
     rep = is_dual_pair(fan, dual)
-    body = {"duality": _duality_json(rep), "warnings": list(w1 + w2)}
+    body = {"duality": _duality_json(rep), "warnings": w1 + w2}
     return ReportDocument(request.command, body, not rep.verdict)
 
 
@@ -235,12 +241,12 @@ def _cmd_fan_validate(request):
     v = validate_fan(fan)
     body = {
         "ok": v.ok,
-        "diagnostics": list(v.diagnostics),
+        "diagnostics": v.diagnostics,
         "complete": is_complete(fan),
         "smooth": is_smooth(fan),
         "rank": fan.lattice_rank,
         "ray_count": len(fan.rays),
-        "warnings": list(warnings),
+        "warnings": warnings,
     }
     return ReportDocument(request.command, body, not v.ok)
 
@@ -261,11 +267,11 @@ def _cmd_bhk(request):
     rep = bhk_pair(p, phases)
     crit = rep.criterion
     groups = {
-        "symmetry_factors": list(crit.symmetry_group.invariant_factors),
-        "q_factors": list(crit.q_group.invariant_factors),
-        "q_dual_factors": list(crit.q_dual_group.invariant_factors),
-        "quotient_factors": list(crit.quotient_factors),
-        "dual_quotient_factors": list(crit.dual_quotient_factors),
+        "symmetry_factors": crit.symmetry_group.invariant_factors,
+        "q_factors": crit.q_group.invariant_factors,
+        "q_dual_factors": crit.q_dual_group.invariant_factors,
+        "quotient_factors": crit.quotient_factors,
+        "dual_quotient_factors": crit.dual_quotient_factors,
         "criterion_holds": crit.holds,
     }
     body = {"report": _mirror_json(rep), "groups": groups}
@@ -284,7 +290,7 @@ def _cmd_bb(request):
     if payload.get("dual_splitting") is not None:
         dual_splitting = _int_matrix(payload["dual_splitting"],
                                      "dual_splitting")
-    cone = Cone(list(gens), rank)
+    cone = Cone(gens, rank)
     refl = is_reflexive(cone, request.height_bound)
     if refl.cone_report.functional is not None \
             and tuple(ell_dual) != refl.cone_report.functional:
@@ -317,7 +323,7 @@ def _parse_bundle_input(payload):
 def _cmd_givental(request, build):
     fan, divisors, basis, warnings = _parse_bundle_input(request.payload)
     rep = build(fan, divisors, basis)
-    body = {"report": _mirror_json(rep), "warnings": list(warnings)}
+    body = {"report": _mirror_json(rep), "warnings": warnings}
     return ReportDocument(request.command, body, not rep.passed)
 
 
@@ -341,10 +347,10 @@ def _cmd_section_polytope(request):
     points = poly.lattice_points()
     body = {
         "cartier": is_cartier(divisor) is not None,
-        "vertices": [list(v) for v in poly.vertices],
-        "lattice_points": [list(p) for p in points],
+        "vertices": poly.vertices,
+        "lattice_points": points,
         "count": len(points),
-        "warnings": list(warnings),
+        "warnings": warnings,
     }
     return ReportDocument(request.command, body, False)
 
@@ -357,7 +363,7 @@ def _cmd_bundle_fan(request):
         raise InputError("divisors must be a nonempty list")
     divisors = [_parse_divisor(fan, d, "divisor") for d in summands]
     total = split_bundle_fan(divisors)
-    body = {"fan": emit_fan(total), "warnings": list(warnings)}
+    body = {"fan": emit_fan(total), "warnings": warnings}
     return ReportDocument(request.command, body, False)
 
 

@@ -30,14 +30,12 @@ def _as_int(x):
 class LatticeMap(Value):
     """An immutable integer matrix, thought of as a map between lattices.
 
-    Columns are images of the domain basis vectors.  Optional row and
-    column labels carry ray or character names through the pipelines;
-    they are bookkeeping only and never affect arithmetic or equality.
+    Columns are images of the domain basis vectors.
     """
 
-    __slots__ = ("rows", "cols", "entries", "row_labels", "col_labels")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, row_labels=None, col_labels=None, cols=None):
+    def __init__(self, entries, cols=None):
         entries = tuple(tuple(_as_int(x) for x in row) for row in entries)
         rows = len(entries)
         if cols is None:
@@ -49,12 +47,6 @@ class LatticeMap(Value):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "row_labels", tuple(row_labels) if row_labels else None)
-        object.__setattr__(self, "col_labels", tuple(col_labels) if col_labels else None)
-        if self.row_labels and len(self.row_labels) != rows:
-            raise ValueError("row label count mismatch")
-        if self.col_labels and len(self.col_labels) != cols:
-            raise ValueError("col label count mismatch")
 
     @classmethod
     def identity(cls, n):
@@ -101,12 +93,7 @@ class LatticeMap(Value):
             ent = tuple(() for _ in range(self.cols))
         else:
             ent = ()
-        return LatticeMap(
-            ent,
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-            cols=self.rows,
-        )
+        return LatticeMap(ent, cols=self.rows)
 
     def __matmul__(self, other):
         if isinstance(other, LatticeMap):

@@ -150,8 +150,10 @@ class Potential(Value):
         for exponent, coeff in terms:
             exponent = tuple(int(x) for x in exponent)
             if not isinstance(coeff, ParamPoly):
+                if coeff == 0:
+                    continue
                 coeff = ParamPoly.constant(coeff)
-            acc[exponent] = acc.get(exponent, ParamPoly.zero()) + coeff
+            acc[exponent] = acc[exponent] + coeff if exponent in acc else coeff
         object.__setattr__(
             self,
             "terms",

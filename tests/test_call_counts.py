@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import dualfan.cli
 import dualfan.lattice
 import dualfan.mirrors.bb
 import dualfan.mirrors.bhk
@@ -163,3 +164,15 @@ def test_givental_job_builds_each_section_polytope_once(monkeypatch,
     assert run_job(monkeypatch, capsys, ["givental"], job) == 0
     assert len(sections) == 2  # one per summand
     assert len(totals) == 1
+
+
+def test_report_encoding_makes_no_call_per_integer(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, dualfan.cli, "_jsonable")
+    job = {"fan": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                   "max_cones": [[0, 1], [1, 2], [0, 2]]},
+           "divisor": {"coeffs": [20, 0, 0]}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(job)))
+    assert main(["section-polytope", "-"]) == 0
+    count = json.loads(capsys.readouterr().out)["count"]
+    assert count == 231  # C(22, 2) sections of O(20) on P^2
+    assert len(calls) <= count + 30

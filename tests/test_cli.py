@@ -12,9 +12,13 @@ import json
 import os
 import subprocess
 import sys
+from enum import IntEnum
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualfan.cli
 from dualfan.cli import canonical_json, emit_fan, main, parse_fan
@@ -51,11 +55,87 @@ def test_canonical_json_stringifies_huge_integers():
     assert canonical_json({"n": 2 ** 53 - 1}) == '{"n":%d}\n' % (2 ** 53 - 1)
 
 
+def _reference_jsonable(x):
+    """The encoder's walk as it was before it dispatched on exact types:
+    one `isinstance` chain and one call per value."""
+    if isinstance(x, bool) or x is None or isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return str(x) if abs(x) >= 2 ** 53 else x
+    if isinstance(x, Fraction):
+        return _reference_jsonable(int(x)) if x.denominator == 1 else str(x)
+    if isinstance(x, dict):
+        return {str(k): _reference_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_reference_jsonable(v) for v in x]
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _encoded(encode, value):
+    try:
+        return encode(value)
+    except TypeError as e:
+        return ("TypeError", str(e))
+
+
+def _reference_canonical_json(obj):
+    return json.dumps(_reference_jsonable(obj), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
+class _Level(IntEnum):
+    LOW = 3
+    HIGH = 2 ** 60
+
+
+class _Ratio(Fraction):
+    pass
+
+
+_EDGE_INTS = [sign * v for v in (2 ** 53 - 1, 2 ** 53, 2 ** 60)
+              for sign in (1, -1)]
+_ACCEPTED = st.one_of(
+    st.sampled_from(_EDGE_INTS + [True, False, None, _Level.LOW, _Level.HIGH,
+                                  _Ratio(3, 2), _Ratio(4, 2)]),
+    st.integers(), st.text(max_size=3),
+    st.fractions(max_denominator=7),
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+              st.integers(1, 2 ** 70)))
+_REJECTED = st.one_of(st.floats(), st.sets(st.integers(), max_size=2))
+_KEYS = st.one_of(st.text(max_size=2), st.integers(-2, 2), st.booleans())
+
+
+def _nested(leaves):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=3)), max_leaves=24)
+
+
+def test_canonical_json_matches_the_reference_on_every_kind_of_value():
+    value = {"edge": _EDGE_INTS, 1: (True, False, None, "s"), True: [
+        Fraction(6, 3), Fraction(-1, 3), Fraction(3 ** 50, 2),
+        Fraction(2 ** 60), _Level.LOW, _Level.HIGH, _Ratio(5, 5),
+        _Ratio(1, 7), ((1, [2, (3,)]), [])]}
+    assert canonical_json(value) == _reference_canonical_json(value)
+    for bad in (1.5, {1}, [1, (2, {"x": 0.0})], {"k": [set()]}):
+        rejected = _encoded(canonical_json, bad)
+        assert rejected[0] == "TypeError"
+        assert rejected == _encoded(_reference_canonical_json, bad)
+
+
+@given(_nested(_ACCEPTED) | _nested(_ACCEPTED | _REJECTED))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_canonical_json_matches_the_reference_on_nested_values(value):
+    assert _encoded(canonical_json, value) == _encoded(
+        _reference_canonical_json, value)
+
+
 def test_parse_fan_round_trip():
     fan, warnings = parse_fan(PLANE)
     assert warnings == ()
     assert fan == projective_space_fan(2)
-    assert emit_fan(fan) == {
+    # emit_fan hands tuples to the encoder; compare the emitted JSON
+    assert json.loads(canonical_json(emit_fan(fan))) == {
         "rank": 2,
         "rays": [[1, 0], [0, 1], [-1, -1]],
         "max_cones": [[0, 1], [1, 2], [0, 2]],
@@ -70,7 +150,8 @@ def test_parse_fan_normalizes_and_warns():
     assert len(warnings) == 1
     assert "normalized" in warnings[0]
     # the marker difference survives the emitted form
-    assert emit_fan(fan)["marked"] == [[2, 0], [0, 1]]
+    assert json.loads(canonical_json(emit_fan(fan)))["marked"] == [
+        [2, 0], [0, 1]]
 
 
 def test_parse_fan_marked_field_must_be_primitive():

@@ -1,5 +1,8 @@
 """Tests for the parameter-polynomial and potential types."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from dualfan.symbols import ParamPoly, Potential
@@ -71,3 +74,55 @@ def test_potential_accepts_mappings_and_sorts():
     assert w.support == ((0, 0), (2, 2))
     assert w == Potential([((2, 2), 1), ((0, 0), p("q"))])
     assert hash(w) == hash(Potential(dict(w.terms)))
+
+
+def _reference_potential_terms(terms):
+    """`Potential.terms` as the constructor computed them when it built a
+    `ParamPoly` for every coefficient, zeros included."""
+    if hasattr(terms, "items"):
+        terms = terms.items()
+    acc = {}
+    for exponent, coeff in terms:
+        exponent = tuple(int(x) for x in exponent)
+        if not isinstance(coeff, ParamPoly):
+            coeff = ParamPoly.constant(coeff)
+        acc[exponent] = acc.get(exponent, ParamPoly.zero()) + coeff
+    return tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
+
+
+def _random_coefficient(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-3, 3)
+    if kind == 2:
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+    if kind == 3:
+        return ParamPoly.zero()
+    if kind == 4:
+        return ParamPoly.constant(rng.randint(-2, 2))
+    return p(rng.choice("qst"), rng.randint(-2, 2), rng.randint(-2, 2))
+
+
+def test_potential_matches_the_reference_constructor():
+    rng = random.Random(20151)
+    for _ in range(600):
+        exponents = [(rng.randint(0, 2), rng.randint(-1, 1))
+                     for _ in range(rng.randint(1, 5))]
+        terms = [(rng.choice(exponents), _random_coefficient(rng))
+                 for _ in range(rng.randint(0, 10))]
+        assert Potential(terms).terms == _reference_potential_terms(terms)
+        as_map = dict(terms)
+        assert Potential(as_map).terms == _reference_potential_terms(as_map)
+
+
+@pytest.mark.parametrize("terms", [
+    [((1, 0), 0), ((0, 1), Fraction(0)), ((2, 0), ParamPoly.zero())],
+    [((1, 0), 2), ((1, 0), -2), ((0, 1), p("q")), ((0, 1), -p("q"))],
+    [((1, 1), 1), ((1, 1), Fraction(3, 1)), ((1, 1), p("q")),
+     ((0, 0), Fraction(-2)), ((0, 0), ParamPoly.constant(2))],
+    [((1, 0), Fraction(1, 2)), ((1, 0), 0), ((1, 0), 5)],
+])
+def test_potential_zero_and_cancelling_coefficients(terms):
+    assert Potential(terms).terms == _reference_potential_terms(terms)

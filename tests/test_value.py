@@ -84,7 +84,7 @@ FACTORIES = {
 # keyed classes: (a value equal to the factory's, a value with another key)
 KEYED = {
     "LatticeMap": (
-        lambda: LatticeMap([(1, 2), (3, 4)], row_labels=("x", "y")),
+        lambda: LatticeMap([(1, 2), (3, 4)]),
         lambda: LatticeMap([(1, 2), (3, 5)]),
     ),
     "FiniteAbelianGroup": (
