@@ -14,7 +14,6 @@ import sys
 import time
 from fractions import Fraction
 
-from ._value import Value
 from .fans import Fan, is_complete, is_dual_pair, is_smooth, validate_fan
 from .mirrors import (
     bhk_pair,
@@ -200,44 +199,16 @@ def _mirror_json(rep):
     }
 
 
-class JobRequest(Value):
-    """One parsed command invocation."""
-
-    __slots__ = ("command", "payload", "height_bound")
-
-    def __init__(self, command, payload, height_bound=3):
-        object.__setattr__(self, "command", str(command))
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "height_bound", int(height_bound))
-
-
-class ReportDocument(Value):
-    """A command's output, ready to serialize; `failed` drives exit 1."""
-
-    __slots__ = ("command", "body", "failed")
-
-    def __init__(self, command, body, failed):
-        object.__setattr__(self, "command", str(command))
-        object.__setattr__(self, "body", dict(body))
-        object.__setattr__(self, "failed", bool(failed))
-
-    def to_json(self) -> str:
-        doc = {"schema_version": SCHEMA_VERSION, "command": self.command}
-        doc.update(self.body)
-        return canonical_json(doc)
-
-
-def _cmd_dualcheck(request):
-    payload = request.payload
+def _cmd_dualcheck(payload, height_bound):
     fan, w1 = parse_fan(_require(payload, "fan", "job"))
     dual, w2 = parse_fan(_require(payload, "dual_fan", "job"))
     rep = is_dual_pair(fan, dual)
-    body = {"duality": _duality_json(rep), "warnings": w1 + w2}
-    return ReportDocument(request.command, body, not rep.verdict)
+    return ({"duality": _duality_json(rep), "warnings": w1 + w2},
+            not rep.verdict)
 
 
-def _cmd_fan_validate(request):
-    fan, warnings = parse_fan(_require(request.payload, "fan", "job"))
+def _cmd_fan_validate(payload, height_bound):
+    fan, warnings = parse_fan(_require(payload, "fan", "job"))
     v = validate_fan(fan)
     body = {
         "ok": v.ok,
@@ -248,7 +219,7 @@ def _cmd_fan_validate(request):
         "ray_count": len(fan.rays),
         "warnings": warnings,
     }
-    return ReportDocument(request.command, body, not v.ok)
+    return body, not v.ok
 
 
 def _parse_bhk_input(payload):
@@ -262,8 +233,8 @@ def _parse_bhk_input(payload):
     return p, phases
 
 
-def _cmd_bhk(request):
-    p, phases = _parse_bhk_input(request.payload)
+def _cmd_bhk(payload, height_bound):
+    p, phases = _parse_bhk_input(payload)
     rep = bhk_pair(p, phases)
     crit = rep.criterion
     groups = {
@@ -274,12 +245,10 @@ def _cmd_bhk(request):
         "dual_quotient_factors": crit.dual_quotient_factors,
         "criterion_holds": crit.holds,
     }
-    body = {"report": _mirror_json(rep), "groups": groups}
-    return ReportDocument(request.command, body, not rep.passed)
+    return {"report": _mirror_json(rep), "groups": groups}, not rep.passed
 
 
-def _cmd_bb(request):
-    payload = request.payload
+def _cmd_bb(payload, height_bound):
     rank = _as_int(_require(payload, "rank", "job"), "rank")
     gens = _int_matrix(_require(payload, "generators", "job"), "generators")
     if any(len(g) != rank for g in gens):
@@ -291,16 +260,14 @@ def _cmd_bb(request):
         dual_splitting = _int_matrix(payload["dual_splitting"],
                                      "dual_splitting")
     cone = Cone(gens, rank)
-    refl = is_reflexive(cone, request.height_bound)
+    refl = is_reflexive(cone, height_bound)
     if refl.cone_report.functional is not None \
             and tuple(ell_dual) != refl.cone_report.functional:
         raise InputError(
             f"ell_dual {list(ell_dual)} does not match the height functional "
             f"{list(refl.cone_report.functional)} of the cone")
-    rep = _bb_pair(cone, refl, splitting, dual_splitting,
-                   request.height_bound)
-    return ReportDocument(request.command, {"report": _mirror_json(rep)},
-                          not rep.passed)
+    rep = _bb_pair(cone, refl, splitting, dual_splitting, height_bound)
+    return {"report": _mirror_json(rep)}, not rep.passed
 
 
 def _parse_bundle_input(payload):
@@ -320,14 +287,13 @@ def _parse_bundle_input(payload):
     return fan, divisors, basis, warnings
 
 
-def _cmd_givental(request, build):
-    fan, divisors, basis, warnings = _parse_bundle_input(request.payload)
+def _cmd_givental(payload, build):
+    fan, divisors, basis, warnings = _parse_bundle_input(payload)
     rep = build(fan, divisors, basis)
-    body = {"report": _mirror_json(rep), "warnings": warnings}
-    return ReportDocument(request.command, body, not rep.passed)
+    return {"report": _mirror_json(rep), "warnings": warnings}, not rep.passed
 
 
-def _cmd_quintic(request):
+def _cmd_quintic(payload, height_bound):
     rep = quintic_pipeline()
     body = {
         "report": _mirror_json(rep),
@@ -335,11 +301,10 @@ def _cmd_quintic(request):
         "xi_count": rep.count("xi_count"),
         "xi_prime_count": rep.count("xi_prime_count"),
     }
-    return ReportDocument(request.command, body, not rep.passed)
+    return body, not rep.passed
 
 
-def _cmd_section_polytope(request):
-    payload = request.payload
+def _cmd_section_polytope(payload, height_bound):
     fan, warnings = parse_fan(_require(payload, "fan", "job"))
     divisor = _parse_divisor(fan, _require(payload, "divisor", "job"),
                              "divisor")
@@ -352,21 +317,21 @@ def _cmd_section_polytope(request):
         "count": len(points),
         "warnings": warnings,
     }
-    return ReportDocument(request.command, body, False)
+    return body, False
 
 
-def _cmd_bundle_fan(request):
-    payload = request.payload
+def _cmd_bundle_fan(payload, height_bound):
     fan, warnings = parse_fan(_require(payload, "fan", "job"))
     summands = _require(payload, "divisors", "job")
     if not isinstance(summands, (list, tuple)) or not summands:
         raise InputError("divisors must be a nonempty list")
     divisors = [_parse_divisor(fan, d, "divisor") for d in summands]
     total = split_bundle_fan(divisors)
-    body = {"fan": emit_fan(total), "warnings": warnings}
-    return ReportDocument(request.command, body, False)
+    return {"fan": emit_fan(total), "warnings": warnings}, False
 
 
+# name: (handler, needs_input, help); a handler takes (payload,
+# height_bound) and returns (body, failed), and `failed` means exit 1
 _COMMANDS = {
     "dualcheck": (_cmd_dualcheck, True,
                   "test two marked fans for nonnegative marker pairing"),
@@ -376,9 +341,9 @@ _COMMANDS = {
             "mirror pair from an exponent matrix and a symmetry group"),
     "bb": (_cmd_bb, True,
            "mirror pair from a reflexive cone and a splitting"),
-    "givental": (lambda r: _cmd_givental(r, givental_mirror), True,
+    "givental": (lambda p, h: _cmd_givental(p, givental_mirror), True,
                  "split-bundle mirror with positive fiber signs"),
-    "hori-vafa": (lambda r: _cmd_givental(r, hori_vafa_mirror), True,
+    "hori-vafa": (lambda p, h: _cmd_givental(p, hori_vafa_mirror), True,
                   "split-bundle mirror with negative fiber signs"),
     "quintic": (_cmd_quintic, False,
                 "the built-in degree-five pipeline"),
@@ -441,12 +406,12 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         payload = _load_payload(args)
-        request = JobRequest(args.command, payload, args.height_bound)
-        document = _COMMANDS[args.command][0](request)
+        body, failed = _COMMANDS[args.command][0](payload, args.height_bound)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = document.to_json()
+    text = canonical_json(
+        {"schema_version": SCHEMA_VERSION, "command": args.command, **body})
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -459,7 +424,7 @@ def main(argv=None) -> int:
     if args.verbose:
         elapsed = time.monotonic() - started
         print(f"{args.command} finished in {elapsed:.3f}s", file=sys.stderr)
-    return 1 if document.failed else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -116,6 +116,11 @@ class Fan(Value):
 
     @classmethod
     def from_maximal_cones(cls, cones, lattice_rank):
+        """The fan over the extreme rays of each given cone.  Pointed
+        full-dimensional cones on distinct ray sets are kept as `cones`:
+        both their descriptions are unique, so a rebuild would equal them
+        field for field."""
+        cones = tuple(cones)
         rays = []
         index = {}
         ixsets = []
@@ -127,7 +132,12 @@ class Fan(Value):
                     rays.append(r)
                 ixs.append(index[r])
             ixsets.append(tuple(sorted(ixs)))
-        return cls(rays, ixsets, lattice_rank)
+        fan = cls(rays, ixsets, lattice_rank)
+        if len(fan.max_cones) == len(cones) and all(
+                c.dim == lattice_rank and c.is_strongly_convex()
+                for c in cones):
+            object.__setattr__(fan, "_cones", cones)
+        return fan
 
     def canonical_form(self):
         """Hashable shape of the fan: equality-by-value over any ray order."""

@@ -9,6 +9,7 @@ them, and potential families indexed by the height-one slices.
 
 from fractions import Fraction
 from itertools import product
+from operator import sub
 
 from .._value import Value
 from ..fans import Fan, is_dual_pair, relabel_fan
@@ -76,8 +77,8 @@ def is_gorenstein(cone, height_bound=3) -> GorensteinReport:
     """Look for a height functional and test height-one generation.
 
     Both failure modes are definitive: primitive ray generators must sit
-    at height one, and a height-h point is reachable iff it is a sum of
-    a height-(h-1) point and a height-one point.
+    at height one, and a height-h point p is reachable iff p - q is a
+    height-(h-1) point for some height-one point q.
     """
     if not isinstance(cone, Cone):
         raise TypeError("expected a Cone")
@@ -94,17 +95,15 @@ def is_gorenstein(cone, height_bound=3) -> GorensteinReport:
     if ell is None:
         return GorensteinReport(None, height_bound, None)
     level_one = _height_slice(cone, ell, 1).lattice_points()
-    previous = level_one
+    previous = set(level_one)
     witness = None
     for h in range(2, height_bound + 1):
         expected = _height_slice(cone, ell, h).lattice_points()
-        reachable = {tuple(a + b for a, b in zip(p, q))
-                     for p in previous for q in level_one}
-        missing = [p for p in expected if p not in reachable]
-        if missing:
-            witness = missing[0]
+        witness = next((p for p in expected if not any(
+            tuple(map(sub, p, q)) in previous for q in level_one)), None)
+        if witness is not None:
             break
-        previous = expected
+        previous = set(expected)
     return GorensteinReport(ell, height_bound, witness)
 
 
@@ -200,14 +199,17 @@ def dual_splittings(cone_dual, ell_dual, splitting):
     `ell_dual`.  Results are ordered lexicographically by construction.
     """
     ell_dual = _as_int_vec(ell_dual, "height functional")
-    _, parts = support_partition(cone_dual, splitting)
-    out = []
-    for combo in product(*(p.lattice_points() for p in parts)):
-        if tuple(sum(c) for c in zip(*combo)) == ell_dual:
-            out.append(tuple(combo))
+    return _choices(support_partition(cone_dual, splitting)[1], ell_dual)
+
+
+def _choices(parts, ell_dual):
+    """`dual_splittings` from the parts of the dual slice."""
+    out = tuple(combo
+                for combo in product(*(p.lattice_points() for p in parts))
+                if tuple(sum(c) for c in zip(*combo)) == ell_dual)
     if not out:
         raise ValueError("no dual splitting sums to the height functional")
-    return tuple(out)
+    return out
 
 
 def _classify(points, functionals):
@@ -221,24 +223,18 @@ def _classify(points, functionals):
     return tuple(tags)
 
 
-class _Side(Value):
-    """Everything one side of the pair produces."""
+def _total_space(slice_poly, parts, splitting, dual_splitting, opposite):
+    """One side of the pair: (base, ambient, family, checks).
 
-    __slots__ = ("base", "divisors", "sections", "section_sum", "ambient",
-                 "psi", "sections_match", "total", "recomputed")
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            object.__setattr__(self, name, kw[name])
-
-
-def _total_space(parts, splitting, dual_splitting, opposite_parts, rank):
-    """Base fan, bundle summands, and ambient total-space fan for one side.
-
-    `parts` slice the potential-side cone (giving sections), `splitting`
-    are their distinguished points, `dual_splitting` cuts out the base
-    lattice, and `opposite_parts` hold the vertices that become rays.
+    `slice_poly` and its `parts` are this side's height-one slice cut by
+    `dual_splitting` (giving sections), `splitting` are the parts'
+    distinguished points, and `opposite` is the other side's (cone,
+    slice, parts), whose part vertices become the rays.  `checks` maps
+    the side's check names to verdicts, without `polar_identity` when
+    the section sum has no interior origin.
     """
+    cone, opposite_slice, opposite_parts = opposite
+    rank = cone.ambient_rank
     r = len(splitting)
     b = kernel_basis(LatticeMap.from_rows(list(dual_splitting), ncols=rank))
     n = b.cols
@@ -290,11 +286,24 @@ def _total_space(parts, splitting, dual_splitting, opposite_parts, rank):
 
     recomputed = tuple(section_polytope(d) for d in divisors)
     total = split_bundle_fan(divisors)
-    return _Side(base=base, divisors=divisors, sections=tuple(sections),
-                 section_sum=section_sum, psi=psi, total=total,
-                 ambient=relabel_fan(total, psi_inv.transpose()),
-                 sections_match=recomputed == tuple(sections),
-                 recomputed=recomputed)
+    ambient = relabel_fan(total, psi_inv.transpose())
+    xi = slice_poly.lattice_points()
+    family = AuxiliaryLG(ambient, xi, tags=_classify(xi, dual_splitting))
+    aux_ci, _ = _ci_family(divisors, total, recomputed)
+    opposite_verts = {_as_int_vec(v) for v in opposite_slice.vertices}
+    checks = {
+        "sections_match_parts": recomputed == tuple(sections),
+        "ray_set_identity":
+            set(ambient.rays) == opposite_verts | set(dual_splitting),
+        "support_identity": Cone(list(ambient.rays), rank) == cone,
+        "section_dictionary":
+            {tuple(psi @ e) for e in aux_ci.exponents} == set(xi),
+    }
+    if n and section_sum.dim == n and all(
+            off > 0 for _, off in section_sum.hrep):
+        projected = Polytope.from_vertices([proj for _, proj, _ in pool], n)
+        checks["polar_identity"] = section_sum.polar() == projected
+    return base, ambient, family, checks
 
 
 def bb_mirror_pair(generators, splitting, dual_splitting=None,
@@ -341,8 +350,10 @@ def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
             raise ValueError(f"splitting point {e} is outside the cone")
 
     k_dual = k.dual()
+    nabla = None
     if dual_splitting is None:
-        dual_list = dual_splittings(k_dual, ell_dual, e_list)[0]
+        nabla = support_partition(k_dual, e_list)
+        dual_list = _choices(nabla[1], ell_dual)[0]
     else:
         dual_list = tuple(_as_int_vec(f, "dual splitting point")
                           for f in dual_splitting)
@@ -361,60 +372,29 @@ def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
                 raise ValueError(
                     "splitting and dual splitting do not pair to the identity")
 
-    delta_slice, delta_parts = support_partition(k, dual_list)
-    nabla_slice, nabla_parts = support_partition(k_dual, e_list)
+    delta = support_partition(k, dual_list)
+    nabla = nabla or support_partition(k_dual, e_list)
+    base, ambient, gamma, side = _total_space(
+        *delta, e_list, dual_list, (k_dual, *nabla))
+    base_prime, ambient_prime, gamma_prime, side_prime = _total_space(
+        *nabla, dual_list, e_list, (k, *delta))
 
-    side_a = _total_space(delta_parts, e_list, dual_list, nabla_parts, rank)
-    side_b = _total_space(nabla_parts, dual_list, e_list, delta_parts, rank)
+    duality = is_dual_pair(ambient, ambient_prime)
+    to_gamma = base_change_check(gamma, ambient_prime)
+    to_gamma_prime = base_change_check(gamma_prime, ambient)
 
-    xi = delta_slice.lattice_points()
-    xi_prime = nabla_slice.lattice_points()
-    gamma = AuxiliaryLG(side_a.ambient, xi, tags=_classify(xi, dual_list))
-    gamma_prime = AuxiliaryLG(side_b.ambient, xi_prime,
-                              tags=_classify(xi_prime, e_list))
-
-    duality = is_dual_pair(side_a.ambient, side_b.ambient)
-    to_gamma = base_change_check(gamma, side_b.ambient)
-    to_gamma_prime = base_change_check(gamma_prime, side_a.ambient)
-
-    checks = [
-        ("sections_match_parts", side_a.sections_match),
-        ("dual_sections_match_parts", side_b.sections_match),
-    ]
-    nabla_verts = {_as_int_vec(v) for v in nabla_slice.vertices}
-    delta_verts = {_as_int_vec(v) for v in delta_slice.vertices}
-    checks.append(("ray_set_identity",
-                   set(side_a.ambient.rays) == nabla_verts | set(dual_list)))
-    checks.append(("dual_ray_set_identity",
-                   set(side_b.ambient.rays) == delta_verts | set(e_list)))
-    checks.append(("support_identity",
-                   Cone(list(side_a.ambient.rays), rank) == k_dual))
-    checks.append(("dual_support_identity",
-                   Cone(list(side_b.ambient.rays), rank) == k))
+    sides = (("", side), ("dual_", side_prime))
+    checks = [(prefix + name, c[name])
+              for name in ("sections_match_parts", "ray_set_identity",
+                           "support_identity")
+              for prefix, c in sides]
     checks.append(("coefficient_maps_defined",
                    to_gamma.verdict and to_gamma_prime.verdict))
-
-    notes = []
-    for name, side, opp_parts in (("polar_identity", side_a, nabla_parts),
-                                  ("dual_polar_identity", side_b, delta_parts)):
-        delta = side.section_sum
-        n = delta.ambient_rank
-        if n == 0 or delta.dim < n or any(off <= 0 for _, off in delta.hrep):
-            notes.append(f"{name} skipped: section sum has no interior origin")
-            continue
-        pi = kernel_basis(LatticeMap.from_rows(
-            list(dual_list if side is side_a else e_list),
-            ncols=rank)).transpose()
-        projected = [tuple(pi @ _as_int_vec(v))
-                     for part in opp_parts for v in part.vertices]
-        checks.append((name,
-                       delta.polar() == Polytope.from_vertices(projected, n)))
-
-    for name, side, pts in (("section_dictionary", side_a, xi),
-                            ("dual_section_dictionary", side_b, xi_prime)):
-        aux_ci, _ = _ci_family(side.divisors, side.total, side.recomputed)
-        mapped = {tuple(side.psi @ e) for e in aux_ci.exponents}
-        checks.append((name, mapped == set(pts)))
+    notes = [f"{prefix}polar_identity skipped: section sum has no interior "
+             "origin" for prefix, c in sides if "polar_identity" not in c]
+    checks += [(prefix + name, c[name])
+               for name in ("polar_identity", "section_dictionary")
+               for prefix, c in sides if name in c]
 
     ones = Specialization({e: 1 for e in gamma.exponents})
     ones_prime = Specialization({e: 1 for e in gamma_prime.exponents})
@@ -425,15 +405,15 @@ def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
     counts = [
         ("rank", rank),
         ("index", r),
-        ("base_rank", side_a.base.lattice_rank),
-        ("dual_base_rank", side_b.base.lattice_rank),
-        ("xi_count", len(xi)),
-        ("xi_prime_count", len(xi_prime)),
-        ("ray_count", len(side_a.ambient.rays)),
-        ("dual_ray_count", len(side_b.ambient.rays)),
+        ("base_rank", base.lattice_rank),
+        ("dual_base_rank", base_prime.lattice_rank),
+        ("xi_count", len(gamma.exponents)),
+        ("xi_prime_count", len(gamma_prime.exponents)),
+        ("ray_count", len(ambient.rays)),
+        ("dual_ray_count", len(ambient_prime.rays)),
     ]
 
-    return MirrorReport(side_a.ambient, side_b.ambient, duality,
+    return MirrorReport(ambient, ambient_prime, duality,
                         to_gamma=to_gamma, to_gamma_prime=to_gamma_prime,
                         checks=checks, counts=counts, potentials=potentials,
                         notes=notes)

@@ -48,9 +48,11 @@ def _double_description(constraints, ambient):
     """Extreme rays and lineality of {x : c·x ≥ 0 for every c}.
 
     Returns (rays, lineality) where `rays` generate the pointed part and
-    `lineality` is the canonical saturated basis (columns of a kernel) of
-    the largest linear subspace inside.  Constraints are deduplicated and
-    processed in lexicographic order, making the ray list reproducible.
+    `lineality` is the canonical saturated basis of the largest linear
+    subspace inside: the nonzero Hermite rows of a kernel basis, so it
+    depends on the subspace alone, not on the constraint list.
+    Constraints are deduplicated and processed in lexicographic order,
+    making the ray list reproducible.
     Each ray carries the bitmask of the inserted constraints it is tight
     on, bit k for the k-th constraint, updated as constraints go in.
     """
@@ -94,7 +96,7 @@ def _double_description(constraints, ambient):
     lineality = []
     if lin:  # lin spans the kernel of the constraints, so {0} when empty
         lin_basis = kernel_basis(LatticeMap.from_rows(cons, ncols=ambient))
-        lineality = [lin_basis.col(j) for j in range(lin_basis.cols)]
+        lineality = list(filter(any, hnf(lin_basis.transpose())[0].entries))
     return sorted(r for r, _ in rays), lineality
 
 
@@ -329,11 +331,8 @@ class Polytope(Value):
                 recession.append(r[:-1])
             else:
                 raise AssertionError("height must be nonnegative")
-        # the pass's basis of the lines depends on the H-rep; their
-        # Hermite form is canonical, which keeps equality geometric
+        # lines lie at height zero, so dropping it keeps the Hermite form
         lineality = tuple(l[:-1] for l in cone._lineality)
-        if lineality:
-            lineality = tuple(filter(any, hnf(LatticeMap(lineality))[0].entries))
         hrep = []
         for n in cone.facet_normals:
             a, off = n[:-1], n[-1]

@@ -10,10 +10,20 @@ byte-stable.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from ._value import Value
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+
+def _integer(x):
+    """An int, or a Fraction with denominator 1, as an int."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"{x!r} is not an integer")
 
 
 def _clean_monomial(monomial):
@@ -21,7 +31,8 @@ def _clean_monomial(monomial):
     for name, exp in monomial:
         if not _NAME.match(name):
             raise ValueError(f"bad parameter name {name!r}")
-        exp = int(exp)
+        if type(exp) is not int:
+            exp = _integer(exp)
         if exp:
             pairs.append((str(name), exp))
     merged = {}
@@ -43,7 +54,8 @@ class ParamPoly(Value):
     def __init__(self, terms=()):
         acc = {}
         for monomial, coeff in terms:
-            coeff = int(coeff)
+            if type(coeff) is not int:
+                coeff = _integer(coeff)
             if coeff == 0:
                 continue
             key = _clean_monomial(monomial)

@@ -157,13 +157,12 @@ class AuxiliaryLG(Value):
     """Potential family on a toric variety with formal coefficients.
 
     `exponents` lists the characters that may appear in a potential;
-    they must be pairwise distinct and regular on the fan.  `labels`
-    names the formal coefficient of each exponent canonically, and
-    `tags` optionally records which summand of a split construction an
+    they must be pairwise distinct and regular on the fan.  `tags`
+    optionally records which summand of a split construction an
     exponent came from.
     """
 
-    __slots__ = ("fan", "exponents", "labels", "tags")
+    __slots__ = ("fan", "exponents", "tags")
 
     def __init__(self, fan, exponents, tags=None):
         exps = tuple(tuple(int(x) for x in m) for m in exponents)
@@ -178,14 +177,12 @@ class AuxiliaryLG(Value):
                     raise ValueError(
                         f"character {m} is not regular: negative pairing on ray {r}"
                     )
-        labels = tuple("g(" + ",".join(str(x) for x in m) + ")" for m in exps)
         if tags is not None:
             tags = tuple(int(t) for t in tags)
             if len(tags) != len(exps):
                 raise ValueError("one tag per exponent")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "tags", tags)
 
     def _key(self):
@@ -298,13 +295,6 @@ class Specialization(Value):
                 raise ValueError(f"exponent {exponent} assigned twice")
             pairs[exponent] = value
         object.__setattr__(self, "assignments", tuple(sorted(pairs.items())))
-
-    def value(self, exponent) -> ParamPoly:
-        exponent = tuple(int(x) for x in exponent)
-        for e, v in self.assignments:
-            if e == exponent:
-                return v
-        raise ValueError(f"exponent {exponent} outside the specialization domain")
 
     def _key(self):
         return self.assignments

@@ -1,7 +1,10 @@
 """Reflexive-cone mirror pairs, height slices, and splittings."""
 
+import random
+
 import pytest
 
+from dualfan.mirrors.bb import _height_slice
 from dualfan.polyhedra import Cone
 from dualfan.mirrors import (
     bb_mirror_pair,
@@ -51,6 +54,61 @@ def test_gorenstein_generation_fails_at_height_two():
     assert not rep.holds
     # a bound of one never scans any higher level
     assert is_gorenstein(reeve, height_bound=1).holds
+
+
+def _reference_gorenstein_witness(cone, ell, height_bound):
+    """The first height-h point missing from the sum set of the
+    height-(h-1) and height-one points, as the sum-set loop found it."""
+    level_one = _height_slice(cone, ell, 1).lattice_points()
+    previous = level_one
+    for h in range(2, height_bound + 1):
+        expected = _height_slice(cone, ell, h).lattice_points()
+        reachable = {tuple(a + b for a, b in zip(p, q))
+                     for p in previous for q in level_one}
+        missing = [p for p in expected if p not in reachable]
+        if missing:
+            return missing[0]
+        previous = expected
+    return None
+
+
+def _reeve(r):
+    return Cone([(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, r, 1)], 4)
+
+
+def _sheared(rng, gens):
+    """The generators under a random unimodular map, so the height
+    functional is not always a coordinate."""
+    gens = [list(g) for g in gens]
+    n = len(gens[0])
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-1, 1))
+        for g in gens:
+            g[i] += k * g[j]
+    return [tuple(g) for g in gens]
+
+
+def test_gorenstein_witness_matches_the_sum_set_reference():
+    rng = random.Random(300)
+    cones = [_reeve(r) for r in (2, 3, 4)]
+    while len(cones) < 300:
+        d = rng.choice((2, 3))
+        points = {tuple(rng.randint(0, 2) for _ in range(d))
+                  for _ in range(rng.randint(d + 1, d + 3))}
+        cone = Cone(_sheared(rng, [p + (1,) for p in points]), d + 1)
+        if cone.dim == d + 1:
+            cones.append(cone)
+    witnesses = 0
+    for cone in cones:
+        rep = is_gorenstein(cone)
+        assert rep.functional is not None
+        assert rep.witness == _reference_gorenstein_witness(
+            cone, rep.functional, 3), cone
+        witnesses += rep.witness is not None
+    assert witnesses >= 10, witnesses
+    for r in range(2, 6):
+        assert is_gorenstein(_reeve(r)).witness == (1, 1, 1, 2)
 
 
 def test_gorenstein_rejects_lineality():

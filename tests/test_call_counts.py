@@ -18,9 +18,9 @@ import dualfan.mirrors.bb
 import dualfan.mirrors.bhk
 import dualfan.toric_lg
 from dualfan.cli import _COMMANDS, main
-from dualfan.fans import Fan, validate_fan
+from dualfan.fans import Fan, is_complete, validate_fan
 from dualfan.lattice import LatticeMap, solve_integer_matrix
-from dualfan.polyhedra import Cone
+from dualfan.polyhedra import Cone, Polytope
 
 
 def count_calls(monkeypatch, module, name):
@@ -77,6 +77,12 @@ def test_bb_job_tests_reflexivity_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_bb_job_partitions_each_slice_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, dualfan.mirrors.bb, "support_partition")
+    assert run_job(monkeypatch, capsys, ["bb"], BB_P2) == 0
+    assert len(calls) == 2  # the cone's slice and the dual cone's
+
+
 def test_bb_job_builds_each_section_polytope_once(monkeypatch, capsys):
     sections = count_calls(monkeypatch, dualfan.toric_lg, "section_polytope")
     totals = count_calls(monkeypatch, dualfan.toric_lg, "split_bundle_fan")
@@ -121,6 +127,22 @@ def test_validate_fan_intersects_only_unseparated_pairs(monkeypatch):
     assert validate_fan(
         Fan(octagon, [(i, (i + 1) % 8) for i in range(8)], 2)).ok
     assert len(calls) == 12
+
+
+def test_a_normal_fan_keeps_its_cones(monkeypatch):
+    poly = Polytope.from_vertices(
+        [(0, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)])
+    fan = poly.normal_fan()
+    original = Cone.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cone, "__init__", counting)
+    assert is_complete(fan)
+    assert built == []
 
 
 def count_parsers(monkeypatch):

@@ -441,7 +441,8 @@ def reference_double_description(constraints, ambient):
         rays = dedup(pos + zero + combined)
         inserted.append(a)
     lin_basis = kernel_basis(LatticeMap.from_rows(cons, ncols=ambient))
-    lineality = [lin_basis.col(j) for j in range(lin_basis.cols)]
+    # the same space, in the canonical Hermite form of its rows
+    lineality = [l for l in hnf(lin_basis.transpose())[0].entries if any(l)]
     return sorted(rays), lineality
 
 
@@ -465,6 +466,28 @@ def test_double_description_matches_the_reference_pass():
         kinds["rays" if rays else "no rays"] += 1
         kinds[f"rank {rank}"] += 1
     assert min(kinds.values()) > 300, kinds
+
+
+def test_cones_with_lines_have_canonical_generators():
+    """A redundant inequality changes neither the generators nor the
+    repr of a cone that contains lines."""
+    rng = random.Random(1990)
+    lines = Counter()
+    for _ in range(1500):
+        rank = rng.randrange(2, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randrange(2, rank + 1))]
+        a, b = rng.sample(rows, 2)
+        cone = Cone.from_inequalities(rows, rank)
+        if cone.is_strongly_convex():
+            continue
+        again = Cone.from_inequalities(
+            rows + [tuple(x + y for x, y in zip(a, b))], rank)
+        assert again == cone
+        assert again.generators == cone.generators, rows
+        assert repr(again) == repr(cone)
+        lines[cone.lineality_rank] += 1
+    assert lines[1] > 100 and lines[2] > 100, lines
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

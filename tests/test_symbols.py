@@ -1,11 +1,13 @@
 """Tests for the parameter-polynomial and potential types."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from dualfan.symbols import ParamPoly, Potential
+from dualfan.toric_lg import Specialization
 
 
 def p(name, power=1, coeff=1):
@@ -105,6 +107,18 @@ def _random_coefficient(rng):
     return p(rng.choice("qst"), rng.randint(-2, 2), rng.randint(-2, 2))
 
 
+def _outcome(build, terms):
+    """The terms that `build` computes, or the text of its ValueError."""
+    try:
+        return build(terms)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _potential_terms(terms):
+    return Potential(terms).terms
+
+
 def test_potential_matches_the_reference_constructor():
     rng = random.Random(20151)
     for _ in range(600):
@@ -112,9 +126,11 @@ def test_potential_matches_the_reference_constructor():
                      for _ in range(rng.randint(1, 5))]
         terms = [(rng.choice(exponents), _random_coefficient(rng))
                  for _ in range(rng.randint(0, 10))]
-        assert Potential(terms).terms == _reference_potential_terms(terms)
+        assert _outcome(_potential_terms, terms) == _outcome(
+            _reference_potential_terms, terms)
         as_map = dict(terms)
-        assert Potential(as_map).terms == _reference_potential_terms(as_map)
+        assert _outcome(_potential_terms, as_map) == _outcome(
+            _reference_potential_terms, as_map)
 
 
 @pytest.mark.parametrize("terms", [
@@ -125,4 +141,19 @@ def test_potential_matches_the_reference_constructor():
     [((1, 0), Fraction(1, 2)), ((1, 0), 0), ((1, 0), 5)],
 ])
 def test_potential_zero_and_cancelling_coefficients(terms):
-    assert Potential(terms).terms == _reference_potential_terms(terms)
+    assert _outcome(_potential_terms, terms) == _outcome(
+        _reference_potential_terms, terms)
+
+
+@pytest.mark.parametrize("build, value", [
+    (ParamPoly.constant, Fraction(3, 2)),
+    (ParamPoly.constant, 2.7),
+    (ParamPoly.constant, "7"),
+    (lambda v: ParamPoly([((("q", v),), 1)]), Fraction(1, 2)),
+    (lambda v: Potential([((1, 0), v)]), Fraction(1, 2)),
+    (lambda v: Specialization({(1, 0): v}), Fraction(5, 2)),
+])
+def test_non_integral_values_are_rejected(build, value):
+    message = re.escape(f"{value!r} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        build(value)

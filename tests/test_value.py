@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-import dualfan.cli as cli
 from dualfan._value import Value
 from dualfan.fans import (
     DualFanReport,
@@ -20,7 +19,7 @@ from dualfan.fans import (
 )
 from dualfan.groups import FiniteAbelianGroup
 from dualfan.lattice import LatticeMap, snf
-from dualfan.mirrors.bb import _Side, is_gorenstein, is_reflexive
+from dualfan.mirrors.bb import is_gorenstein, is_reflexive
 from dualfan.mirrors.bhk import verify_bhk_criterion
 from dualfan.mirrors.report import MirrorReport
 from dualfan.polyhedra import Cone, Polytope
@@ -50,8 +49,6 @@ def _square_cone():
 
 # one factory per value class; each call builds a fresh instance
 FACTORIES = {
-    "JobRequest": lambda: cli.JobRequest("quintic", None),
-    "ReportDocument": lambda: cli.ReportDocument("quintic", {}, False),
     "FanValidation": lambda: FanValidation(True),
     "DualFanReport": lambda: DualFanReport(True),
     "Fan": lambda: projective_space_fan(2),
@@ -74,7 +71,6 @@ FACTORIES = {
         line_bundle_fan(ToricDivisor(projective_space_fan(1), (2, 0)))),
     "GorensteinReport": lambda: is_gorenstein(_square_cone()),
     "ReflexiveReport": lambda: is_reflexive(_square_cone()),
-    "_Side": lambda: _Side(**dict.fromkeys(_Side.__slots__)),
     "BhkCriterionReport": lambda: verify_bhk_criterion(
         FERMAT_CUBIC, [(THIRD, THIRD, THIRD)]),
     "MirrorReport": lambda: MirrorReport(
