@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
 from .fans import Fan, is_complete, is_dual_pair, is_smooth, validate_fan
 from .mirrors import (
@@ -42,6 +43,18 @@ def _jsonable(x):
     if type(x) is int:
         return x if -_INT_LIMIT < x < _INT_LIMIT else str(x)
     if isinstance(x, (list, tuple)):
+        # a row of small exact ints, or a list of such rows, is already its
+        # own JSON value: json writes an exact int with int.__repr__ and a
+        # tuple as an array, and the exact-type test leaves bool, int
+        # subclasses and Fraction to the walk below, so the bytes are the
+        # same and a lattice point list costs one call, not one per point
+        flat, kinds = x, set(map(type, x))
+        if kinds and kinds <= {list, tuple}:
+            flat = list(chain.from_iterable(x))
+            kinds = set(map(type, flat))
+        if kinds <= {int} and (not flat or -_INT_LIMIT < min(flat)
+                                   and max(flat) < _INT_LIMIT):
+            return x
         # a small exact int is its own JSON value and costs no call
         return [v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT
                 else _jsonable(v) for v in x]

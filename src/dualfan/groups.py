@@ -129,9 +129,6 @@ class FiniteAbelianGroup(Value):
     def is_trivial(self):
         return not self.invariant_factors
 
-    def is_isomorphic_to(self, other) -> bool:
-        return self.invariant_factors == other.invariant_factors
-
     def contains_phase(self, phase) -> bool:
         """Membership test for a rational vector, read modulo Z^m."""
         q = normalize_phase(phase)

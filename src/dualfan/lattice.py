@@ -16,6 +16,7 @@ inverses and the simplicial facet normals of `polyhedra` read it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from ._value import Value
@@ -36,7 +37,13 @@ class LatticeMap(Value):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols=None):
-        entries = tuple(tuple(_as_int(x) for x in row) for row in entries)
+        # one C-level type scan; `_as_int` runs per entry only when it finds
+        # a value that is not an exact int, so the same entries are accepted
+        # (int subclasses too) and the first bad one is named as before
+        entries = tuple(map(tuple, entries))
+        if not {int}.issuperset(map(type, chain.from_iterable(entries))):
+            for x in chain.from_iterable(entries):
+                _as_int(x)
         rows = len(entries)
         if cols is None:
             if rows == 0:
@@ -120,13 +127,6 @@ class LatticeMap(Value):
 
     def __repr__(self):
         return f"LatticeMap({list(map(list, self.entries))!r})"
-
-    def is_identity(self):
-        return self.rows == self.cols and all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.entries)
-            for j, x in enumerate(row)
-        )
 
     def det(self):
         """Determinant, from the one square-matrix elimination."""

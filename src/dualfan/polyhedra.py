@@ -209,11 +209,6 @@ class Cone(Value):
         """Smallest face whose span admits all the given cone members."""
         return Cone(self._closure(vectors), self.ambient_rank)
 
-    def ray_generator(self):
-        if self.dim != 1 or not self.is_strongly_convex():
-            raise ValueError("not a ray")
-        return self._rays[0]
-
     def _face_index_sets(self):
         """Every face as a frozenset of indices into `extreme_rays`.
 

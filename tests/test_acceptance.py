@@ -426,7 +426,7 @@ def _suite_round_trip(rng):
                      for a in range(summands)]
         rec = recover_ci_data(total, candidates=verticals)
         assert rec is not None
-        assert rec.transform.is_identity()
+        assert rec.transform == LatticeMap.identity(rank)
         assert rec.base_fan == base
         assert [d.coeffs for d in rec.divisors] \
             == [d.coeffs for d in divisors]

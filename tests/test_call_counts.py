@@ -188,13 +188,26 @@ def test_givental_job_builds_each_section_polytope_once(monkeypatch,
     assert len(totals) == 1
 
 
-def test_report_encoding_makes_no_call_per_integer(monkeypatch, capsys):
+def test_report_encoding_makes_no_call_per_point(monkeypatch, capsys):
     calls = count_calls(monkeypatch, dualfan.cli, "_jsonable")
-    job = {"fan": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
-                   "max_cones": [[0, 1], [1, 2], [0, 2]]},
-           "divisor": {"coeffs": [20, 0, 0]}}
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(job)))
-    assert main(["section-polytope", "-"]) == 0
-    count = json.loads(capsys.readouterr().out)["count"]
-    assert count == 231  # C(22, 2) sections of O(20) on P^2
-    assert len(calls) <= count + 30
+    made = {}
+    for degree, expected in ((20, 231), (60, 1891)):  # C(d + 2, 2) on P^2
+        job = {"fan": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                       "max_cones": [[0, 1], [1, 2], [0, 2]]},
+               "divisor": {"coeffs": [degree, 0, 0]}}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(job)))
+        del calls[:]
+        assert main(["section-polytope", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == expected
+        made[degree] = len(calls)
+    assert made[20] <= 30
+    assert made[60] == made[20]
+
+
+def test_integer_matrix_checks_no_entry_one_by_one(monkeypatch):
+    calls = count_calls(monkeypatch, dualfan.lattice, "_as_int")
+    a = LatticeMap([[2, 4, 4, -6], [-6, 6, 12, 10], [10, -4, -16, 0],
+                    [1, 3, 5, 7]])
+    dec = dualfan.lattice.snf(a)
+    assert dec.U @ a @ dec.V == dec.D  # U, D, V, then two products
+    assert calls == []

@@ -100,7 +100,10 @@ _ACCEPTED = st.one_of(
     st.integers(), st.text(max_size=3),
     st.fractions(max_denominator=7),
     st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
-              st.integers(1, 2 ** 70)))
+              st.integers(1, 2 ** 70)),
+    # point lists: rows of ints, so that some nodes are all small ints
+    st.lists(st.lists(st.sampled_from(_EDGE_INTS) | st.integers(-9, 9),
+                      max_size=3).map(tuple), max_size=4))
 _REJECTED = st.one_of(st.floats(), st.sets(st.integers(), max_size=2))
 _KEYS = st.one_of(st.text(max_size=2), st.integers(-2, 2), st.booleans())
 
@@ -117,7 +120,17 @@ def test_canonical_json_matches_the_reference_on_every_kind_of_value():
         Fraction(2 ** 60), _Level.LOW, _Level.HIGH, _Ratio(5, 5),
         _Ratio(1, 7), ((1, [2, (3,)]), [])]}
     assert canonical_json(value) == _reference_canonical_json(value)
-    for bad in (1.5, {1}, [1, (2, {"x": 0.0})], {"k": [set()]}):
+    small = 2 ** 53 - 1
+    for row in ([small, -small], [2 ** 53, 0], (0, -2 ** 53), [2 ** 60],
+                (-2 ** 60, 1), (1, True), [_Level.LOW, 2], (Fraction(4, 2),),
+                [0, _Ratio(1, 7)]):
+        rows = {"row": row, "rows": [(1, 2), row, [3]], "deep": [[row]]}
+        assert canonical_json(rows) == _reference_canonical_json(rows)
+    for rows in ([], (), [[], ()], [(1, 2), [3, -4], ()], [[[1]], [[2, 3]]],
+                 ([(small,)], ([-small],)), [(1,), 2], [[1], "s"]):
+        assert canonical_json(rows) == _reference_canonical_json(rows)
+    for bad in (1.5, {1}, [1, (2, {"x": 0.0})], {"k": [set()]},
+                [(1, 2), (3, 1.5)], [[1, {2}]], (0.0, 1)):
         rejected = _encoded(canonical_json, bad)
         assert rejected[0] == "TypeError"
         assert rejected == _encoded(_reference_canonical_json, bad)
@@ -128,6 +141,14 @@ def test_canonical_json_matches_the_reference_on_every_kind_of_value():
 def test_canonical_json_matches_the_reference_on_nested_values(value):
     assert _encoded(canonical_json, value) == _encoded(
         _reference_canonical_json, value)
+
+
+def test_small_integer_rows_are_encoded_as_they_are():
+    points = [(0, 1), (2 ** 53 - 1, -2 ** 53 + 1), (5, 6)]
+    for rows in (points, tuple(points), points[0], [], ()):
+        assert dualfan.cli._jsonable(rows) is rows
+    for rows in ([(0, 2 ** 53)], [(0, True)], [(0,), 1], [[[0]]]):
+        assert dualfan.cli._jsonable(rows) is not rows
 
 
 def test_parse_fan_round_trip():

@@ -7,6 +7,7 @@ subgroup enumeration).
 """
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,35 @@ def float_det(a):
 
 
 # ---------------------------------------------------------------- hnf
+
+
+class _Small(IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("bad", [True, Fraction(2), 1.0, "1", None])
+def test_lattice_map_names_its_first_entry_that_is_not_an_integer(bad):
+    # alone, and in row order before the None of a later row
+    for entries in ([[1, 2], [3, bad]], [[1, 2], [3, bad], [None, 4.5]]):
+        with pytest.raises(TypeError) as err:
+            LatticeMap(entries)
+        assert str(err.value) == f"integer entry expected, got {bad!r}"
+
+
+def test_lattice_map_keeps_int_subclass_entries():
+    m = LatticeMap([[_Small.THREE, 2], (0, 1)])
+    assert m.entries == ((3, 2), (0, 1))
+    assert type(m.entries[0][0]) is _Small
+
+
+def test_lattice_map_rejects_ragged_and_non_iterable_rows():
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        LatticeMap([[1, 2], [3]])
+    with pytest.raises(TypeError, match="'int' object is not iterable"):
+        LatticeMap([[1, 2], 5])
+    with pytest.raises(ValueError, match="explicit column count"):
+        LatticeMap([])
+    assert LatticeMap([[]]).entries == ((),)
 
 
 def test_hnf_identity_is_fixed():

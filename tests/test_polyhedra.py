@@ -121,11 +121,11 @@ def test_strong_convexity():
 
 
 def test_ray_generator():
-    assert Cone([(2, 4)], 2).ray_generator() == (1, 2)
-    assert Cone([(0, 7)], 2).ray_generator() == (0, 1)
-    assert Cone([(-3, 6, -9)], 3).ray_generator() == (-1, 2, -3)
-    with pytest.raises(ValueError):
-        Cone([(1, 0), (0, 1)], 2).ray_generator()
+    # a ray's one extreme ray is its primitive generator
+    assert Cone([(2, 4)], 2).extreme_rays == ((1, 2),)
+    assert Cone([(0, 7)], 2).extreme_rays == ((0, 1),)
+    assert Cone([(-3, 6, -9)], 3).extreme_rays == ((-1, 2, -3),)
+    assert len(Cone([(1, 0), (0, 1)], 2).extreme_rays) == 2
 
 
 def test_face_counts_orthant():

@@ -239,7 +239,7 @@ def test_recover_quintic_bundle_with_identity_transform():
     assert rec is not None
     assert rec.base_fan == p4
     assert rec.divisors[0].coeffs == (1, 1, 1, 1, 1)
-    assert rec.transform.is_identity()
+    assert rec.transform == LatticeMap.identity(5)
 
 
 def test_recover_after_relabeling_rebuilds_the_input():
@@ -266,7 +266,7 @@ def test_recover_exhaustive_search():
     rec = recover_ci_data(total)
     assert rec is not None and rec.base_fan == p1
     assert rec.divisors[0].coeffs == (2, 0)
-    assert rec.transform.is_identity()
+    assert rec.transform == LatticeMap.identity(2)
 
 
 def test_recover_two_summands(p1p1):
