@@ -6,14 +6,17 @@ canonical JSON document: keys sorted, no whitespace, one trailing
 newline.  Exit status 0 means every verified statement held, 1 means
 the mathematics failed somewhere and the report carries a witness, 2
 means the input could not be interpreted.
+
+A bare `COMMAND [INPUT]` argv is read directly; argparse is loaded only
+for options, help and errors, whose messages stay argparse's own.
 """
 
-import argparse
 import json
 import sys
 import time
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 from .fans import Fan, is_complete, is_dual_pair, is_smooth, validate_fan
 from .mirrors import (
@@ -384,8 +387,28 @@ def _load_payload(args):
         raise InputError(f"invalid JSON: {e}")
 
 
+# the option defaults, shared by `_parser` and `_plain_args`
+_DEFAULTS = {"out": None, "height_bound": 3, "verbose": False}
+
+
+def _plain_args(argv):
+    """The namespace argparse returns for `COMMAND` or `COMMAND INPUT`, or
+    None for any other argv (options, help, errors) to go to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    inputs = argv[1:]
+    if len(inputs) != _COMMANDS[argv[0]][1] or any(
+            t != "-" and t.startswith("-") for t in inputs):
+        return None
+    args = SimpleNamespace(command=argv[0], **_DEFAULTS)
+    if inputs:
+        args.input = inputs[0]
+    return args
+
+
 def _parser(names):
     """The `dualfan` parser with a subparser for each command in `names`."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="dualfan",
         description="dual fans, bundle total spaces, and mirror pipelines")
@@ -393,11 +416,13 @@ def _parser(names):
     for name in names:
         _, needs_input, help_text = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", default=None, metavar="PATH",
+        p.add_argument("--out", default=_DEFAULTS["out"], metavar="PATH",
                        help="write the report here instead of stdout")
-        p.add_argument("--height-bound", type=int, default=3, metavar="H",
-                       help="reflexivity scan depth (default 3)")
+        p.add_argument("--height-bound", type=int,
+                       default=_DEFAULTS["height_bound"], metavar="H",
+                       help="reflexivity scan depth (default %(default)s)")
         p.add_argument("--verbose", action="store_true",
+                       default=_DEFAULTS["verbose"],
                        help="print timing to stderr")
         if needs_input:
             p.add_argument("input",
@@ -408,13 +433,15 @@ def _parser(names):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # A job needs only its command's subparser, whose help and errors do
-    # not depend on its siblings.  Leftover arguments go to the full tree:
-    # its "unrecognized arguments" usage line lists every command.
-    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    args, extra = _parser(named).parse_known_args(argv)
-    if extra:
-        _parser(_COMMANDS).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        # A job needs only its command's subparser, whose help and errors
+        # do not depend on its siblings.  Leftover arguments go to the full
+        # tree: its "unrecognized arguments" usage line lists every command.
+        named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+        args, extra = _parser(named).parse_known_args(argv)
+        if extra:
+            _parser(_COMMANDS).parse_args(argv)
 
     started = time.monotonic()
     try:

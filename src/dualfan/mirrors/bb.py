@@ -250,7 +250,8 @@ def _total_space(slice_poly, parts, splitting, dual_splitting, opposite):
         for v in part.vertices:
             diff = tuple(a - b_ for a, b_ in zip(_as_int_vec(v), e_i))
             y = solve_integer(b, diff)
-            assert y is not None  # vertices of part i sit over e_i + base
+            if y is None:
+                raise AssertionError("part i has a vertex off e_i + base")
             pts.append(y)
         sections.append(Polytope.from_vertices(pts, n))
     section_sum = sections[0]

@@ -75,7 +75,8 @@ def _dual_data(p, q_gens):
     a = annihilator_lattice(gens, n)
     x = solve_integer_matrix(a, p)
     # solvable whenever Q fixes the monomials, which was just checked
-    assert x is not None
+    if x is None:
+        raise AssertionError("the exponents of P are not Q-invariant")
     dual_gens = tuple(zip(*rational_inverse(x)))
     q_dual = FiniteAbelianGroup.from_phases(dual_gens, n)
     return p, a, x, q_group, q_dual, symmetries

@@ -55,10 +55,12 @@ def quintic_pipeline() -> MirrorReport:
     powers = []
     for i in range(5):
         x = solve_integer(dictionary, [5 * int(j == i) for j in range(5)])
-        assert x is not None  # pure fifth powers are sections
+        if x is None:
+            raise AssertionError("a pure fifth power is not a section")
         powers.append(tuple(x))
     product = solve_integer(dictionary, [1] * 5)
-    assert product is not None
+    if product is None:
+        raise AssertionError("the product monomial is not a section")
     product = tuple(product)
 
     # characters invariant under all three phases, pulled through the
@@ -74,7 +76,8 @@ def quintic_pipeline() -> MirrorReport:
         [tuple(a - b for a, b in zip(powers[i], product)) for i in range(4)]
         + [product])
     placement_t = solve_integer_matrix(invariants, identification.transpose())
-    assert placement_t is not None  # power monomials are invariant
+    if placement_t is None:
+        raise AssertionError("the power monomials are not invariant")
     placement = placement_t.transpose()
     int_inverse(placement)  # raises unless the rewrite is unimodular
     sigma_x_prime = relabel_fan(quotiented, placement)

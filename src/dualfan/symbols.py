@@ -176,13 +176,6 @@ class Potential(Value):
     def support(self):
         return tuple(e for e, _ in self.terms)
 
-    def coefficient(self, exponent) -> ParamPoly:
-        exponent = tuple(int(x) for x in exponent)
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return ParamPoly.zero()
-
     def is_zero(self) -> bool:
         return not self.terms
 

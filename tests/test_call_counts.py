@@ -8,7 +8,10 @@ counts do not depend on timing, so they hold on any machine.
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,13 +161,37 @@ def count_parsers(monkeypatch):
     return progs
 
 
+BHK_FERMAT3 = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]}}
+
+
+def test_a_well_formed_job_builds_no_parser(monkeypatch, capsys):
+    progs = count_parsers(monkeypatch)
+    assert run_job(monkeypatch, capsys, ["bhk"], BHK_FERMAT3) == 0
+    assert progs == []
+
+
 def test_a_job_builds_only_its_own_subparser(monkeypatch, capsys):
     progs = count_parsers(monkeypatch)
-    job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]}}
-    assert run_job(monkeypatch, capsys, ["bhk"], job) == 0
+    # argparse reads an abbreviated option, with one subparser
+    assert run_job(monkeypatch, capsys, ["bhk", "--verb"], BHK_FERMAT3) == 0
     assert len(progs) <= 3
     assert [p for p in progs if p and p.startswith("dualfan ")] == [
         "dualfan bhk"]
+
+
+def test_a_job_process_never_loads_argparse():
+    # the report goes to stdout, the loaded modules to stderr
+    code = ("import sys, dualfan.cli\n"
+            "assert dualfan.cli.main(['quintic']) == 0\n"
+            "sys.stderr.write(repr(sorted({'argparse', 'gettext'}"
+            " & set(sys.modules))))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"[]"
+    assert proc.stdout == (Path(__file__).resolve().parent / "golden"
+                           / "quintic.stdout").read_bytes()
 
 
 def test_an_unknown_command_builds_the_full_tree(monkeypatch, capsys):

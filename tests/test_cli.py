@@ -7,6 +7,8 @@ that could not be interpreted.
 """
 
 import argparse
+import ast
+import contextlib
 import io
 import json
 import os
@@ -15,6 +17,7 @@ import sys
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -567,45 +570,92 @@ ARGV_CASES = [
     "Bhk -", "bh -", "givental - --height-bound=2 --height-bound z",
     "quintic", "bhk -", "section-polytope --out o --height-bound 7 -",
     "hori-vafa --verbose=1 -",
+    "bhk --out= -", "bhk --out - -", "bb - --height-bound -1",
+    "bb - --height-bound= 7", "bb - --height-bound 3_0", "bhk - -",
+    "quintic -", "bhk --out=a=b -", "bhk --out a --out b -",
+    "bhk - --verbose --verbose",
 ]
+# every token of the cases above, plus the empty argument
+ARGV_TOKENS = sorted({t for line in ARGV_CASES for t in line.split()} | {""})
+
+
+def _show_args(args):
+    # a parse that succeeds shows its namespace instead of running the job
+    print(sorted(vars(args).items()))
+    sys.exit(3)
+
+
+def _argv_outcome(run_argv, argv):
+    """(how `run_argv(argv)` ended, its stdout, its stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = ("returned", run_argv(argv))
+        except SystemExit as e:
+            status = ("exited", e.code)
+    return status, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("line", ARGV_CASES)
-def test_argv_handling_matches_the_full_parser_tree(line, capsys,
-                                                    monkeypatch):
-    # a parse that succeeds shows its namespace instead of running the job
-    def show_args(args):
-        print(sorted(vars(args).items()))
-        sys.exit(3)
-
-    monkeypatch.setattr(dualfan.cli, "_load_payload", show_args)
+def test_argv_handling_matches_the_full_parser_tree(line, monkeypatch):
+    monkeypatch.setattr(dualfan.cli, "_load_payload", _show_args)
     for columns in (40, 80, 200):
         monkeypatch.setenv("COLUMNS", str(columns))
-        outcomes = []
-        for run_argv in (main, _reference_parse):
-            try:
-                status = ("returned", run_argv(line.split()))
-            except SystemExit as e:
-                status = ("exited", e.code)
-            outcomes.append((status, capsys.readouterr()))
-        assert outcomes[0] == outcomes[1], columns
+        argv = line.split()
+        assert _argv_outcome(main, argv) == _argv_outcome(
+            _reference_parse, argv), columns
 
 
-def _run_module(*args):
-    src = Path(__file__).resolve().parents[1] / "src"
+def test_generated_argv_lists_match_the_full_parser_tree():
+    direct = []
+
+    # any list, or a command and up to two tokens: the direct path is
+    # rare among arbitrary lists, so command-led lists are mixed in
+    @given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=6) | st.builds(
+        lambda command, rest: [command, *rest],
+        st.sampled_from(sorted(dualfan.cli._COMMANDS)),
+        st.lists(st.sampled_from(ARGV_TOKENS), max_size=2)))
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def check(argv):
+        direct.append(dualfan.cli._plain_args(argv) is not None)
+        assert _argv_outcome(main, argv) == _argv_outcome(
+            _reference_parse, argv)
+
+    with mock.patch.object(dualfan.cli, "_load_payload", _show_args), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        check()
+    # the lists that skip argparse are checked too, not only its errors
+    assert sum(direct) >= 0.05 * len(direct)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_module(*args, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "dualfan.cli", *args], capture_output=True,
-        stdin=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=str(src)))
+        [sys.executable, *flags, "-m", "dualfan.cli", *args],
+        capture_output=True, stdin=subprocess.DEVNULL,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
 def test_module_entry_reads_sys_argv():
     golden = Path(__file__).resolve().parent / "golden" / "quintic.stdout"
-    proc = _run_module("quintic")
-    assert proc.returncode == 0
-    assert proc.stdout == golden.read_bytes()
+    for flags in ((), ("-O",)):  # -O strips assert statements
+        proc = _run_module("quintic", flags=flags)
+        assert proc.returncode == 0
+        assert proc.stdout == golden.read_bytes()
     proc = _run_module()
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"usage: dualfan ")
     proc = _run_module("bhk")
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"usage: dualfan bhk ")
+
+
+def test_no_invariant_check_is_a_bare_assert():
+    # `python -O` strips assert statements; a check must raise instead
+    bare = [f"{path.relative_to(SRC)}:{node.lineno}"
+            for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)]
+    assert bare == []
