@@ -5,6 +5,10 @@ height one, together with a distinguished set of height-one points e_i
 and a paired set of dual functionals, cut both sides of the mirror pair:
 section polytopes and a base fan on each side, bundle total spaces over
 them, and potential families indexed by the height-one slices.
+
+On each side the dual functionals are nonnegative integers on the cone
+summing to its height, so each lattice point of the height-one slice
+lies in exactly one part: listing the parts lists the slice.
 """
 
 from fractions import Fraction
@@ -147,9 +151,13 @@ def support_partition(cone, functionals):
     The functionals must be nonnegative on the cone and sum to a
     covector taking value 1 on every extreme ray; part i is the face of
     the slice where functional i equals 1 and the others vanish.
-    Returns (slice, parts).  Raises when a part is empty or has a
-    vertex off the lattice, since the construction downstream needs
-    every part to be a nonempty lattice polytope.
+    Returns the parts.  Raises when a part is empty or has a vertex off
+    the lattice, since the construction downstream needs every part to
+    be a nonempty lattice polytope.
+
+    The parts' lattice points partition the slice's: at a lattice point
+    of the slice the functionals take nonnegative integer values summing
+    to 1, so exactly one is 1 there and the point lies in that part only.
     """
     if not isinstance(cone, Cone):
         raise TypeError("expected a Cone")
@@ -169,26 +177,24 @@ def support_partition(cone, functionals):
         if _dot(total, r) != 1:
             raise ValueError(
                 "functionals do not sum to a height functional of the cone")
-    slice_poly = _height_slice(cone, total, 1)
-    cone_pairs = [(n, 0) for n in cone.facet_normals]
     parts = []
     for i in range(len(fs)):
-        pairs = list(cone_pairs)
+        pairs = [(n, 0) for n in cone.facet_normals]
         for j, f in enumerate(fs):
-            want = 1 if j == i else 0
-            pairs.append((f, -want))
-            pairs.append((tuple(-x for x in f), want))
+            pairs += [(f, -int(j == i)), (tuple(-x for x in f), int(j == i))]
         part = Polytope.from_hrep(pairs, rank)
         if part.is_empty():
             raise ValueError(f"part {i} of the support partition is empty")
         for v in part.vertices:
             _as_int_vec(v, f"vertex of part {i}")
         parts.append(part)
-    # the functionals are a partition of membership, so the part point
-    # counts must add up to the slice count
-    if sum(len(p.lattice_points()) for p in parts) != len(slice_poly.lattice_points()):
-        raise ValueError("parts do not partition the slice lattice points")
-    return slice_poly, tuple(parts)
+    return tuple(parts)
+
+
+def _cut(cone, functionals):
+    """`support_partition` and each part's lattice points, listed once."""
+    parts = support_partition(cone, functionals)
+    return parts, tuple(p.lattice_points() for p in parts)
 
 
 def dual_splittings(cone_dual, ell_dual, splitting):
@@ -199,43 +205,30 @@ def dual_splittings(cone_dual, ell_dual, splitting):
     `ell_dual`.  Results are ordered lexicographically by construction.
     """
     ell_dual = _as_int_vec(ell_dual, "height functional")
-    return _choices(support_partition(cone_dual, splitting)[1], ell_dual)
+    return _choices(_cut(cone_dual, splitting)[1], ell_dual)
 
 
-def _choices(parts, ell_dual):
-    """`dual_splittings` from the parts of the dual slice."""
-    out = tuple(combo
-                for combo in product(*(p.lattice_points() for p in parts))
+def _choices(points, ell_dual):
+    """`dual_splittings` from the lattice points of each dual part."""
+    out = tuple(combo for combo in product(*points)
                 if tuple(sum(c) for c in zip(*combo)) == ell_dual)
     if not out:
         raise ValueError("no dual splitting sums to the height functional")
     return out
 
 
-def _classify(points, functionals):
-    """Index of the functional taking value 1 on each point."""
-    tags = []
-    for p in points:
-        vals = [_dot(f, p) for f in functionals]
-        if sorted(vals) != [0] * (len(vals) - 1) + [1]:
-            raise ValueError(f"point {p} is not classified by the splitting")
-        tags.append(vals.index(1))
-    return tuple(tags)
-
-
-def _total_space(slice_poly, parts, splitting, dual_splitting, opposite):
+def _total_space(parts, points, splitting, dual_splitting, opposite):
     """One side of the pair: (base, ambient, family, checks).
 
-    `slice_poly` and its `parts` are this side's height-one slice cut by
-    `dual_splitting` (giving sections), `splitting` are the parts'
-    distinguished points, and `opposite` is the other side's (cone,
-    slice, parts), whose part vertices become the rays.  `checks` maps
-    the side's check names to verdicts, without `polar_identity` when
-    the section sum has no interior origin.
+    `parts` cut this side's height-one slice by `dual_splitting` (giving
+    sections), `points` lists each part's lattice points, `splitting`
+    are the parts' distinguished points, and `opposite` is the other
+    side's (cone, parts), whose part vertices become the rays.  `checks`
+    maps the side's check names to verdicts, without `polar_identity`
+    when the section sum has no interior origin.
     """
-    cone, opposite_slice, opposite_parts = opposite
+    cone, opposite_parts = opposite
     rank = cone.ambient_rank
-    r = len(splitting)
     b = kernel_basis(LatticeMap.from_rows(list(dual_splitting), ncols=rank))
     n = b.cols
     psi = LatticeMap.from_cols(list(b.columns()) + list(splitting), nrows=rank)
@@ -248,8 +241,7 @@ def _total_space(slice_poly, parts, splitting, dual_splitting, opposite):
     for e_i, part in zip(splitting, parts):
         pts = []
         for v in part.vertices:
-            diff = tuple(a - b_ for a, b_ in zip(_as_int_vec(v), e_i))
-            y = solve_integer(b, diff)
+            y = solve_integer(b, tuple(map(sub, _as_int_vec(v), e_i)))
             if y is None:
                 raise AssertionError("part i has a vertex off e_i + base")
             pts.append(y)
@@ -268,41 +260,41 @@ def _total_space(slice_poly, parts, splitting, dual_splitting, opposite):
                 "section sum is not full-dimensional in the base lattice")
 
     pi = b.transpose()
-    pool = []
-    for j, part in enumerate(opposite_parts):
-        for v in part.vertices:
-            w = _as_int_vec(v, f"vertex of dual part {j}")
-            pool.append((w, tuple(pi @ w), j))
+    pool = [(tuple(pi @ _as_int_vec(v)), j)
+            for j, part in enumerate(opposite_parts) for v in part.vertices]
     classes = []
     for u in base.rays:
-        hits = [(w, j) for w, proj, j in pool if proj == u]
+        hits = [j for proj, j in pool if proj == u]
         if len(hits) != 1:
             raise ValueError(
                 f"expected exactly one slice vertex over base ray {u}, "
                 f"found {len(hits)}")
-        classes.append(hits[0][1])
+        classes.append(hits[0])
     divisors = tuple(
         ToricDivisor(base, tuple(1 if c == i else 0 for c in classes))
-        for i in range(r))
+        for i in range(len(splitting)))
 
     recomputed = tuple(section_polytope(d) for d in divisors)
     total = split_bundle_fan(divisors)
     ambient = relabel_fan(total, psi_inv.transpose())
-    xi = slice_poly.lattice_points()
-    family = AuxiliaryLG(ambient, xi, tags=_classify(xi, dual_splitting))
+    # the parts' points partition the slice's (see `support_partition`)
+    xi, tags = zip(*sorted((p, i) for i, pts in enumerate(points)
+                           for p in pts))
+    family = AuxiliaryLG(ambient, xi, tags=tags)
     aux_ci, _ = _ci_family(divisors, total, recomputed)
-    opposite_verts = {_as_int_vec(v) for v in opposite_slice.vertices}
     checks = {
         "sections_match_parts": recomputed == tuple(sections),
         "ray_set_identity":
-            set(ambient.rays) == opposite_verts | set(dual_splitting),
+            # the opposite slice's vertices are the opposite cone's
+            # primitive rays, which sit at height one
+            set(ambient.rays) == set(cone.extreme_rays) | set(dual_splitting),
         "support_identity": Cone(list(ambient.rays), rank) == cone,
         "section_dictionary":
             {tuple(psi @ e) for e in aux_ci.exponents} == set(xi),
     }
     if n and section_sum.dim == n and all(
             off > 0 for _, off in section_sum.hrep):
-        projected = Polytope.from_vertices([proj for _, proj, _ in pool], n)
+        projected = Polytope.from_vertices([proj for proj, _ in pool], n)
         checks["polar_identity"] = section_sum.polar() == projected
     return base, ambient, family, checks
 
@@ -353,7 +345,7 @@ def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
     k_dual = k.dual()
     nabla = None
     if dual_splitting is None:
-        nabla = support_partition(k_dual, e_list)
+        nabla = _cut(k_dual, e_list)
         dual_list = _choices(nabla[1], ell_dual)[0]
     else:
         dual_list = tuple(_as_int_vec(f, "dual splitting point")
@@ -373,12 +365,12 @@ def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
                 raise ValueError(
                     "splitting and dual splitting do not pair to the identity")
 
-    delta = support_partition(k, dual_list)
-    nabla = nabla or support_partition(k_dual, e_list)
+    delta = _cut(k, dual_list)
+    nabla = nabla or _cut(k_dual, e_list)
     base, ambient, gamma, side = _total_space(
-        *delta, e_list, dual_list, (k_dual, *nabla))
+        *delta, e_list, dual_list, (k_dual, nabla[0]))
     base_prime, ambient_prime, gamma_prime, side_prime = _total_space(
-        *nabla, dual_list, e_list, (k, *delta))
+        *nabla, dual_list, e_list, (k, delta[0]))
 
     duality = is_dual_pair(ambient, ambient_prime)
     to_gamma = base_change_check(gamma, ambient_prime)

@@ -22,10 +22,11 @@ from ..toric_lg import (
     AuxiliaryLG,
     Specialization,
     ToricDivisor,
+    _ci_family,
     apply_specialization,
-    auxiliary_lg_from_ci,
     base_change_check,
     line_bundle_fan,
+    section_polytope,
 )
 from .report import MirrorReport
 
@@ -43,7 +44,7 @@ def quintic_pipeline() -> MirrorReport:
     base = projective_space_fan(4)
     divisor = ToricDivisor(base, (1,) * 5)
     sigma_x = line_bundle_fan(divisor)
-    gamma, _ = auxiliary_lg_from_ci((divisor,))
+    gamma, _ = _ci_family((divisor,), sigma_x, [section_polytope(divisor)])
 
     # degree dictionary: pairing an exponent with the five lifted rays
     # gives the exponents of the corresponding degree-five monomial

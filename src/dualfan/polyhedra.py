@@ -126,6 +126,8 @@ class Cone(Value):
     cone carries ± pairs of span equations among its normals.  For n
     independent generators in rank n the cone is simplicial and pointed:
     each generator is a ray and each facet misses exactly one of them.
+    Every description of one cone gives the same generators, so cones
+    compare and hash by (ambient_rank, generators).
     """
 
     __slots__ = ("ambient_rank", "generators", "facet_normals",
@@ -245,17 +247,8 @@ class Cone(Value):
             map(self.contains_vector, other._closure(self.generators))
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cone)
-            and self.ambient_rank == other.ambient_rank
-            and self.contains_cone(other)
-            and other.contains_cone(self)
-        )
-
-    def __hash__(self):
-        # weak but consistent with mutual-inclusion equality
-        return hash((self.ambient_rank, self.dim, self.lineality_rank))
+    def _key(self):
+        return self.ambient_rank, self.generators
 
     def __repr__(self):
         return f"Cone({[list(g) for g in self.generators]!r}, {self.ambient_rank})"
@@ -326,6 +319,10 @@ class Polytope(Value):
                 recession.append(r[:-1])
             else:
                 raise AssertionError("height must be nonnegative")
+        if not verts:  # empty; the one H-rep row 0 - 1 ≥ 0 holds nowhere
+            return cls(ambient_rank=ambient_rank, vertices=(),
+                       hrep=(((0,) * ambient_rank, Fraction(-1)),),
+                       bounded=True, recession=(), lineality=(), dim=-1)
         # lines lie at height zero, so dropping it keeps the Hermite form
         lineality = tuple(l[:-1] for l in cone._lineality)
         hrep = []
@@ -342,17 +339,17 @@ class Polytope(Value):
             bounded=bounded,
             recession=tuple(sorted(recession)),
             lineality=lineality,
-            dim=cone.dim - 1 if cone.dim > 0 else -1,
+            dim=cone.dim - 1,
         )
 
     def is_empty(self) -> bool:
-        return not self.vertices and not self._recession and not self._lineality
+        return not self.vertices
 
     def contains(self, point) -> bool:
         p = _as_fraction_vector(point)
         return all(
             sum(a * x for a, x in zip(n, p)) + off >= 0 for n, off in self.hrep
-        ) and not self.is_empty()
+        )
 
     def translate(self, vec) -> "Polytope":
         v = _as_fraction_vector(vec)

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import dualfan.mirrors.bb
 from dualfan.mirrors.bb import _height_slice
 from dualfan.polyhedra import Cone
+from dualfan.toric_lg import AuxiliaryLG
 from dualfan.mirrors import (
     bb_mirror_pair,
     dual_splittings,
@@ -136,18 +138,86 @@ def test_reflexive_needs_full_dimension():
 
 
 def test_support_partition_p2():
-    slice_poly, parts = support_partition(Cone(P2_GENS, 3), [(0, 0, 1)])
+    cone = Cone(P2_GENS, 3)
+    parts = support_partition(cone, [(0, 0, 1)])
     assert len(parts) == 1
-    assert len(slice_poly.lattice_points()) == 10
-    assert parts[0].lattice_points() == slice_poly.lattice_points()
+    assert len(parts[0].lattice_points()) == 10
+    assert parts[0].lattice_points() == _height_slice(
+        cone, (0, 0, 1), 1).lattice_points()
 
 
 def test_support_partition_square():
-    slice_poly, parts = support_partition(Cone(SQ_GENS, 4), SQ_SPLIT)
-    assert len(slice_poly.lattice_points()) == 6
+    parts = support_partition(Cone(SQ_GENS, 4), SQ_SPLIT)
     assert [len(p.lattice_points()) for p in parts] == [3, 3]
     assert (0, 0, 1, 0) in parts[0].lattice_points()
     assert (0, 0, 0, 1) in parts[1].lattice_points()
+
+
+# reflexive polygons: cones over them have index one, and Cayley cones
+# over a split of their vertices into two groups may have index two
+POLYGONS = [
+    [(1, 0), (0, 1), (-1, -1)],
+    [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    [(2, -1), (-1, 2), (-1, -1)],
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [(1, 0), (1, 1), (0, 1), (-1, -1)],
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)],
+    [(1, 1), (-1, 1), (-1, -1), (1, -1)],
+]
+
+
+def _square_symmetries():
+    """The eight signed permutation matrices of rank two."""
+    return [((a, 0), (0, b)) for a in (1, -1) for b in (1, -1)] + [
+        ((0, a), (b, 0)) for a in (1, -1) for b in (1, -1)]
+
+
+def _apply(m, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
+
+
+def _seeded_reflexive_inputs(rng, count):
+    """Generators and splittings of reflexive cones, sheared at random."""
+    inputs = []
+    while len(inputs) < count:
+        poly = rng.choice(POLYGONS)
+        if rng.random() < 0.3:
+            gens, split = [v + (1,) for v in poly], [(0, 0, 1)]
+        else:
+            cayley = [rng.choice(((1, 0), (0, 1))) for _ in poly]
+            split = [(0, 0, 1, 0), (0, 0, 0, 1)]
+            gens = split + [v + c for v, c in zip(poly, cayley)]
+        rep = is_reflexive(Cone(gens, len(gens[0])))
+        if rep.holds and rep.index == len(split) and tuple(
+                map(sum, zip(*split))) == rep.dual_report.functional:
+            moved = _sheared(rng, gens + split)
+            inputs.append((moved[:len(gens)], moved[len(gens):]))
+    return inputs
+
+
+def test_support_partition_lists_every_slice_point_once():
+    # the functionals take nonnegative integer values summing to 1 at
+    # each lattice point of the slice, so exactly one part holds it
+    segment = ((-1, 1), (1, 1))
+    inputs = [(P2_GENS, P2_SPLIT), (SQ_GENS, SQ_SPLIT)]
+    inputs += [([_apply(s, g) for g in segment], [_apply(s, (0, 1))])
+               for s in _square_symmetries()]
+    inputs += _seeded_reflexive_inputs(random.Random(400), 12)
+    checked = 0
+    for gens, split in inputs:
+        k = Cone(gens, len(gens[0]))
+        ell_dual = is_reflexive(k).cone_report.functional
+        sides = [(k.dual(), split)]
+        sides += [(k, dual)
+                  for dual in dual_splittings(k.dual(), ell_dual, split)]
+        for cone, functionals in sides:
+            total = tuple(map(sum, zip(*functionals)))
+            union = sorted(p for part in support_partition(cone, functionals)
+                           for p in part.lattice_points())
+            assert union == _height_slice(cone, total, 1).lattice_points(), (
+                gens, functionals)
+            checked += 1
+    assert checked >= 40, checked
 
 
 def test_support_partition_rejects_bad_functionals():
@@ -214,6 +284,26 @@ def test_pair_square_is_self_mirror():
     assert rep.to_gamma.is_isomorphism
     assert rep.to_gamma_prime.is_isomorphism
     assert rep.sigma_x == rep.sigma_x_prime
+
+
+def test_pair_tags_each_exponent_with_its_part(monkeypatch):
+    families = []
+
+    def recording(*args, **kwargs):
+        families.append(AuxiliaryLG(*args, **kwargs))
+        return families[-1]
+
+    monkeypatch.setattr(dualfan.mirrors.bb, "AuxiliaryLG", recording)
+    dual = [(0, 0, 1, 0), (0, 0, 0, 1)]
+    bb_mirror_pair(SQ_GENS, SQ_SPLIT, dual_splitting=dual)
+    assert len(families) == 2
+    # the K side is cut by the dual splitting, the dual side by SQ_SPLIT
+    for family, functionals in zip(families, (dual, SQ_SPLIT)):
+        values = [[sum(a * b for a, b in zip(f, p)) for f in functionals]
+                  for p in family.exponents]
+        assert all(sorted(v) == [0, 1] for v in values)
+        assert family.tags == tuple(v.index(1) for v in values)
+        assert set(family.tags) == {0, 1}
 
 
 def test_pair_degenerate_full_splitting():

@@ -26,15 +26,18 @@ from dualfan.lattice import LatticeMap, solve_integer_matrix
 from dualfan.polyhedra import Cone, Polytope
 
 
-def count_calls(monkeypatch, module, name):
-    """A list that grows by one entry per call of `module.name`."""
-    original = getattr(module, name)
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one entry per call of `owner.name`, where
+    `owner` is a class or a module; a module function is wrapped
+    wherever a dualfan module bound it by name."""
+    original = getattr(owner, name)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(owner, name, counting)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "dualfan" or mod_name.startswith("dualfan."):
             for attr, value in list(vars(mod).items()):
@@ -86,12 +89,28 @@ def test_bb_job_partitions_each_slice_once(monkeypatch, capsys):
     assert len(calls) == 2  # the cone's slice and the dual cone's
 
 
+def test_bb_job_lists_each_slice_once(monkeypatch, capsys):
+    slices = count_calls(monkeypatch, dualfan.mirrors.bb, "_height_slice")
+    listed = count_calls(monkeypatch, Polytope, "lattice_points")
+    assert run_job(monkeypatch, capsys, ["bb"], BB_P2) == 0
+    assert len(slices) == 6  # heights 1, 2 and 3 of the cone and its dual
+    # those six slices, one part per side and one section polytope per side
+    assert len(listed) <= 10
+
+
 def test_bb_job_builds_each_section_polytope_once(monkeypatch, capsys):
     sections = count_calls(monkeypatch, dualfan.toric_lg, "section_polytope")
     totals = count_calls(monkeypatch, dualfan.toric_lg, "split_bundle_fan")
     assert run_job(monkeypatch, capsys, ["bb"], BB_P2) == 0
     assert len(sections) == 2  # one per side
     assert len(totals) == 2
+
+
+def test_quintic_job_builds_its_bundle_fan_once(monkeypatch, capsys):
+    totals = count_calls(monkeypatch, dualfan.toric_lg, "split_bundle_fan")
+    assert main(["quintic"]) == 0
+    capsys.readouterr()
+    assert len(totals) == 1
 
 
 def test_a_matrix_solve_factors_once(monkeypatch):
@@ -103,20 +122,8 @@ def test_a_matrix_solve_factors_once(monkeypatch):
     assert len(calls) == 1
 
 
-def count_intersections(monkeypatch):
-    original = Cone.intersection
-    calls = []
-
-    def counting(self, other):
-        calls.append((self, other))
-        return original(self, other)
-
-    monkeypatch.setattr(Cone, "intersection", counting)
-    return calls
-
-
 def test_validate_fan_intersects_only_unseparated_pairs(monkeypatch):
-    calls = count_intersections(monkeypatch)
+    calls = count_calls(monkeypatch, Cone, "intersection")
     axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
             (0, 0, -1)]
     octants = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]

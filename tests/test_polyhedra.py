@@ -543,6 +543,44 @@ def test_from_hrep_matches_the_three_pass_route():
     assert 20 < unbounded < 100
 
 
+@pytest.mark.parametrize("pairs", [
+    [((0, 1), -3), ((0, -1), 1)],  # a line at height zero
+    [((0, 1), -3), ((0, -1), 1), ((1, 0), 0)],  # a ray at height zero
+    [((1, 0), -3), ((-1, 0), 1)],
+    [((0,) * 3, -1)],
+])
+def test_infeasible_h_descriptions_are_empty(pairs):
+    rank = len(pairs[0][0])
+    poly = Polytope.from_hrep(pairs, rank)
+    assert poly.is_empty() and poly.dim == -1 and poly.bounded
+    assert not poly.contains((0,) * rank)
+    assert poly.lattice_points() == []
+    assert poly == Polytope.from_hrep([((1,) * rank, -1)] + [
+        ((-1,) * rank, 0)], rank)
+    assert Polytope.from_hrep(poly.hrep, rank).is_empty()
+
+
+def test_h_descriptions_round_trip():
+    rng = random.Random(61057)
+    empty = 0
+    for _ in range(200):
+        rank = rng.randrange(1, 4)
+        pairs = [
+            (tuple(rng.randint(-2, 2) for _ in range(rank)),
+             Fraction(rng.randint(-4, 2), rng.randint(1, 2)))
+            for _ in range(rng.randrange(1, rank + 3))
+        ]
+        poly = Polytope.from_hrep(pairs, rank)
+        again = Polytope.from_hrep(poly.hrep, rank)
+        assert again == poly and again.dim == poly.dim, pairs
+        assert poly.is_empty() == (poly.dim == -1)
+        if poly.is_empty():
+            assert not any(poly.contains(p)
+                           for p in product(range(-3, 4), repeat=rank))
+        empty += poly.is_empty()
+    assert 20 < empty < 150, empty
+
+
 @pytest.mark.parametrize("pairs, redundant", [
     ([((-2, 2, 2), 0)], ((-4, 4, 4), 1)),
     ([((-1, -1), 0), ((1, 1), 3)], ((-2, -2), 1)),
@@ -558,6 +596,81 @@ def test_cone_equality_is_geometric():
     assert Cone([(1, 0), (0, 1), (1, 1)], 2) == Cone([(0, 1), (1, 0)], 2)
     assert Cone([(2, 0)], 2) == Cone([(1, 0)], 2)
     assert Cone([(1, 0)], 2) != Cone([(0, 1)], 2)
+
+
+def mutually_include(a, b):
+    """The earlier cone equality, kept as the oracle."""
+    return (a.ambient_rank == b.ambient_rank and a.contains_cone(b)
+            and b.contains_cone(a))
+
+
+def random_subspace_cone(rng, rank):
+    """Generators drawn from a random subspace, some of them paired with
+    their negatives: pointed or not, full-dimensional or not."""
+    basis = [tuple(rng.randint(-2, 2) for _ in range(rank))
+             for _ in range(rng.randrange(1, rank + 1))]
+
+    def combo():
+        return tuple(sum(rng.randint(-2, 2) * b[i] for b in basis)
+                     for i in range(rank))
+
+    gens = [combo() for _ in range(rng.randrange(1, rank + 3))]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        line = combo()
+        gens += [line, tuple(-x for x in line)]
+    return Cone(gens, rank)
+
+
+def shifted(rng, vectors, lines):
+    """Each vector rescaled and moved along a random sum of the lines,
+    then the lines in both directions, rescaled."""
+    out = []
+    for v in vectors:
+        k = rng.randint(1, 3)
+        coeffs = [rng.randint(-2, 2) for _ in lines]
+        out.append(tuple(k * x + sum(c * l[i] for c, l in zip(coeffs, lines))
+                         for i, x in enumerate(v)))
+    for l in lines:
+        for sign in (1, -1):
+            k = sign * rng.randint(1, 3)
+            out.append(tuple(k * x for x in l))
+    return out
+
+
+def rebuilds(rng, cone):
+    """The same cone, built five ways."""
+    rank = cone.ambient_rank
+    return [
+        Cone(list(cone.generators), rank),
+        Cone.from_inequalities(list(cone.facet_normals), rank),
+        cone.dual().dual(),
+        Cone(shifted(rng, cone.extreme_rays, cone._lineality), rank),
+        Cone.from_inequalities(
+            shifted(rng, cone._dual_rays, cone._dual_lineality), rank),
+    ]
+
+
+def test_cone_equality_is_structural_and_agrees_with_inclusion():
+    rng = random.Random(8000)
+    kinds = Counter()
+    previous = Cone([], 2)
+    for _ in range(300):
+        rank = rng.randrange(2, 6)
+        cone = random_subspace_cone(rng, rank)
+        kinds[(cone.is_strongly_convex(), cone.dim == rank)] += 1
+        for other in rebuilds(rng, cone):
+            assert mutually_include(cone, other), (cone, other)
+            assert cone == other and other == cone, (cone, other)
+            assert hash(cone) == hash(other)
+        # unequal cones, and now and then a dropped generator that was
+        # not needed
+        for other in (previous, Cone(list(cone.generators)[1:], rank)):
+            same = mutually_include(cone, other)
+            assert (cone == other) == same == (other == cone), (cone, other)
+            assert not same or hash(cone) == hash(other)
+        previous = cone
+    # pointed or not, full-dimensional or not
+    assert len(kinds) == 4 and min(kinds.values()) >= 30, kinds
 
 
 # ---------------------------------------------------------- polytopes
