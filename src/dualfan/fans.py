@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .groups import FiniteAbelianGroup
-from .lattice import LatticeMap, int_inverse, snf
+from .lattice import LatticeMap, _integer, _lattice_vector, int_inverse, snf
 from .polyhedra import Cone, _dot, primitive_vector
 
 
@@ -64,7 +64,7 @@ class Fan(Value):
     __slots__ = ("lattice_rank", "rays", "marked_generators", "max_cones", "_cones")
 
     def __init__(self, rays, max_cones, lattice_rank, marked_generators=None):
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        rays = tuple(_lattice_vector(r, "ray") for r in rays)
         for r in rays:
             if len(r) != lattice_rank:
                 raise ValueError("ray has wrong length")
@@ -77,7 +77,8 @@ class Fan(Value):
         if marked_generators is None:
             marked = rays
         else:
-            marked = tuple(tuple(int(x) for x in m) for m in marked_generators)
+            marked = tuple(_lattice_vector(m, "marked generator")
+                           for m in marked_generators)
             if len(marked) != len(rays):
                 raise ValueError("one marked generator per ray")
             for r, m in zip(rays, marked):
@@ -87,12 +88,12 @@ class Fan(Value):
                     )
         cleaned = []
         for ixs in max_cones:
-            ixs = tuple(sorted(set(int(i) for i in ixs)))
+            ixs = tuple(sorted(set(map(_integer, ixs))))
             if any(i < 0 or i >= len(rays) for i in ixs):
                 raise ValueError("cone refers to a missing ray")
             cleaned.append(ixs)
         cleaned = tuple(dict.fromkeys(cleaned))
-        object.__setattr__(self, "lattice_rank", int(lattice_rank))
+        object.__setattr__(self, "lattice_rank", _integer(lattice_rank))
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "marked_generators", marked)
         object.__setattr__(self, "max_cones", cleaned)
@@ -110,7 +111,7 @@ class Fan(Value):
     @classmethod
     def from_generators(cls, generators, max_cones, lattice_rank):
         """Rays are primitivized; the inputs become the marked generators."""
-        gens = [tuple(int(x) for x in g) for g in generators]
+        gens = [_lattice_vector(g, "generator") for g in generators]
         return cls([primitive_vector(g) for g in gens], max_cones,
                    lattice_rank, marked_generators=gens)
 

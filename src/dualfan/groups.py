@@ -16,6 +16,7 @@ from math import lcm, prod
 from ._value import Value
 from .lattice import (
     LatticeMap,
+    _integer,
     column_lattice_basis,
     int_inverse,
     snf,
@@ -63,7 +64,7 @@ class FiniteAbelianGroup(Value):
     __slots__ = ("invariant_factors", "lifts", "ambient_rank")
 
     def __init__(self, invariant_factors, lifts, ambient_rank):
-        factors = tuple(int(d) for d in invariant_factors)
+        factors = tuple(map(_integer, invariant_factors))
         if any(d <= 1 for d in factors):
             raise ValueError("invariant factors must all exceed 1")
         for a, b in zip(factors, factors[1:]):
@@ -76,7 +77,7 @@ class FiniteAbelianGroup(Value):
             raise ValueError("generator lift has wrong length")
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "lifts", lifts)
-        object.__setattr__(self, "ambient_rank", int(ambient_rank))
+        object.__setattr__(self, "ambient_rank", _integer(ambient_rank))
 
     @classmethod
     def trivial(cls, ambient_rank):
@@ -125,9 +126,6 @@ class FiniteAbelianGroup(Value):
     @property
     def exponent(self):
         return self.invariant_factors[-1] if self.invariant_factors else 1
-
-    def is_trivial(self):
-        return not self.invariant_factors
 
     def contains_phase(self, phase) -> bool:
         """Membership test for a rational vector, read modulo Z^m."""

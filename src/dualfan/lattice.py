@@ -28,6 +28,27 @@ def _as_int(x):
     return x
 
 
+def _integer(x):
+    """An int, or a Fraction with denominator 1, as an int."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def _lattice_vector(v, what="vector"):
+    """`v` as a tuple of ints by the `_integer` rule, never truncated."""
+    v = tuple(v)
+    # one C-level type scan, as in `LatticeMap`
+    if {int}.issuperset(map(type, v)):
+        return v
+    try:
+        return tuple(map(_integer, v))
+    except ValueError:
+        raise ValueError(f"{what} is not a lattice vector: {v}") from None
+
+
 class LatticeMap(Value):
     """An immutable integer matrix, thought of as a map between lattices.
 
@@ -368,7 +389,7 @@ def rational_inverse(a: LatticeMap):
 
 def solve_integer(a: LatticeMap, b):
     """Some integer solution x of A·x = b, or None when there is none."""
-    b = tuple(_as_int(x) for x in b)
+    b = tuple(map(_as_int, b))
     if len(b) != a.rows:
         raise ValueError("right-hand side has wrong length")
     return _solve(a, snf(a), b)

@@ -11,13 +11,13 @@ summing to its height, so each lattice point of the height-one slice
 lies in exactly one part: listing the parts lists the slice.
 """
 
-from fractions import Fraction
 from itertools import product
 from operator import sub
 
 from .._value import Value
 from ..fans import Fan, is_dual_pair, relabel_fan
-from ..lattice import LatticeMap, int_inverse, kernel_basis, solve_integer
+from ..lattice import (LatticeMap, _integer, _lattice_vector, int_inverse,
+                       kernel_basis, solve_integer)
 from ..polyhedra import Cone, Polytope, _dot
 from ..toric_lg import (
     AuxiliaryLG,
@@ -30,16 +30,6 @@ from ..toric_lg import (
     split_bundle_fan,
 )
 from .report import MirrorReport
-
-
-def _as_int_vec(v, what="point"):
-    out = []
-    for x in v:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ValueError(f"{what} is not a lattice vector: {tuple(v)}")
-        out.append(int(f))
-    return tuple(out)
 
 
 class GorensteinReport(Value):
@@ -57,7 +47,7 @@ class GorensteinReport(Value):
     def __init__(self, functional, height_bound, witness):
         object.__setattr__(self, "functional",
                            None if functional is None else tuple(functional))
-        object.__setattr__(self, "height_bound", int(height_bound))
+        object.__setattr__(self, "height_bound", _integer(height_bound))
         object.__setattr__(self, "witness",
                            None if witness is None else tuple(witness))
 
@@ -88,7 +78,7 @@ def is_gorenstein(cone, height_bound=3) -> GorensteinReport:
         raise TypeError("expected a Cone")
     if not cone.is_strongly_convex():
         raise ValueError("cone must be strongly convex")
-    height_bound = int(height_bound)
+    height_bound = _integer(height_bound)
     if height_bound < 1:
         raise ValueError("height bound must be positive")
     rays = cone.extreme_rays
@@ -161,7 +151,7 @@ def support_partition(cone, functionals):
     """
     if not isinstance(cone, Cone):
         raise TypeError("expected a Cone")
-    fs = tuple(_as_int_vec(f, "functional") for f in functionals)
+    fs = tuple(_lattice_vector(f, "functional") for f in functionals)
     if not fs:
         raise ValueError("need at least one functional")
     rank = cone.ambient_rank
@@ -186,7 +176,7 @@ def support_partition(cone, functionals):
         if part.is_empty():
             raise ValueError(f"part {i} of the support partition is empty")
         for v in part.vertices:
-            _as_int_vec(v, f"vertex of part {i}")
+            _lattice_vector(v, f"vertex of part {i}")
         parts.append(part)
     return tuple(parts)
 
@@ -204,7 +194,7 @@ def dual_splittings(cone_dual, ell_dual, splitting):
     cone's slice under the splitting; a choice qualifies when it sums to
     `ell_dual`.  Results are ordered lexicographically by construction.
     """
-    ell_dual = _as_int_vec(ell_dual, "height functional")
+    ell_dual = _lattice_vector(ell_dual, "height functional")
     return _choices(_cut(cone_dual, splitting)[1], ell_dual)
 
 
@@ -241,7 +231,7 @@ def _total_space(parts, points, splitting, dual_splitting, opposite):
     for e_i, part in zip(splitting, parts):
         pts = []
         for v in part.vertices:
-            y = solve_integer(b, tuple(map(sub, _as_int_vec(v), e_i)))
+            y = solve_integer(b, tuple(map(sub, _lattice_vector(v), e_i)))
             if y is None:
                 raise AssertionError("part i has a vertex off e_i + base")
             pts.append(y)
@@ -260,7 +250,7 @@ def _total_space(parts, points, splitting, dual_splitting, opposite):
                 "section sum is not full-dimensional in the base lattice")
 
     pi = b.transpose()
-    pool = [(tuple(pi @ _as_int_vec(v)), j)
+    pool = [(tuple(pi @ _lattice_vector(v)), j)
             for j, part in enumerate(opposite_parts) for v in part.vertices]
     classes = []
     for u in base.rays:
@@ -278,9 +268,8 @@ def _total_space(parts, points, splitting, dual_splitting, opposite):
     total = split_bundle_fan(divisors)
     ambient = relabel_fan(total, psi_inv.transpose())
     # the parts' points partition the slice's (see `support_partition`)
-    xi, tags = zip(*sorted((p, i) for i, pts in enumerate(points)
-                           for p in pts))
-    family = AuxiliaryLG(ambient, xi, tags=tags)
+    xi = sorted(p for pts in points for p in pts)
+    family = AuxiliaryLG(ambient, xi)
     aux_ci, _ = _ci_family(divisors, total, recomputed)
     checks = {
         "sections_match_parts": recomputed == tuple(sections),
@@ -309,7 +298,7 @@ def bb_mirror_pair(generators, splitting, dual_splitting=None,
     two total-space fans carry the two potential families; every
     recorded check was computed during construction.
     """
-    gens = [_as_int_vec(g, "generator") for g in generators]
+    gens = [_lattice_vector(g, "generator") for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
     rank = len(gens[0])
@@ -332,7 +321,7 @@ def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
     ell = refl.dual_report.functional
     r = refl.index
 
-    e_list = tuple(_as_int_vec(e, "splitting point") for e in splitting)
+    e_list = tuple(_lattice_vector(e, "splitting point") for e in splitting)
     if len(e_list) != r:
         raise ValueError("splitting size must equal the reflexive index")
     if tuple(sum(c) for c in zip(*e_list)) != ell:
@@ -348,7 +337,7 @@ def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
         nabla = _cut(k_dual, e_list)
         dual_list = _choices(nabla[1], ell_dual)[0]
     else:
-        dual_list = tuple(_as_int_vec(f, "dual splitting point")
+        dual_list = tuple(_lattice_vector(f, "dual splitting point")
                           for f in dual_splitting)
         if len(dual_list) != r:
             raise ValueError("dual splitting size must equal the index")

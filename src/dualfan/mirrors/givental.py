@@ -8,7 +8,7 @@ exposed as separate entry points.
 """
 
 from ..fans import Fan, is_complete, is_dual_pair, is_smooth
-from ..lattice import LatticeMap
+from ..lattice import LatticeMap, _lattice_vector
 from ..polyhedra import Cone
 from ..symbols import ParamPoly
 from ..toric_lg import (
@@ -21,7 +21,6 @@ from ..toric_lg import (
     section_polytope,
     split_bundle_fan,
 )
-from .bb import _as_int_vec
 from .report import MirrorReport
 
 
@@ -56,7 +55,7 @@ def splitting_basis(fan, basis_rays=None):
                 if not 0 <= idx < count:
                     raise ValueError(f"ray index {idx} out of range")
             else:
-                v = _as_int_vec(b, "basis ray")
+                v = _lattice_vector(b, "basis ray")
                 if v not in rays:
                     raise ValueError(f"{v} is not a ray of the fan")
                 idx = rays.index(v)
@@ -109,7 +108,7 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
     for a, poly in enumerate(sections):
         tail = tuple(int(b == a) for b in range(c))
         for v in poly.vertices:
-            lifted.append(_as_int_vec(v, f"vertex of summand {a} sections")
+            lifted.append(_lattice_vector(v, f"vertex of summand {a} sections")
                           + tail)
     cone = Cone(lifted, n + c)
     sigma_x_prime = Fan.from_maximal_cones([cone], n + c)

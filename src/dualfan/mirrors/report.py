@@ -2,6 +2,7 @@
 
 from .._value import Value
 from ..fans import DualFanReport, Fan
+from ..lattice import _integer
 from ..symbols import Potential
 from ..toric_lg import BaseChangeReport
 
@@ -41,7 +42,7 @@ class MirrorReport(Value):
             if rep is not None and not isinstance(rep, BaseChangeReport):
                 raise TypeError("base change entries must be BaseChangeReport")
         checks = _named_tuple(((n, bool(v)) for n, v in checks), "check")
-        counts = _named_tuple(((n, int(v)) for n, v in counts), "count")
+        counts = _named_tuple(((n, _integer(v)) for n, v in counts), "count")
         potentials = _named_tuple(potentials, "potential")
         for _, pot in potentials:
             if not isinstance(pot, Potential):

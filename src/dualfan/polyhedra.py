@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ._value import Value
-from .lattice import LatticeMap, _adjugate, hnf, kernel_basis
+from .lattice import LatticeMap, _adjugate, _lattice_vector, hnf, kernel_basis
 
 
 def _dot(a, b):
@@ -32,7 +32,7 @@ def _dot(a, b):
 
 def primitive_vector(v):
     """Divide out the content; the direction is preserved."""
-    v = tuple(int(x) for x in v)
+    v = _lattice_vector(v)
     g = gcd(*v)
     if g <= 1:
         return v
@@ -135,7 +135,7 @@ class Cone(Value):
                  "_dual_rays", "_dual_lineality")
 
     def __init__(self, generators, ambient_rank):
-        gens = sorted({primitive_vector(g) for g in generators if any(g)})
+        gens = sorted({g for g in map(primitive_vector, generators) if any(g)})
         for g in gens:
             if len(g) != ambient_rank:
                 raise ValueError("generator has wrong length")

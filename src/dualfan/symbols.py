@@ -10,20 +10,11 @@ byte-stable.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from ._value import Value
+from .lattice import _integer, _lattice_vector
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-
-def _integer(x):
-    """An int, or a Fraction with denominator 1, as an int."""
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    raise ValueError(f"{x!r} is not an integer")
 
 
 def _clean_monomial(monomial):
@@ -160,7 +151,7 @@ class Potential(Value):
             terms = terms.items()
         acc = {}
         for exponent, coeff in terms:
-            exponent = tuple(int(x) for x in exponent)
+            exponent = _lattice_vector(exponent, "exponent")
             if not isinstance(coeff, ParamPoly):
                 if coeff == 0:
                     continue

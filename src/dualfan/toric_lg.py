@@ -15,7 +15,7 @@ from itertools import combinations
 
 from ._value import Value
 from .fans import Fan, is_complete, is_dual_pair, relabel_fan
-from .lattice import LatticeMap, int_inverse, snf, solve_integer
+from .lattice import LatticeMap, _lattice_vector, int_inverse, snf, solve_integer
 from .polyhedra import Polytope, _dot, primitive_vector
 from .symbols import ParamPoly, Potential
 
@@ -26,7 +26,7 @@ class ToricDivisor(Value):
     __slots__ = ("fan", "coeffs")
 
     def __init__(self, fan, coeffs):
-        coeffs = tuple(int(x) for x in coeffs)
+        coeffs = _lattice_vector(coeffs, "divisor coefficient vector")
         if len(coeffs) != len(fan.rays):
             raise ValueError("one coefficient per ray")
         object.__setattr__(self, "fan", fan)
@@ -50,7 +50,7 @@ class CartierData(Value):
     __slots__ = ("divisor", "cone_characters")
 
     def __init__(self, divisor, cone_characters):
-        chars = tuple(tuple(int(x) for x in m) for m in cone_characters)
+        chars = tuple(_lattice_vector(m, "character") for m in cone_characters)
         fan = divisor.fan
         if len(chars) != len(fan.max_cones):
             raise ValueError("one character per maximal cone")
@@ -147,46 +147,39 @@ def is_regular_character(fan: Fan, m) -> bool:
     the support is the union of the cones, so checking the ray
     generators suffices.
     """
-    m = tuple(int(x) for x in m)
+    return _negative_ray(fan, _lattice_vector(m, "character"), "character") is None
+
+
+def _negative_ray(fan, m, what):
+    """The first ray pairing negatively with the character m, or None."""
     if len(m) != fan.lattice_rank:
-        raise ValueError("character has wrong length")
-    return all(_dot(m, r) >= 0 for r in fan.rays)
+        raise ValueError(f"{what} has wrong length")
+    return next((r for r in fan.rays if _dot(m, r) < 0), None)
 
 
 class AuxiliaryLG(Value):
     """Potential family on a toric variety with formal coefficients.
 
     `exponents` lists the characters that may appear in a potential;
-    they must be pairwise distinct and regular on the fan.  `tags`
-    optionally records which summand of a split construction an
-    exponent came from.
+    they must be pairwise distinct and regular on the fan.
     """
 
-    __slots__ = ("fan", "exponents", "tags")
+    __slots__ = ("fan", "exponents")
 
-    def __init__(self, fan, exponents, tags=None):
-        exps = tuple(tuple(int(x) for x in m) for m in exponents)
-        for m in exps:
-            if len(m) != fan.lattice_rank:
-                raise ValueError("exponent has wrong length")
+    def __init__(self, fan, exponents):
+        exps = tuple(_lattice_vector(m, "exponent") for m in exponents)
         if len(set(exps)) != len(exps):
             raise ValueError("exponents must be pairwise distinct")
         for m in exps:
-            for r in fan.rays:
-                if _dot(m, r) < 0:
-                    raise ValueError(
-                        f"character {m} is not regular: negative pairing on ray {r}"
-                    )
-        if tags is not None:
-            tags = tuple(int(t) for t in tags)
-            if len(tags) != len(exps):
-                raise ValueError("one tag per exponent")
+            r = _negative_ray(fan, m, "exponent")
+            if r is not None:
+                raise ValueError(f"character {m} is not regular: "
+                                 f"negative pairing on ray {r}")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "tags", tags)
 
     def _key(self):
-        return self.fan, self.exponents, self.tags
+        return self.fan, self.exponents
 
     def __repr__(self):
         return f"AuxiliaryLG(exponents={len(self.exponents)}, rank={self.fan.lattice_rank})"
@@ -198,7 +191,7 @@ def auxiliary_lg_from_ci(divisors):
     Sections of the i-th summand contribute the characters
     (m, indicator_i) with m in the i-th section polytope.  Returns the
     family on the total-space fan together with the indices of that
-    fan's vertical rays; `tags` records the summand of each exponent.
+    fan's vertical rays.
     """
     divisors = tuple(divisors)
     return _ci_family(divisors, split_bundle_fan(divisors),
@@ -209,15 +202,13 @@ def _ci_family(divisors, total, sections):
     """`auxiliary_lg_from_ci` from a built total fan and section polytopes."""
     c = len(divisors)
     exponents = []
-    tags = []
     for i, poly in enumerate(sections):
         indicator = tuple(int(j == i) for j in range(c))
         for m in poly.lattice_points():
             exponents.append(tuple(m) + indicator)
-            tags.append(i)
     base_rays = len(divisors[0].fan.rays)
     verticals = tuple(range(base_rays, base_rays + c))
-    return AuxiliaryLG(total, exponents, tags=tags), verticals
+    return AuxiliaryLG(total, exponents), verticals
 
 
 class BaseChangeReport(Value):
@@ -288,7 +279,7 @@ class Specialization(Value):
             assignments = assignments.items()
         pairs = {}
         for exponent, value in assignments:
-            exponent = tuple(int(x) for x in exponent)
+            exponent = _lattice_vector(exponent, "exponent")
             if not isinstance(value, ParamPoly):
                 value = ParamPoly.constant(value)
             if exponent in pairs:
@@ -403,7 +394,7 @@ def recover_ci_data(f: Fan, candidates=None):
     index = {r: i for i, r in enumerate(f.rays)}
     picked = []
     for cand in candidates:
-        i = index.get(tuple(int(x) for x in cand))
+        i = index.get(_lattice_vector(cand, "candidate"))
         if i is None:
             raise ValueError(f"candidate {tuple(cand)} is not a ray of the fan")
         picked.append(i)

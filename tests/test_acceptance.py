@@ -121,7 +121,7 @@ def _q_variants(p):
         variants.append((THIRD,))
     if p == LOOP4:
         variants.append((_fifth_of_loop(),))
-    if not full.is_trivial():
+    if full.invariant_factors != ():
         variants.append(full.lifts)
     return variants
 

@@ -302,8 +302,6 @@ def test_pair_tags_each_exponent_with_its_part(monkeypatch):
         values = [[sum(a * b for a, b in zip(f, p)) for f in functionals]
                   for p in family.exponents]
         assert all(sorted(v) == [0, 1] for v in values)
-        assert family.tags == tuple(v.index(1) for v in values)
-        assert set(family.tags) == {0, 1}
 
 
 def test_pair_degenerate_full_splitting():

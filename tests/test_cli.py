@@ -659,3 +659,20 @@ def test_no_invariant_check_is_a_bare_assert():
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Assert)]
     assert bare == []
+
+
+def test_no_comprehension_truncates_with_int():
+    # `int(x)` per entry turns 3/2 into 1 and "3" into 3; lattice data
+    # goes through `lattice._lattice_vector` or `lattice._integer` instead
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp,
+                      ast.GeneratorExp)
+    truncating = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, comprehensions)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "int" and len(call.args) == 1
+        and not call.keywords and isinstance(call.args[0], ast.Name)]
+    assert truncating == []

@@ -34,12 +34,12 @@ def test_constructor_rejects_bad_factor_lists():
 
 def test_trivial_group():
     t = FiniteAbelianGroup.trivial(3)
-    assert t.is_trivial()
+    assert t.invariant_factors == ()
     assert t.order == 1
     assert t.exponent == 1
     assert t.elements() == [(F(0), F(0), F(0))]
     assert t == FiniteAbelianGroup.from_phases([], 3)
-    assert FiniteAbelianGroup.from_phases([(0, 0, 0)], 3).is_trivial()
+    assert FiniteAbelianGroup.from_phases([(0, 0, 0)], 3).invariant_factors == ()
 
 
 def test_from_phases_fifth_roots():

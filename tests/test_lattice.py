@@ -314,7 +314,7 @@ def test_cokernel_order_is_determinant(a):
 def test_cokernel_free_rank():
     free, tor = cokernel(LatticeMap([[1, 0], [0, 0]]))
     assert free == 1
-    assert tor.is_trivial()
+    assert tor.invariant_factors == ()
 
 
 # ---------------------------------------------------------------- solving

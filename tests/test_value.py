@@ -114,7 +114,7 @@ KEYED = {
     ),
     "AuxiliaryLG": (
         lambda: AuxiliaryLG(orthant_fan(2), ((1, 0), (0, 1))),
-        lambda: AuxiliaryLG(orthant_fan(2), [(1, 0), (0, 1)], tags=(0, 0)),
+        lambda: AuxiliaryLG(orthant_fan(2), [(1, 0), (0, 2)]),
     ),
     "Specialization": (
         lambda: Specialization([((1, 0), ParamPoly.constant(1))]),
