@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from ._value import Value
 from .groups import FiniteAbelianGroup
-from .lattice import LatticeMap, _integer, _lattice_vector, int_inverse, snf
+from .lattice import (LatticeMap, _adjugate, _integer, _lattice_vector,
+                      int_inverse, snf)
 from .polyhedra import Cone, _dot, primitive_vector
 
 
@@ -249,8 +250,11 @@ def is_smooth(f: Fan) -> bool:
         if not cone.is_strongly_convex():
             return False
         rays = cone.extreme_rays
-        mat = LatticeMap.from_rows(list(rays), ncols=f.lattice_rank)
-        dec = snf(mat)
+        if len(rays) == f.lattice_rank:  # a basis iff |det| = 1
+            if abs(_adjugate(rays)[0]) != 1:
+                return False
+            continue
+        dec = snf(LatticeMap.from_rows(list(rays), ncols=f.lattice_rank))
         if dec.rank != len(rays) or dec.invariant_factors != ():
             return False
     return True

@@ -17,6 +17,7 @@ from ._value import Value
 from .lattice import (
     LatticeMap,
     _integer,
+    _rational,
     column_lattice_basis,
     int_inverse,
     snf,
@@ -26,7 +27,7 @@ from .lattice import (
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(_rational(x))
 
 
 def normalize_phase(q):

@@ -10,7 +10,10 @@ Square matrices go through one elimination, `_adjugate`: fraction-free
 Gauss–Jordan (Bareiss, *Math. Comp.* 22, 1968) on [A | I].  By Sylvester's
 identity each update at step k is the previous pivot times a (k+1)-minor
 of [A | I] before its `//`, so every division is exact.  `det`, both
-inverses and the simplicial facet normals of `polyhedra` read it.
+inverses, the simplicial facet normals of `polyhedra`, the smoothness
+test of `fans` and the solves of a square nonsingular system read it:
+such a system has the one solution adj(A)·b / det A, so it needs no
+Smith form.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ def _integer(x):
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     raise ValueError(f"{x!r} is not an integer")
+
+
+def _rational(x):
+    """An int or a Fraction, unchanged; a float or a string raises."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise ValueError(f"{x!r} is not a rational number")
 
 
 def _lattice_vector(v, what="vector"):
@@ -392,7 +402,8 @@ def solve_integer(a: LatticeMap, b):
     b = tuple(map(_as_int, b))
     if len(b) != a.rows:
         raise ValueError("right-hand side has wrong length")
-    return _solve(a, snf(a), b)
+    xs = _solve_columns(a, [b])
+    return None if xs is None else xs[0]
 
 
 def _solve(a, dec, b):
@@ -411,19 +422,31 @@ def _solve(a, dec, b):
     return dec.V @ y
 
 
-def solve_integer_matrix(a: LatticeMap, b: LatticeMap):
-    """Integer X with A·X = B, or None.  One Smith decomposition of A
-    serves every column."""
-    if a.rows != b.rows:
-        raise ValueError("shape mismatch")
-    dec = snf(a)
-    cols = []
-    for j in range(b.cols):
-        x = _solve(a, dec, b.col(j))
+def _solve_columns(a, columns):
+    """One integer solution of A·x = b per right-hand side b, or None
+    when some b has none.  A square nonsingular A has the one solution
+    adj(A)·b / det A; any other A shares one Smith decomposition."""
+    det, adj = _adjugate(a.entries) if a.rows == a.cols else (0, None)
+    dec = snf(a) if adj is None else None
+    xs = []
+    for b in columns:
+        if adj is None:
+            x = _solve(a, dec, b)
+        else:
+            x = [sum(p * q for p, q in zip(row, b)) for row in adj]
+            x = None if any(v % det for v in x) else tuple(v // det for v in x)
         if x is None:
             return None
-        cols.append(x)
-    return LatticeMap.from_cols(cols, nrows=a.cols)
+        xs.append(x)
+    return xs
+
+
+def solve_integer_matrix(a: LatticeMap, b: LatticeMap):
+    """Integer X with A·X = B, or None, from one elimination of A."""
+    if a.rows != b.rows:
+        raise ValueError("shape mismatch")
+    cols = _solve_columns(a, b.columns())
+    return None if cols is None else LatticeMap.from_cols(cols, nrows=a.cols)
 
 
 def column_lattice_basis(vectors, ambient_rank) -> LatticeMap:
@@ -479,7 +502,7 @@ def annihilator_lattice(phases, ambient_rank) -> LatticeMap:
     subgroup the phases generate; its index in Zⁿ equals the order of
     that subgroup.
     """
-    phases = [tuple(Fraction(x) for x in q) for q in phases]
+    phases = [tuple(Fraction(_rational(x)) for x in q) for q in phases]
     for q in phases:
         if len(q) != ambient_rank:
             raise ValueError("phase vector has wrong length")

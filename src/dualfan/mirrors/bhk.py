@@ -15,6 +15,7 @@ from ..fans import is_dual_pair, orthant_fan, quotient_fan
 from ..groups import FiniteAbelianGroup
 from ..lattice import (
     LatticeMap,
+    _rational,
     annihilator_lattice,
     rational_inverse,
     solve_integer_matrix,
@@ -43,7 +44,7 @@ def _as_matrix(p):
 def _as_phases(q_gens, rank):
     out = []
     for g in q_gens:
-        g = tuple(Fraction(x) for x in g)
+        g = tuple(Fraction(_rational(x)) for x in g)
         if len(g) != rank:
             raise ValueError("phase vector has wrong length")
         out.append(g)

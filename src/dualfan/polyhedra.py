@@ -23,7 +23,8 @@ from math import gcd, lcm
 from operator import mul
 
 from ._value import Value
-from .lattice import LatticeMap, _adjugate, _lattice_vector, hnf, kernel_basis
+from .lattice import (LatticeMap, _adjugate, _lattice_vector, _rational, hnf,
+                      kernel_basis)
 
 
 def _dot(a, b):
@@ -254,22 +255,23 @@ class Cone(Value):
         return f"Cone({[list(g) for g in self.generators]!r}, {self.ambient_rank})"
 
 
-def _as_fraction_vector(v):
-    return tuple(Fraction(x) for x in v)
-
-
 def _primitive_lift(vector, last):
     """Primitive integer vector along the rational vector (vector, last):
-    a point lifted to height one, or an H-rep row a·m + ℓ ≥ 0."""
-    fracs = tuple(Fraction(x) for x in vector) + (Fraction(last),)
-    d = lcm(*(x.denominator for x in fracs))
-    return primitive_vector(tuple(int(x * d) for x in fracs))
+    a point lifted to height one, or an H-rep row a·m + ℓ ≥ 0.  Only a
+    vector with an entry that is not an exact int is scaled."""
+    v = (*vector, last)
+    if not {int}.issuperset(map(type, v)):
+        v = tuple(map(_rational, v))
+        d = lcm(*(x.denominator for x in v))
+        v = tuple(x.numerator * (d // x.denominator) for x in v)
+    return primitive_vector(v)
 
 
 class Polytope(Value):
     """A rational convex polyhedral set, bounded unless stated otherwise.
 
-    The H-rep pairs (a, ℓ) mean a·m + ℓ ≥ 0.  Construction from either
+    The H-rep pairs (a, ℓ) mean a·m + ℓ ≥ 0, with a a primitive integer
+    normal and ℓ an exact int.  Construction from either
     representation converges to the same canonical fields, with vertices
     sorted lexicographically and facet data inherited from the
     homogenization cone.
@@ -289,7 +291,7 @@ class Polytope(Value):
 
     @classmethod
     def from_vertices(cls, points, ambient_rank=None):
-        points = [tuple(_as_fraction_vector(p)) for p in points]
+        points = [tuple(p) for p in points]
         if not points:
             raise ValueError("need at least one point")
         if ambient_rank is None:
@@ -321,7 +323,7 @@ class Polytope(Value):
                 raise AssertionError("height must be nonnegative")
         if not verts:  # empty; the one H-rep row 0 - 1 ≥ 0 holds nowhere
             return cls(ambient_rank=ambient_rank, vertices=(),
-                       hrep=(((0,) * ambient_rank, Fraction(-1)),),
+                       hrep=(((0,) * ambient_rank, -1),),
                        bounded=True, recession=(), lineality=(), dim=-1)
         # lines lie at height zero, so dropping it keeps the Hermite form
         lineality = tuple(l[:-1] for l in cone._lineality)
@@ -330,7 +332,7 @@ class Polytope(Value):
             a, off = n[:-1], n[-1]
             if not any(a):
                 continue  # vacuous height constraints like t ≥ 0
-            hrep.append((a, Fraction(off)))
+            hrep.append((a, off))
         bounded = not recession and not lineality
         return cls(
             ambient_rank=ambient_rank,
@@ -346,13 +348,13 @@ class Polytope(Value):
         return not self.vertices
 
     def contains(self, point) -> bool:
-        p = _as_fraction_vector(point)
+        p = tuple(map(_rational, point))
         return all(
             sum(a * x for a, x in zip(n, p)) + off >= 0 for n, off in self.hrep
         )
 
     def translate(self, vec) -> "Polytope":
-        v = _as_fraction_vector(vec)
+        v = tuple(map(_rational, vec))
         return Polytope.from_vertices(
             [tuple(a + b for a, b in zip(p, v)) for p in self.vertices],
             self.ambient_rank,
@@ -373,8 +375,8 @@ class Polytope(Value):
         """All integer points, lexicographically sorted.
 
         Integer interval sweep over the coordinates, depth first.  Each
-        H-rep row is scaled once to an integer row a·m + ℓ ≥ 0, and
-        carries a running partial sum ℓ + Σ_{i<d} a_i·m_i down the sweep.
+        H-rep row a·m + ℓ ≥ 0 is integral, and carries a running partial
+        sum ℓ + Σ_{i<d} a_i·m_i down the sweep.
         With the suffix bound R_d = Σ_{i>d} max(a_i·lo_i, a_i·hi_i) over
         the vertex bounding box, a row admits exactly the values k of
         coordinate d with sum + a_d·k + R_d ≥ 0: a floor or ceiling
@@ -396,7 +398,7 @@ class Polytope(Value):
             coords = [v[i] for v in self.vertices]
             lo.append(-int(-min(coords) // 1))
             hi.append(int(max(coords) // 1))
-        rows = [_primitive_lift(a, off) for a, off in self.hrep]
+        rows = [(*a, off) for a, off in self.hrep]  # primitive already
         sums = [row[n] for row in rows]
         # bound[r][d]: the most that coordinates d.. can add to row r
         bound = []
@@ -447,7 +449,7 @@ class Polytope(Value):
         ):
             raise ValueError("polar undefined: origin is not interior")
         return Polytope.from_hrep(
-            [(tuple(v), Fraction(1)) for v in self.vertices],
+            [(v, 1) for v in self.vertices],
             self.ambient_rank,
         )
 
@@ -469,7 +471,7 @@ class Polytope(Value):
             tight = [
                 a
                 for a, off in self.hrep
-                if sum(Fraction(x) * y for x, y in zip(a, v)) + off == 0
+                if _dot(a, v) + off == 0
             ]
             cones.append(Cone(tight, self.ambient_rank))
         return Fan.from_maximal_cones(cones, self.ambient_rank)

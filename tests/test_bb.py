@@ -113,6 +113,31 @@ def test_gorenstein_witness_matches_the_sum_set_reference():
         assert is_gorenstein(_reeve(r)).witness == (1, 1, 1, 2)
 
 
+def test_gorenstein_height_cap_matches_the_sum_set_reference():
+    # heights stop at rank - 2, since the height-one slice P has dimension
+    # d = rank - 1 and (c+1)P = cP + P on lattice points once c >= d - 1;
+    # the reference scans every height up to the bound, here up to
+    # rank + 1, so each bound past the cap is a check of the theorem
+    rng = random.Random(17)
+    cones = {4: [], 5: []}
+    while min(map(len, cones.values())) < 30:
+        d = rng.choice((3, 4))
+        points = {tuple(rng.randint(0, 2 if d == 3 else 1) for _ in range(d))
+                  for _ in range(rng.randint(d + 1, d + 2))}
+        cone = Cone(_sheared(rng, [p + (1,) for p in points]), d + 1)
+        if cone.dim == d + 1 and len(cones[d + 1]) < 30:
+            cones[d + 1].append(cone)
+    witnesses = 0
+    for cone in cones[4] + cones[5]:
+        for bound in range(2, cone.ambient_rank + 2):
+            rep = is_gorenstein(cone, bound)
+            assert rep.height_bound == bound
+            assert rep.witness == _reference_gorenstein_witness(
+                cone, rep.functional, bound), (cone, bound)
+            witnesses += rep.witness is not None
+    assert witnesses >= 20, witnesses
+
+
 def test_gorenstein_rejects_lineality():
     with pytest.raises(ValueError, match="strongly convex"):
         is_gorenstein(Cone([(1, 0), (-1, 0)], 2))

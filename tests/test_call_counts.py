@@ -93,9 +93,12 @@ def test_bb_job_lists_each_slice_once(monkeypatch, capsys):
     slices = count_calls(monkeypatch, dualfan.mirrors.bb, "_height_slice")
     listed = count_calls(monkeypatch, Polytope, "lattice_points")
     assert run_job(monkeypatch, capsys, ["bb"], BB_P2) == 0
-    assert len(slices) == 6  # heights 1, 2 and 3 of the cone and its dual
-    # those six slices, one part per side and one section polytope per side
-    assert len(listed) <= 10
+    # height one of the cone and of its dual: the slices are polygons, and
+    # every lattice point of (c+1)P is one of cP plus one of P for a
+    # lattice polygon P once c ≥ 1, so no higher height is listed
+    assert len(slices) == 2
+    # those two slices, one part per side and one section polytope per side
+    assert len(listed) <= 6
 
 
 def test_bb_job_builds_each_section_polytope_once(monkeypatch, capsys):
@@ -120,6 +123,15 @@ def test_a_matrix_solve_factors_once(monkeypatch):
     x = solve_integer_matrix(a, b)
     assert a @ x == b
     assert len(calls) == 1
+
+
+def test_a_smooth_polygon_fan_is_validated_without_a_smith_form(
+        monkeypatch, capsys):
+    calls = count_calls(monkeypatch, dualfan.lattice, "snf")
+    plane = {"rank": 2, "max_cones": [[0, 1], [1, 2], [2, 0]],
+             "rays": [[1, 0], [0, 1], [-1, -1]]}
+    assert run_job(monkeypatch, capsys, ["fan-validate"], {"fan": plane}) == 0
+    assert calls == []  # each cone has two rays in rank two: |det| = 1
 
 
 def test_validate_fan_intersects_only_unseparated_pairs(monkeypatch):

@@ -4,7 +4,9 @@
 elimination.  They are checked here against textbook routines kept
 below (forward Bareiss for the determinant, Gauss–Jordan over `Fraction`
 for the inverse), and against sympy, which also serves as the oracle
-for the Smith diagonal.
+for the Smith diagonal.  The integer solves and the smoothness test,
+which take the same elimination for a square nonsingular matrix, are
+checked against the Smith-form route they take for any other matrix.
 """
 
 import random
@@ -15,7 +17,10 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from dualfan.lattice import LatticeMap, int_inverse, rational_inverse, snf
+from dualfan.fans import Fan, is_smooth
+from dualfan.lattice import (LatticeMap, _solve, int_inverse, rational_inverse,
+                             snf, solve_integer, solve_integer_matrix)
+from dualfan.polyhedra import primitive_vector
 
 
 def reference_det(a):
@@ -192,3 +197,60 @@ def test_smith_diagonal_matches_sympy(rows, cols, rng):
     s = smith_normal_form(Matrix(a.entries), domain=ZZ)
     expected = tuple(abs(int(s[i, i])) for i in range(min(rows, cols)))
     assert snf(a).diagonal == expected
+
+
+def reference_solve_matrix(a, b):
+    """A·X = B solved column by column from one Smith decomposition."""
+    dec = snf(a)
+    cols = [_solve(a, dec, b.col(j)) for j in range(b.cols)]
+    return None if None in cols else LatticeMap.from_cols(cols, nrows=a.cols)
+
+
+def reference_is_smooth(fan):
+    """Every cone pointed, with a Smith form of rank len(rays) and no
+    invariant factor above one."""
+    for cone in fan.cones:
+        if not cone.is_strongly_convex():
+            return False
+        rays = cone.extreme_rays
+        dec = snf(LatticeMap.from_rows(list(rays), ncols=fan.lattice_rank))
+        if dec.rank != len(rays) or dec.invariant_factors != ():
+            return False
+    return True
+
+
+def test_square_solves_match_the_smith_route():
+    rng = random.Random(20151)
+    seen = dict.fromkeys(("singular", "unimodular", "other", "solved",
+                          "unsolved", "smooth", "not smooth"), 0)
+    for i in range(720):
+        n = 1 + i % 6
+        kind = ("singular", "unimodular", "other")[i // 6 % 3]
+        if kind == "singular":
+            rows = singular(rng, n, 6)
+        elif kind == "unimodular":
+            rows = unimodular(rng, n)
+        else:
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        a = LatticeMap(rows, cols=n)
+        det = a.det()
+        seen["singular" if det == 0 else "unimodular" if abs(det) == 1
+             else "other"] += 1
+        # one right-hand side in the image of A, one drawn at random
+        image = a @ [rng.randint(-4, 4) for _ in range(n)]
+        drawn = tuple(rng.randint(-9, 9) for _ in range(n))
+        for b in (image, drawn):
+            x = solve_integer(a, b)
+            assert x == _solve(a, snf(a), b), (rows, b)
+            seen["solved" if x is not None else "unsolved"] += 1
+        for cols in ([image], [image, drawn], [drawn, image], []):
+            b = LatticeMap.from_cols(cols, nrows=n)
+            assert solve_integer_matrix(a, b) == reference_solve_matrix(a, b)
+        rays = sorted({primitive_vector(r) for r in rows if any(r)})
+        fan = Fan(rays, [range(len(rays))], n)
+        smooth = is_smooth(fan)
+        assert smooth == reference_is_smooth(fan), rows
+        seen["smooth" if smooth else "not smooth"] += 1
+    # singular, unimodular and other square matrices, right-hand sides
+    # with and without an integer solution, smooth and singular cones
+    assert min(seen.values()) >= 60, seen
