@@ -85,6 +85,11 @@ def _require(obj, key, what):
     return obj[key]
 
 
+def _digits(s):
+    """True for a nonempty string of ASCII digits 0-9 and nothing else."""
+    return s.isascii() and s.isdigit()
+
+
 def _as_int(x, what):
     if isinstance(x, bool):
         raise InputError(f"{what} must be an integer")
@@ -92,9 +97,11 @@ def _as_int(x, what):
         return x
     if isinstance(x, str):
         try:
-            return int(x, 10)
-        except ValueError:
-            raise InputError(f"{what} is not an integer: {x!r}")
+            if _digits(x.removeprefix("-")):  # -?[0-9]+
+                return int(x)
+        except ValueError:  # more digits than int() reads
+            pass
+        raise InputError(f"{what} is not an integer: {x!r}")
     raise InputError(f"{what} must be an integer")
 
 
@@ -121,9 +128,12 @@ def _fraction(x, what):
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            num, slash, den = x.partition("/")  # -?[0-9]+(/[0-9]+)?
+            if _digits(num.removeprefix("-")) and (not slash or _digits(den)):
+                return Fraction(x)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"{what} is not a fraction: {x!r}")
+            pass
+        raise InputError(f"{what} is not a fraction: {x!r}")
     raise InputError(f"{what} must be an integer or a fraction string")
 
 

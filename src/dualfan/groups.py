@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import prod
 
 from ._value import Value
 from .lattice import (
     LatticeMap,
+    _identity_rows,
     _integer,
+    _phase_lattice,
     _rational,
-    column_lattice_basis,
     int_inverse,
     snf,
-    solve_integer,
     solve_integer_matrix,
 )
 
@@ -33,24 +33,6 @@ def _frac(x) -> Fraction:
 def normalize_phase(q):
     """Reduce a rational vector componentwise into [0,1)."""
     return tuple(_frac(x) % 1 for x in q)
-
-
-def _common_denominator(vectors):
-    return lcm(*(_frac(x).denominator for v in vectors for x in v))
-
-
-def _scaled_lattice_basis(phase_vectors, ambient_rank, ell):
-    """Column basis of ell·L where L = Z^m + sum of Z·q over the phases.
-
-    `ell` must clear every denominator.  The result is a nonsingular m×m
-    matrix in canonical (column-Hermite) form, so it identifies L uniquely.
-    """
-    cols = [tuple(int(_frac(x) * ell) for x in q) for q in phase_vectors]
-    cols += [
-        tuple(ell if j == i else 0 for j in range(ambient_rank))
-        for i in range(ambient_rank)
-    ]
-    return column_lattice_basis(cols, ambient_rank)
 
 
 class FiniteAbelianGroup(Value):
@@ -94,31 +76,16 @@ class FiniteAbelianGroup(Value):
         off the Smith form of B⁻¹·(ell·id).  Every step is canonical, so
         two generating sets of the same subgroup produce equal objects.
         """
-        qs = [normalize_phase(q) for q in phases]
-        for q in qs:
-            if len(q) != ambient_rank:
-                raise ValueError("phase vector has wrong length")
-        ell = _common_denominator(qs)
-        basis = _scaled_lattice_basis(qs, ambient_rank, ell)
-        scaled_ambient = LatticeMap(
-            tuple(
-                tuple(ell if i == j else 0 for j in range(ambient_rank))
-                for i in range(ambient_rank)
-            )
-        ) if ambient_rank else LatticeMap.zero(0, 0)
-        y = solve_integer_matrix(basis, scaled_ambient)
-        if y is None:
-            raise AssertionError("ell·Z^m must lie in the scaled lattice")
+        ell, basis = _phase_lattice(phases, ambient_rank)
+        y = solve_integer_matrix(basis, LatticeMap(
+            [[ell * x for x in row] for row in _identity_rows(ambient_rank)],
+            cols=ambient_rank))
         dec = snf(y)
-        u_inv = int_inverse(dec.U) if ambient_rank else LatticeMap.zero(0, 0)
-        factors = []
-        lifts = []
-        for i, d in enumerate(dec.diagonal):
-            if d > 1:
-                ambient_vec = basis @ u_inv.col(i)
-                lifts.append(tuple(Fraction(x, ell) % 1 for x in ambient_vec))
-                factors.append(d)
-        return cls(tuple(factors), tuple(lifts), ambient_rank)
+        u_inv = int_inverse(dec.U)
+        kept = [i for i, d in enumerate(dec.diagonal) if d > 1]
+        lifts = [tuple(Fraction(x, ell) % 1 for x in basis @ u_inv.col(i))
+                 for i in kept]
+        return cls([dec.diagonal[i] for i in kept], lifts, ambient_rank)
 
     @property
     def order(self):
@@ -130,13 +97,11 @@ class FiniteAbelianGroup(Value):
 
     def contains_phase(self, phase) -> bool:
         """Membership test for a rational vector, read modulo Z^m."""
-        q = normalize_phase(phase)
-        if len(q) != self.ambient_rank:
-            raise ValueError("phase vector has wrong length")
-        ell = _common_denominator(self.lifts + (q,))
-        basis = _scaled_lattice_basis(self.lifts, self.ambient_rank, ell)
-        target = tuple(int(x * ell) for x in q)
-        return solve_integer(basis, target) is not None
+        m = self.ambient_rank
+        # the lifts generate the group, so q lies in it exactly when
+        # adding q changes neither the denominator nor the lattice
+        return (_phase_lattice(self.lifts + (tuple(phase),), m)
+                == _phase_lattice(self.lifts, m))
 
     def elements(self):
         """Every element as a normalized phase tuple.
@@ -169,9 +134,10 @@ class FiniteAbelianGroup(Value):
         # None when sub is not contained in self.
         if sub.ambient_rank != self.ambient_rank:
             return None
-        ell = _common_denominator(self.lifts + sub.lifts)
-        b_big = _scaled_lattice_basis(self.lifts, self.ambient_rank, ell)
-        b_sub = _scaled_lattice_basis(sub.lifts, self.ambient_rank, ell)
+        ell, b_big = _phase_lattice(self.lifts, self.ambient_rank)
+        sub_ell, b_sub = _phase_lattice(sub.lifts, self.ambient_rank, ell)
+        if sub_ell != ell:  # a denominator of sub that self lacks
+            return None
         return solve_integer_matrix(b_big, b_sub)
 
     def _key(self):

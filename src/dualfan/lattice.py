@@ -495,6 +495,23 @@ def cokernel(a: LatticeMap):
     return free_rank, torsion
 
 
+def _phase_lattice(phases, ambient_rank, ell=1):
+    """(ell, B) with B the canonical column basis of ell·L, where
+    L = Zⁿ + Σ Z·q over the phase vectors q and ell is the least common
+    multiple of the given `ell` and every denominator of the phases.
+
+    Every phase entry is read by `_rational`.  ell·Zⁿ ⊆ ell·L, so B is
+    a nonsingular n×n matrix, and it depends only on ell and L.
+    """
+    phases = [tuple(map(_rational, q)) for q in phases]
+    if any(len(q) != ambient_rank for q in phases):
+        raise ValueError("phase vector has wrong length")
+    ell = lcm(ell, *(x.denominator for q in phases for x in q))
+    cols = [tuple(_integer(x * ell) for x in q) for q in phases]
+    cols += [tuple(ell * x for x in row) for row in _identity_rows(ambient_rank)]
+    return ell, column_lattice_basis(cols, ambient_rank)
+
+
 def annihilator_lattice(phases, ambient_rank) -> LatticeMap:
     """Basis (as columns) of {m ∈ Zⁿ : m·q ∈ Z for every phase q}.
 
@@ -502,21 +519,9 @@ def annihilator_lattice(phases, ambient_rank) -> LatticeMap:
     subgroup the phases generate; its index in Zⁿ equals the order of
     that subgroup.
     """
-    phases = [tuple(Fraction(_rational(x)) for x in q) for q in phases]
-    for q in phases:
-        if len(q) != ambient_rank:
-            raise ValueError("phase vector has wrong length")
-    if not phases:
-        return LatticeMap.identity(ambient_rank)
-    ell = lcm(*(x.denominator for q in phases for x in q))
-    # m annihilates all phases iff (ell·Q)ᵗ·m ≡ 0 mod ell
-    rows = [
-        tuple(int(x * ell) for x in q) for q in phases
-    ]
-    stacked = LatticeMap.from_rows(
-        [row + tuple(ell if j == i else 0 for j in range(len(phases)))
-         for i, row in enumerate(rows)]
-    )
-    ker = kernel_basis(stacked)
-    projected = [ker.col(j)[:ambient_rank] for j in range(ker.cols)]
-    return column_lattice_basis(projected, ambient_rank)
+    ell, basis = _phase_lattice(phases, ambient_rank)
+    # the lattice is L* = (B/ell)⁻ᵀ·Zⁿ, whose generators ell·B⁻ᵀ are the
+    # rows of ell·adj(B) / det B, integral because Zⁿ ⊆ L
+    det, adj = _adjugate(basis.entries)
+    return column_lattice_basis(
+        [[ell * x // det for x in row] for row in adj], ambient_rank)

@@ -8,14 +8,11 @@ one through the chosen basis of M, one through the matrix that writes
 the monomial exponents in that basis.
 """
 
-from fractions import Fraction
-
 from .._value import Value
 from ..fans import is_dual_pair, orthant_fan, quotient_fan
 from ..groups import FiniteAbelianGroup
 from ..lattice import (
     LatticeMap,
-    _rational,
     annihilator_lattice,
     rational_inverse,
     solve_integer_matrix,
@@ -41,16 +38,6 @@ def _as_matrix(p):
     return p
 
 
-def _as_phases(q_gens, rank):
-    out = []
-    for g in q_gens:
-        g = tuple(Fraction(_rational(x)) for x in g)
-        if len(g) != rank:
-            raise ValueError("phase vector has wrong length")
-        out.append(g)
-    return tuple(out)
-
-
 def phase_symmetries(p) -> FiniteAbelianGroup:
     """All diagonal phase symmetries fixing every monomial of P.
 
@@ -68,7 +55,7 @@ def _dual_data(p, q_gens):
     and G the full symmetry group of P."""
     p = _as_matrix(p)
     n = p.rows
-    gens = _as_phases(q_gens, n)
+    gens = tuple(q_gens)
     q_group = FiniteAbelianGroup.from_phases(gens, n)
     symmetries = phase_symmetries(p)
     if not q_group.is_subgroup_of(symmetries):

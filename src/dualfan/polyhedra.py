@@ -94,8 +94,10 @@ def _double_description(constraints, ambient):
                     m & common == common for m in masks
                 ) == 2:
                     rays.append((_combine(vp, n, vn, p), common | bit))
-    lineality = []
-    if lin:  # lin spans the kernel of the constraints, so {0} when empty
+    # lin spans the kernel of the constraints: {0} when empty, and all of
+    # Zⁿ, already as the canonical identity rows, when there are none
+    lineality = lin
+    if lin and cons:
         lin_basis = kernel_basis(LatticeMap.from_rows(cons, ncols=ambient))
         lineality = list(filter(any, hnf(lin_basis.transpose())[0].entries))
     return sorted(r for r, _ in rays), lineality

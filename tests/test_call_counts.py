@@ -134,6 +134,22 @@ def test_a_smooth_polygon_fan_is_validated_without_a_smith_form(
     assert calls == []  # each cone has two rays in rank two: |det| = 1
 
 
+@pytest.mark.parametrize("rays", [
+    [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+    [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]],
+], ids=["hexagon", "octagon"])
+def test_cones_meeting_at_the_origin_intersect_without_a_smith_form(
+        monkeypatch, capsys, rays):
+    calls = count_calls(monkeypatch, dualfan.lattice, "snf")
+    n = len(rays)
+    fan = {"rank": 2, "rays": rays,
+           "max_cones": [[i, (i + 1) % n] for i in range(n)]}
+    assert run_job(monkeypatch, capsys, ["fan-validate"], {"fan": fan}) == 0
+    # some pairs meet only at the origin, so `Cone.intersection` runs a
+    # double description with no constraints: its lineality is all of Z²
+    assert calls == []
+
+
 def test_validate_fan_intersects_only_unseparated_pairs(monkeypatch):
     calls = count_calls(monkeypatch, Cone, "intersection")
     axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),

@@ -489,6 +489,47 @@ def test_float_phase_is_exit_2(capsys, monkeypatch):
     assert "fraction string" in err
 
 
+# the README's grammar: an integer is -?[0-9]+, a rational is an integer
+# or -?[0-9]+/[0-9]+; int() and Fraction() read more than that
+@pytest.mark.parametrize("text", ["1_0", " 7 ", "\u0663", "+3", "", "-",
+                                  "3.0"])
+def test_integer_strings_outside_the_grammar_are_exit_2(
+        capsys, monkeypatch, text):
+    code, body, err = run(capsys, ["fan-validate"],
+                          {"fan": dict(LINE, rank=text)}, monkeypatch)
+    assert code == 2
+    assert body is None
+    assert err == f"error: fan rank is not an integer: {text!r}\n"
+
+
+@pytest.mark.parametrize("text", ["1_0/3", "\u0663/5", "1.5", "1e-1", "+1/3",
+                                  " 1/3", "1/-3", "1/0", "1/"])
+def test_fraction_strings_outside_the_grammar_are_exit_2(
+        capsys, monkeypatch, text):
+    job = {"P": {"entries": [[3, 0], [0, 3]]}, "Q": {"phases": [[text, 0]]}}
+    code, body, err = run(capsys, ["bhk"], job, monkeypatch)
+    assert code == 2
+    assert body is None
+    assert err == f"error: phase entry is not a fraction: {text!r}\n"
+
+
+@pytest.mark.parametrize("rank", ["1", "01"])
+def test_integer_strings_in_the_grammar_are_read(capsys, monkeypatch, rank):
+    code, body, _ = run(capsys, ["fan-validate"],
+                        {"fan": dict(LINE, rank=rank)}, monkeypatch)
+    assert code == 0
+    assert body["rank"] == 1
+
+
+@pytest.mark.parametrize("phase", ["1/3", "-2/3", "4/3", "01/03", "-0"])
+def test_fraction_strings_in_the_grammar_are_read(capsys, monkeypatch, phase):
+    job = {"P": {"entries": [[3, 0], [0, 3]]}, "Q": {"phases": [[phase, 0]]}}
+    code, body, _ = run(capsys, ["bhk"], job, monkeypatch)
+    assert code == 0
+    expected = [] if phase == "-0" else [3]
+    assert body["groups"]["q_factors"] == expected
+
+
 def test_out_flag_and_byte_determinism(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -662,11 +703,14 @@ def test_no_invariant_check_is_a_bare_assert():
 
 
 def test_no_comprehension_truncates_with_int():
-    # `int(x)` per entry turns 3/2 into 1 and "3" into 3; lattice data
-    # goes through `lattice._lattice_vector` or `lattice._integer` instead
+    # `int(x)` per entry turns 3/2 into 1 and "3" into 3, and `int(x * ell)`
+    # hides a scale that fails to clear a denominator; lattice data goes
+    # through `lattice._lattice_vector` or `lattice._integer` instead, while
+    # `int(i == j)` only reads a comparison
     comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp,
                       ast.GeneratorExp)
-    truncating = [
+    # a set: a call inside nested comprehensions is walked once per level
+    truncating = sorted({
         f"{path.relative_to(SRC)}:{call.lineno}"
         for path in sorted(SRC.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
@@ -674,5 +718,6 @@ def test_no_comprehension_truncates_with_int():
         for call in ast.walk(node)
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
         and call.func.id == "int" and len(call.args) == 1
-        and not call.keywords and isinstance(call.args[0], ast.Name)]
+        and not call.keywords
+        and isinstance(call.args[0], (ast.Name, ast.BinOp))})
     assert truncating == []

@@ -61,6 +61,20 @@ def test_goldens_cover_every_command_and_exit_code():
     assert {job["exit"] for job in jobs} == {0, 1, 2}
 
 
+@pytest.mark.parametrize("name, twin", [
+    # basis rays as vectors instead of indices
+    ("givental-p1xp1-basis-vectors", "givental-p1xp1-basis-indices"),
+    # an integer as a decimal string instead of a JSON number
+    ("section-polytope-p2-beyond-2-53-string",
+     "section-polytope-p2-beyond-2-53"),
+])
+def test_equivalent_input_forms_print_the_same_report(name, twin):
+    assert (GOLDEN / f"{name}.stdout").read_bytes() == (
+        GOLDEN / f"{twin}.stdout").read_bytes()
+    jobs = _load_jobs()
+    assert jobs[name]["stdin"] != jobs[twin]["stdin"]
+
+
 def _record_new_cases():
     jobs = _load_jobs()
     for name, job in jobs.items():
