@@ -1,4 +1,5 @@
-"""The shared base of every immutable value in dualfan.
+"""The shared bases of dualfan: every immutable value, and the error
+raised when dualfan breaks one of its own invariants.
 
 Contract for a subclass of `Value`:
 
@@ -30,3 +31,9 @@ class Value:
 
     def __hash__(self):
         return hash(self._key())
+
+
+class InternalError(Exception):
+    """A statement that holds by construction failed: a fault in dualfan,
+    not in its input.  Not a ValueError, so the CLI never reports it as
+    rejected input."""

@@ -5,7 +5,8 @@ input), runs the corresponding library operation, and writes a single
 canonical JSON document: keys sorted, no whitespace, one trailing
 newline.  Exit status 0 means every verified statement held, 1 means
 the mathematics failed somewhere and the report carries a witness, 2
-means the input could not be interpreted.
+means the input could not be interpreted, and 3 means dualfan broke one
+of its own invariants (an `InternalError`).
 
 A bare `COMMAND [INPUT]` argv is read directly; argparse is loaded only
 for options, help and errors, whose messages stay argparse's own.
@@ -18,6 +19,7 @@ from fractions import Fraction
 from itertools import chain
 from types import SimpleNamespace
 
+from ._value import InternalError
 from .fans import Fan, is_complete, is_dual_pair, is_smooth, validate_fan
 from .mirrors import (
     bhk_pair,
@@ -72,9 +74,16 @@ def _jsonable(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+# No cycle markers: `_jsonable` returns a fresh tree of dicts and lists
+# around the caller's int rows, and it walks every container first, so a
+# cyclic report raises RecursionError before the encoder runs.  A row
+# shared at two places is not a cycle and encodes twice, as with markers.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return _ENCODER.encode(_jsonable(obj)) + "\n"
 
 
 def _require(obj, key, what):
@@ -460,6 +469,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     text = canonical_json(
         {"schema_version": SCHEMA_VERSION, "command": args.command, **body})
     if args.out:

@@ -230,15 +230,29 @@ def is_complete(f: Fan) -> bool:
     Every maximal cone must be strongly convex and full dimensional, and
     each facet, the rays on which one facet normal vanishes, must lie in
     exactly two of them.  Meaningful for a valid fan; never raises.
+
+    A convex cone holds a wall iff it holds each of the wall's rays, so
+    with bit i of `holders[r]` set when cone i holds the ray r, a wall's
+    census is the popcount of the AND of its rays' masks: the count of
+    testing the wall against every cone, at one test per (ray, cone).
+    An empty wall keeps every bit, as `all([])` holds.
     """
-    if not f.cones or any(
-        c.dim != f.lattice_rank or not c.is_strongly_convex() for c in f.cones
+    cones = f.cones
+    if not cones or any(
+        c.dim != f.lattice_rank or not c.is_strongly_convex() for c in cones
     ):
         return False
-    for cone in f.cones:
+    holders = {}
+    for cone in cones:
         for normal in cone.facet_normals:
-            wall = [r for r in cone.extreme_rays if _dot(normal, r) == 0]
-            if sum(all(map(c.contains_vector, wall)) for c in f.cones) != 2:
+            held = (1 << len(cones)) - 1
+            for r in cone.extreme_rays:
+                if _dot(normal, r) == 0:
+                    if r not in holders:
+                        holders[r] = sum(1 << i for i, c in enumerate(cones)
+                                         if c.contains_vector(r))
+                    held &= holders[r]
+            if held.bit_count() != 2:
                 return False
     return True
 

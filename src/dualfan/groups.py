@@ -41,10 +41,11 @@ class FiniteAbelianGroup(Value):
     `invariant_factors` is the divisibility chain restricted to factors
     greater than one (empty means the trivial group).  `lifts[i]` is a
     rational vector in the rank-`ambient_rank` ambient whose class
-    generates the i-th cyclic factor.
+    generates the i-th cyclic factor.  `_lattice` keeps the (ell, B) of
+    the lifts once built, outside the key.
     """
 
-    __slots__ = ("invariant_factors", "lifts", "ambient_rank")
+    __slots__ = ("invariant_factors", "lifts", "ambient_rank", "_lattice")
 
     def __init__(self, invariant_factors, lifts, ambient_rank):
         factors = tuple(map(_integer, invariant_factors))
@@ -61,6 +62,7 @@ class FiniteAbelianGroup(Value):
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "lifts", lifts)
         object.__setattr__(self, "ambient_rank", _integer(ambient_rank))
+        object.__setattr__(self, "_lattice", None)
 
     @classmethod
     def trivial(cls, ambient_rank):
@@ -75,6 +77,8 @@ class FiniteAbelianGroup(Value):
         basis B of the scaled lattice, and reads the quotient by ell·Z^m
         off the Smith form of B⁻¹·(ell·id).  Every step is canonical, so
         two generating sets of the same subgroup produce equal objects.
+        The phases and the lifts generate one group, so they share L and
+        ell (its exponent), and the group keeps (ell, B).
         """
         ell, basis = _phase_lattice(phases, ambient_rank)
         y = solve_integer_matrix(basis, LatticeMap(
@@ -85,7 +89,17 @@ class FiniteAbelianGroup(Value):
         kept = [i for i, d in enumerate(dec.diagonal) if d > 1]
         lifts = [tuple(Fraction(x, ell) % 1 for x in basis @ u_inv.col(i))
                  for i in kept]
-        return cls([dec.diagonal[i] for i in kept], lifts, ambient_rank)
+        group = cls([dec.diagonal[i] for i in kept], lifts, ambient_rank)
+        object.__setattr__(group, "_lattice", (ell, basis))
+        return group
+
+    @property
+    def _ell_basis(self):
+        """(ell, B) of the lattice of the lifts, built on first use."""
+        if self._lattice is None:
+            object.__setattr__(self, "_lattice", _phase_lattice(
+                self.lifts, self.ambient_rank))
+        return self._lattice
 
     @property
     def order(self):
@@ -97,11 +111,7 @@ class FiniteAbelianGroup(Value):
 
     def contains_phase(self, phase) -> bool:
         """Membership test for a rational vector, read modulo Z^m."""
-        m = self.ambient_rank
-        # the lifts generate the group, so q lies in it exactly when
-        # adding q changes neither the denominator nor the lattice
-        return (_phase_lattice(self.lifts + (tuple(phase),), m)
-                == _phase_lattice(self.lifts, m))
+        return self._solve_phases((phase,)) is not None
 
     def elements(self):
         """Every element as a normalized phase tuple.
@@ -134,11 +144,16 @@ class FiniteAbelianGroup(Value):
         # None when sub is not contained in self.
         if sub.ambient_rank != self.ambient_rank:
             return None
-        ell, b_big = _phase_lattice(self.lifts, self.ambient_rank)
-        sub_ell, b_sub = _phase_lattice(sub.lifts, self.ambient_rank, ell)
-        if sub_ell != ell:  # a denominator of sub that self lacks
+        return self._solve_phases(sub.lifts)
+
+    def _solve_phases(self, phases):
+        # X as above for the lattice of `phases`: the phases lie in self
+        # exactly when their lattice needs no larger ell and sits in ell·L
+        ell, b_self = self._ell_basis
+        sub_ell, b_sub = _phase_lattice(phases, self.ambient_rank, ell)
+        if sub_ell != ell:  # a denominator that self lacks
             return None
-        return solve_integer_matrix(b_big, b_sub)
+        return solve_integer_matrix(b_self, b_sub)
 
     def _key(self):
         return self.invariant_factors, self.lifts, self.ambient_rank

@@ -14,7 +14,7 @@ lies in exactly one part: listing the parts lists the slice.
 from itertools import product
 from operator import sub
 
-from .._value import Value
+from .._value import InternalError, Value
 from ..fans import Fan, is_dual_pair, relabel_fan
 from ..lattice import (LatticeMap, _integer, _lattice_vector, int_inverse,
                        kernel_basis, solve_integer)
@@ -232,7 +232,7 @@ def _total_space(parts, points, splitting, dual_splitting, opposite):
     try:
         psi_inv = int_inverse(psi)
     except ValueError:
-        raise AssertionError("base lattice splitting is not a direct summand")
+        raise InternalError("base lattice splitting is not a direct summand")
 
     sections = []
     for e_i, part in zip(splitting, parts):
@@ -240,7 +240,7 @@ def _total_space(parts, points, splitting, dual_splitting, opposite):
         for v in part.vertices:
             y = solve_integer(b, tuple(map(sub, _lattice_vector(v), e_i)))
             if y is None:
-                raise AssertionError("part i has a vertex off e_i + base")
+                raise InternalError("part i has a vertex off e_i + base")
             pts.append(y)
         sections.append(Polytope.from_vertices(pts, n))
     section_sum = sections[0]

@@ -8,7 +8,7 @@ one through the chosen basis of M, one through the matrix that writes
 the monomial exponents in that basis.
 """
 
-from .._value import Value
+from .._value import InternalError, Value
 from ..fans import is_dual_pair, orthant_fan, quotient_fan
 from ..groups import FiniteAbelianGroup
 from ..lattice import (
@@ -64,7 +64,7 @@ def _dual_data(p, q_gens):
     x = solve_integer_matrix(a, p)
     # solvable whenever Q fixes the monomials, which was just checked
     if x is None:
-        raise AssertionError("the exponents of P are not Q-invariant")
+        raise InternalError("the exponents of P are not Q-invariant")
     dual_gens = tuple(zip(*rational_inverse(x)))
     q_dual = FiniteAbelianGroup.from_phases(dual_gens, n)
     return p, a, x, q_group, q_dual, symmetries

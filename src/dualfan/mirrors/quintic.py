@@ -9,6 +9,7 @@ the original total-space fan.
 
 from fractions import Fraction
 
+from .._value import InternalError
 from ..fans import is_dual_pair, projective_space_fan, quotient_fan, relabel_fan
 from ..lattice import (
     LatticeMap,
@@ -57,11 +58,11 @@ def quintic_pipeline() -> MirrorReport:
     for i in range(5):
         x = solve_integer(dictionary, [5 * int(j == i) for j in range(5)])
         if x is None:
-            raise AssertionError("a pure fifth power is not a section")
+            raise InternalError("a pure fifth power is not a section")
         powers.append(tuple(x))
     product = solve_integer(dictionary, [1] * 5)
     if product is None:
-        raise AssertionError("the product monomial is not a section")
+        raise InternalError("the product monomial is not a section")
     product = tuple(product)
 
     # characters invariant under all three phases, pulled through the
@@ -78,7 +79,7 @@ def quintic_pipeline() -> MirrorReport:
         + [product])
     placement_t = solve_integer_matrix(invariants, identification.transpose())
     if placement_t is None:
-        raise AssertionError("the power monomials are not invariant")
+        raise InternalError("the power monomials are not invariant")
     placement = placement_t.transpose()
     int_inverse(placement)  # raises unless the rewrite is unimodular
     sigma_x_prime = relabel_fan(quotiented, placement)

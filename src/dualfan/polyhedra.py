@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from ._value import Value
+from ._value import InternalError, Value
 from .lattice import (LatticeMap, _adjugate, _lattice_vector, _rational, hnf,
                       kernel_basis)
 
@@ -322,7 +322,7 @@ class Polytope(Value):
             elif t == 0:
                 recession.append(r[:-1])
             else:
-                raise AssertionError("height must be nonnegative")
+                raise InternalError("height must be nonnegative")
         if not verts:  # empty; the one H-rep row 0 - 1 ≥ 0 holds nowhere
             return cls(ambient_rank=ambient_rank, vertices=(),
                        hrep=(((0,) * ambient_rank, -1),),

@@ -71,6 +71,17 @@ def test_bhk_job_builds_each_symmetry_group_once(monkeypatch, capsys):
     assert len(calls) == 2  # one for P, one for its transpose
 
 
+def test_bhk_job_builds_each_group_lattice_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, dualfan.lattice, "_phase_lattice")
+    job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
+           "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
+    assert run_job(monkeypatch, capsys, ["bhk"], job) == 0
+    # six groups from phases, one annihilator and three subgroup tests,
+    # each of which builds only the subgroup's side: a group made from
+    # phases keeps their lattice (13 calls when each test rebuilt it)
+    assert len(calls) == 10
+
+
 BB_P2 = {"rank": 3,
          "generators": [[-1, -1, 1], [2, -1, 1], [-1, 2, 1]],
          "ell_dual": [0, 0, 1],

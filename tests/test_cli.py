@@ -146,6 +146,22 @@ def test_canonical_json_matches_the_reference_on_nested_values(value):
         _reference_canonical_json, value)
 
 
+def test_a_shared_value_encodes_at_each_place_and_a_cycle_still_raises():
+    # the encoder keeps no cycle markers: a value shared at two places is
+    # no cycle, and `_jsonable` meets a real cycle before the encoder does
+    for shared in ((1, 2), (1, 2 ** 60), (Fraction(1, 3), [4]), ((1,), (2,))):
+        report = {"a": shared, "b": [shared, {"c": shared}]}
+        assert canonical_json(report) == _reference_canonical_json(report)
+    loop = [1]
+    loop.append(loop)
+    with pytest.raises(RecursionError):
+        canonical_json({"rows": [loop]})
+    knot = {}
+    knot["k"] = [knot]
+    with pytest.raises(RecursionError):
+        canonical_json(knot)
+
+
 def test_small_integer_rows_are_encoded_as_they_are():
     points = [(0, 1), (2 ** 53 - 1, -2 ** 53 + 1), (5, 6)]
     for rows in (points, tuple(points), points[0], [], ()):
@@ -266,6 +282,20 @@ def test_bhk_command_computes_the_criterion_once(capsys, monkeypatch):
     code, body, _ = run(capsys, ["bhk"], job, monkeypatch)
     assert code == 0 and body["groups"]["criterion_holds"] is True
     assert len(calls) == 1
+
+
+def test_an_internal_error_is_exit_3_without_a_traceback(capsys,
+                                                        monkeypatch):
+    import dualfan.mirrors.bhk
+
+    # the solve that Q-invariance guarantees, made to fail
+    monkeypatch.setattr(dualfan.mirrors.bhk, "solve_integer_matrix",
+                        lambda a, b: None)
+    job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
+           "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
+    code, body, err = run(capsys, ["bhk"], job, monkeypatch)
+    assert (code, body) == (3, None)
+    assert err == "internal error: the exponents of P are not Q-invariant\n"
 
 
 def test_bhk_q_outside_symmetries_is_exit_2(capsys, monkeypatch):
@@ -694,11 +724,13 @@ def test_module_entry_reads_sys_argv():
 
 
 def test_no_invariant_check_is_a_bare_assert():
-    # `python -O` strips assert statements; a check must raise instead
+    # `python -O` strips assert statements, and an AssertionError escapes
+    # `main` as a traceback; a check raises `InternalError` instead
     bare = [f"{path.relative_to(SRC)}:{node.lineno}"
             for path in sorted(SRC.rglob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-            if isinstance(node, ast.Assert)]
+            if isinstance(node, ast.Assert)
+            or isinstance(node, ast.Name) and node.id == "AssertionError"]
     assert bare == []
 
 

@@ -301,6 +301,68 @@ def test_is_complete_matches_the_facet_census():
     assert outcomes.count(True) == outcomes.count(False) == 40
 
 
+def complete_by_wall_tests(f):
+    """`is_complete` as it tested every wall against every cone, kept as
+    the reference for the ray masks."""
+    if not f.cones or any(
+        c.dim != f.lattice_rank or not c.is_strongly_convex() for c in f.cones
+    ):
+        return False
+    for cone in f.cones:
+        for normal in cone.facet_normals:
+            wall = [r for r in cone.extreme_rays
+                    if sum(a * b for a, b in zip(normal, r)) == 0]
+            if sum(all(map(c.contains_vector, wall)) for c in f.cones) != 2:
+                return False
+    return True
+
+
+def wild_fans(rng, rank):
+    """Complete fans of rank `rank` and broken ones: cones dropped, cones
+    overlapping, cones that are not full dimensional, cones with lines."""
+    if rank == 0:
+        return [Fan([], [()], 0), Fan([], [], 0)]
+    box = range(-2, 3)
+    while True:
+        pts = {tuple(rng.choice(box) for _ in range(rank))
+               for _ in range(rng.randrange(rank + 1, rank + 5))}
+        poly = Polytope.from_vertices(sorted(pts))
+        if poly.dim == rank:
+            break
+    full = poly.normal_fan()
+    rays, cones = list(full.rays), list(full.max_cones)
+    every = range(len(rays))
+    dropped = rng.sample(cones, rng.randrange(1, len(cones)))
+    # the union of two cones on one wall overlaps both
+    a = rng.choice(cones)
+    b = rng.choice([c for c in cones
+                    if c != a and len(set(a) & set(c)) >= rank - 1])
+    overlapping = cones + [tuple(sorted({*a, *b}))]
+    thin = cones[1:] + [cones[0][:rank - 1], (rng.randrange(len(rays)),)]
+    # a ray and its opposite put a line into one cone
+    flip = tuple(-x for x in rays[0])
+    lined_rays = rays + [flip] if flip not in rays else rays
+    lined = cones[1:] + [cones[0] + (lined_rays.index(flip),)]
+    scattered = [tuple(rng.sample(every, rng.randrange(rank, len(rays) + 1)))
+                 for _ in range(rng.randrange(1, 5))]
+    return [full, Fan(rays, dropped, rank), Fan(rays, overlapping, rank),
+            Fan(rays, thin, rank), Fan(lined_rays, lined, rank),
+            Fan(rays, scattered, rank)]
+
+
+def test_is_complete_matches_the_wall_tests_on_broken_fans():
+    rng = random.Random(20151)
+    outcomes = Counter()
+    for rank in (0, 1, 2, 3):
+        for _ in range(1 if rank == 0 else 25):
+            for f in wild_fans(rng, rank):
+                expected = complete_by_wall_tests(f)
+                assert is_complete(f) is expected, (rank, f)
+                outcomes[rank, expected] += 1
+    # every rank sees complete and incomplete fans
+    assert all(outcomes[r, True] and outcomes[r, False] for r in range(4))
+
+
 def test_is_complete_is_false_on_a_cone_with_a_line():
     wide = Fan([(1, 0), (-1, 0), (0, 1)], [(0, 1, 2)], 2)
     assert not validate_fan(wide).ok

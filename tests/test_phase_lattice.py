@@ -133,6 +133,18 @@ def test_from_phases_matches_the_reference():
             phases, rank), (rank, phases)
 
 
+def test_a_group_keeps_the_lattice_of_its_lifts_outside_its_key():
+    for rank, phases in PHASE_SETS:
+        g = FiniteAbelianGroup.from_phases(phases, rank)
+        # the phases and the lifts generate one group, so one lattice
+        assert g._lattice == _phase_lattice(phases, rank) == _phase_lattice(
+            g.lifts, rank), (rank, phases)
+        built = FiniteAbelianGroup(g.invariant_factors, g.lifts, rank)
+        assert built._lattice is None
+        assert built == g and hash(built) == hash(g)
+        assert built._ell_basis == g._lattice and built._lattice is not None
+
+
 def test_annihilator_lattice_matches_the_stacked_kernel():
     for rank, phases in PHASE_SETS:
         assert annihilator_lattice(phases, rank) == reference_annihilator(
