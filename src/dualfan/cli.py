@@ -301,7 +301,7 @@ def _cmd_bb(payload, height_bound):
         raise InputError(
             f"ell_dual {list(ell_dual)} does not match the height functional "
             f"{list(refl.cone_report.functional)} of the cone")
-    rep = _bb_pair(cone, refl, splitting, dual_splitting, height_bound)
+    rep = _bb_pair(cone, refl, splitting, dual_splitting)
     return {"report": _mirror_json(rep)}, not rep.passed
 
 

@@ -65,6 +65,9 @@ class Fan(Value):
     __slots__ = ("lattice_rank", "rays", "marked_generators", "max_cones", "_cones")
 
     def __init__(self, rays, max_cones, lattice_rank, marked_generators=None):
+        lattice_rank = _integer(lattice_rank)
+        if lattice_rank < 0:
+            raise ValueError("lattice rank must be nonnegative")
         rays = tuple(_lattice_vector(r, "ray") for r in rays)
         for r in rays:
             if len(r) != lattice_rank:
@@ -94,7 +97,7 @@ class Fan(Value):
                 raise ValueError("cone refers to a missing ray")
             cleaned.append(ixs)
         cleaned = tuple(dict.fromkeys(cleaned))
-        object.__setattr__(self, "lattice_rank", _integer(lattice_rank))
+        object.__setattr__(self, "lattice_rank", lattice_rank)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "marked_generators", marked)
         object.__setattr__(self, "max_cones", cleaned)

@@ -21,10 +21,9 @@ from ..lattice import (LatticeMap, _integer, _lattice_vector, int_inverse,
 from ..polyhedra import Cone, Polytope, _dot
 from ..toric_lg import (
     AuxiliaryLG,
-    Specialization,
     ToricDivisor,
     _ci_family,
-    apply_specialization,
+    _unit_potential,
     base_change_check,
     section_polytope,
     split_bundle_fan,
@@ -234,14 +233,16 @@ def _total_space(parts, points, splitting, dual_splitting, opposite):
     except ValueError:
         raise InternalError("base lattice splitting is not a direct summand")
 
+    # psi = [b | splitting] is unimodular, so v - e_i lies in the span
+    # of b exactly when psi⁻¹ sends it to (y, 0), and then b·y = v - e_i
     sections = []
     for e_i, part in zip(splitting, parts):
         pts = []
         for v in part.vertices:
-            y = solve_integer(b, tuple(map(sub, _lattice_vector(v), e_i)))
-            if y is None:
+            y = psi_inv @ tuple(map(sub, _lattice_vector(v), e_i))
+            if any(y[n:]):
                 raise InternalError("part i has a vertex off e_i + base")
-            pts.append(y)
+            pts.append(y[:n])
         sections.append(Polytope.from_vertices(pts, n))
     section_sum = sections[0]
     for p in sections[1:]:
@@ -277,7 +278,7 @@ def _total_space(parts, points, splitting, dual_splitting, opposite):
     # the parts' points partition the slice's (see `support_partition`)
     xi = sorted(p for pts in points for p in pts)
     family = AuxiliaryLG(ambient, xi)
-    aux_ci, _ = _ci_family(divisors, total, recomputed)
+    aux_ci = _ci_family(total, recomputed)
     checks = {
         "sections_match_parts": recomputed == tuple(sections),
         "ray_set_identity":
@@ -315,15 +316,15 @@ def bb_mirror_pair(generators, splitting, dual_splitting=None,
     if not k.is_strongly_convex() or k.dim != rank:
         raise ValueError("cone must be pointed and full-dimensional")
     return _bb_pair(k, is_reflexive(k, height_bound), splitting,
-                    dual_splitting, height_bound)
+                    dual_splitting)
 
 
-def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
+def _bb_pair(k, refl, splitting, dual_splitting):
     """`bb_mirror_pair` from the cone K and its reflexivity report."""
     rank = k.ambient_rank
     if not refl.holds:
-        raise ValueError(
-            f"cone pair is not reflexive at heights up to {height_bound}")
+        raise ValueError("cone pair is not reflexive at heights up to "
+                         f"{refl.cone_report.height_bound}")
     ell_dual = refl.cone_report.functional
     ell = refl.dual_report.functional
     r = refl.index
@@ -385,12 +386,8 @@ def _bb_pair(k, refl, splitting, dual_splitting, height_bound):
                for name in ("polar_identity", "section_dictionary")
                for prefix, c in sides if name in c]
 
-    ones = Specialization({e: 1 for e in gamma.exponents})
-    ones_prime = Specialization({e: 1 for e in gamma_prime.exponents})
-    potentials = [
-        ("w", apply_specialization(gamma, ones)),
-        ("w_prime", apply_specialization(gamma_prime, ones_prime)),
-    ]
+    potentials = [("w", _unit_potential(gamma)),
+                  ("w_prime", _unit_potential(gamma_prime))]
     counts = [
         ("rank", rank),
         ("index", r),

@@ -17,12 +17,7 @@ from ..lattice import (
     rational_inverse,
     solve_integer_matrix,
 )
-from ..toric_lg import (
-    AuxiliaryLG,
-    Specialization,
-    apply_specialization,
-    base_change_check,
-)
+from ..toric_lg import AuxiliaryLG, _unit_potential, base_change_check
 from .report import MirrorReport
 
 
@@ -153,23 +148,20 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
     checks.append(("markers_pair_to_exponents", pairing_ok))
 
     crit = _criterion(p, q_group, q_dual, symmetries)
+    det = abs(p.det())
     checks.append(("group_duality", crit.holds))
-    checks.append(("order_law",
-                   q_group.order * q_dual.order == abs(p.det())))
+    checks.append(("order_law", q_group.order * q_dual.order == det))
 
-    gamma = AuxiliaryLG(sigma, x.columns())
-    gamma_prime = AuxiliaryLG(sigma_prime, a.transpose().columns())
+    # each orthant ray keeps one marker, the column of its map
+    gamma = AuxiliaryLG(sigma, sigma_prime.marked_generators)
+    gamma_prime = AuxiliaryLG(sigma_prime, sigma.marked_generators)
     to_gamma = base_change_check(gamma, sigma_prime)
     to_gamma_prime = base_change_check(gamma_prime, sigma)
     checks.append(("coefficient_rings_isomorphic",
                    to_gamma.is_isomorphism and to_gamma_prime.is_isomorphism))
 
-    ones = Specialization({e: 1 for e in gamma.exponents})
-    ones_prime = Specialization({e: 1 for e in gamma_prime.exponents})
-    potentials = [
-        ("w", apply_specialization(gamma, ones)),
-        ("w_prime", apply_specialization(gamma_prime, ones_prime)),
-    ]
+    potentials = [("w", _unit_potential(gamma)),
+                  ("w_prime", _unit_potential(gamma_prime))]
 
     counts = [
         ("rank", n),
@@ -177,7 +169,7 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
         ("xi_prime_count", len(gamma_prime.exponents)),
         ("q_order", q_group.order),
         ("q_dual_order", q_dual.order),
-        ("determinant", abs(p.det())),
+        ("determinant", det),
     ]
     notes = (
         "dual fan is the orthant image under the transposed factor: "

@@ -39,13 +39,12 @@ def splitting_basis(fan, basis_rays=None):
     k = count - n
     if k < 0:
         raise ValueError("fewer rays than the lattice rank")
-    ray_map = LatticeMap.from_rows(list(rays), ncols=n)
 
     def works(indices):
-        cols = [ray_map.col(i) for i in range(n)]
-        for j in indices:
-            cols.append(tuple(int(i == j) for i in range(count)))
-        return abs(LatticeMap.from_cols(cols, nrows=count).det()) == 1
+        # expanding [ray map | unit columns] along its unit columns
+        # leaves the minor on the other rays
+        rest = [r for i, r in enumerate(rays) if i not in indices]
+        return abs(LatticeMap.from_rows(rest, ncols=n).det()) == 1
 
     if basis_rays is not None:
         chosen = []
@@ -102,7 +101,7 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
 
     basis = splitting_basis(fan, basis_rays)
     sigma_x = split_bundle_fan(divisors)
-    gamma, _ = _ci_family(divisors, sigma_x, sections)
+    gamma = _ci_family(sigma_x, sections)
 
     lifted = []
     for a, poly in enumerate(sections):

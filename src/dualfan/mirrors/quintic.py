@@ -14,7 +14,6 @@ from ..fans import is_dual_pair, projective_space_fan, quotient_fan, relabel_fan
 from ..lattice import (
     LatticeMap,
     annihilator_lattice,
-    int_inverse,
     solve_integer,
     solve_integer_matrix,
 )
@@ -24,6 +23,7 @@ from ..toric_lg import (
     Specialization,
     ToricDivisor,
     _ci_family,
+    _unit_potential,
     apply_specialization,
     base_change_check,
     line_bundle_fan,
@@ -45,14 +45,14 @@ def quintic_pipeline() -> MirrorReport:
     base = projective_space_fan(4)
     divisor = ToricDivisor(base, (1,) * 5)
     sigma_x = line_bundle_fan(divisor)
-    gamma, _ = _ci_family((divisor,), sigma_x, [section_polytope(divisor)])
+    gamma = _ci_family(sigma_x, [section_polytope(divisor)])
 
     # degree dictionary: pairing an exponent with the five lifted rays
     # gives the exponents of the corresponding degree-five monomial
     dictionary = LatticeMap.from_rows(list(sigma_x.rays[:5]))
     degrees_ok = all(
-        all(x >= 0 for x in dictionary @ e) and sum(dictionary @ e) == 5
-        for e in gamma.exponents)
+        all(x >= 0 for x in d) and sum(d) == 5
+        for d in (dictionary @ e for e in gamma.exponents))
 
     powers = []
     for i in range(5):
@@ -80,9 +80,8 @@ def quintic_pipeline() -> MirrorReport:
     placement_t = solve_integer_matrix(invariants, identification.transpose())
     if placement_t is None:
         raise InternalError("the power monomials are not invariant")
-    placement = placement_t.transpose()
-    int_inverse(placement)  # raises unless the rewrite is unimodular
-    sigma_x_prime = relabel_fan(quotiented, placement)
+    # `relabel_fan` raises unless the rewrite is unimodular
+    sigma_x_prime = relabel_fan(quotiented, placement_t.transpose())
 
     marker_set = set(sigma_x_prime.marked_generators)
     invariant_exponents = {
@@ -102,8 +101,7 @@ def quintic_pipeline() -> MirrorReport:
         assignments[x] = ParamPoly.constant(1)
     assignments[product] = ParamPoly.parameter("psi", coeff=-5)
     w_fermat = apply_specialization(gamma, Specialization(assignments))
-    ones = Specialization({e: 1 for e in gamma_prime.exponents})
-    w_prime = apply_specialization(gamma_prime, ones)
+    w_prime = _unit_potential(gamma_prime)
 
     checks = [
         ("monomial_dictionary", degrees_ok),

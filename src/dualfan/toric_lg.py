@@ -194,21 +194,22 @@ def auxiliary_lg_from_ci(divisors):
     fan's vertical rays.
     """
     divisors = tuple(divisors)
-    return _ci_family(divisors, split_bundle_fan(divisors),
-                      [section_polytope(d) for d in divisors])
+    total = split_bundle_fan(divisors)
+    family = _ci_family(total, [section_polytope(d) for d in divisors])
+    count = len(total.rays)
+    return family, tuple(range(count - len(divisors), count))
 
 
-def _ci_family(divisors, total, sections):
-    """`auxiliary_lg_from_ci` from a built total fan and section polytopes."""
-    c = len(divisors)
+def _ci_family(total, sections):
+    """The family of `auxiliary_lg_from_ci` from a built total fan and
+    the summands' section polytopes."""
+    c = len(sections)
     exponents = []
     for i, poly in enumerate(sections):
         indicator = tuple(int(j == i) for j in range(c))
         for m in poly.lattice_points():
             exponents.append(tuple(m) + indicator)
-    base_rays = len(divisors[0].fan.rays)
-    verticals = tuple(range(base_rays, base_rays + c))
-    return AuxiliaryLG(total, exponents), verticals
+    return AuxiliaryLG(total, exponents)
 
 
 class BaseChangeReport(Value):
@@ -304,6 +305,12 @@ def apply_specialization(aux: AuxiliaryLG, spec: Specialization) -> Potential:
     if values.keys() != set(aux.exponents):
         raise ValueError("specialization domain does not match the exponent set")
     return Potential((e, values[e]) for e in aux.exponents)
+
+
+def _unit_potential(aux: AuxiliaryLG) -> Potential:
+    """The potential of `aux` with every coefficient equal to 1."""
+    return apply_specialization(
+        aux, Specialization({e: 1 for e in aux.exponents}))
 
 
 class DualityError(ValueError):

@@ -43,8 +43,10 @@ def test_every_entry_has_every_field(workload):
         assert set(e) == FIELDS, e["pr"]
         assert type(e["pr"]) is int and type(e["seed"]) is int
         assert HASH.fullmatch(e["parent"])
-        # a change measured before it is committed has no hash yet
-        assert e["commit"] is None or HASH.fullmatch(e["commit"])
+        # a change measured before it is committed has no hash yet; the
+        # next change fills it in, so only the newest entry may lack it
+        assert (e["commit"] is None and e is doc["entries"][-1]
+                or HASH.fullmatch(e["commit"])), e["pr"]
         assert e["commit"] != e["parent"]
         assert _number(e["run_seconds"])
         assert e["pairs"] is None or type(e["pairs"]) is int and e["pairs"] > 0
@@ -63,3 +65,6 @@ def test_every_entry_has_every_field(workload):
         assert type(e["note"]) is str
         if unknown:
             assert e["note"].strip(), e["pr"]
+    # the entries form one chain of commits
+    for before, after in zip(doc["entries"], doc["entries"][1:]):
+        assert after["parent"] == before["commit"], after["pr"]

@@ -284,3 +284,54 @@ def test_integer_matrix_checks_no_entry_one_by_one(monkeypatch):
     dec = dualfan.lattice.snf(a)
     assert dec.U @ a @ dec.V == dec.D  # U, D, V, then two products
     assert calls == []
+
+
+GOLDEN_JOBS = json.loads((Path(__file__).resolve().parent / "golden"
+                          / "jobs.json").read_text(encoding="utf-8"))
+
+
+def run_golden(monkeypatch, capsys, name):
+    """Run one golden case in process and check its exit code."""
+    job = GOLDEN_JOBS[name]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(job["stdin"] or ""))
+    assert main(list(job["argv"])) == job["exit"]
+    capsys.readouterr()
+
+
+def test_bb_job_changes_each_side_to_its_base_once(monkeypatch, capsys):
+    smith = count_calls(monkeypatch, dualfan.lattice, "snf")
+    solves = count_calls(monkeypatch, dualfan.lattice, "solve_integer")
+    run_golden(monkeypatch, capsys, "bb-p2")
+    # each side's part vertices reach base coordinates through the one
+    # inverse of psi = [b | splitting], with no solve per vertex (12 Smith
+    # forms and 14 solves when each of the six vertices was solved for)
+    assert len(smith) == 6
+    assert len(solves) == 8
+
+
+def test_quintic_tests_its_rewrite_for_unimodularity_once(monkeypatch,
+                                                          capsys):
+    calls = count_calls(monkeypatch, dualfan.lattice, "int_inverse")
+    run_golden(monkeypatch, capsys, "quintic")
+    # one in `relabel_fan`, which rejects a rewrite that is not unimodular
+    # (3 when the pipeline ran the same test first)
+    assert len(calls) == 2
+
+
+def test_a_splitting_basis_takes_only_rank_sized_minors(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, LatticeMap, "det")
+    run_golden(monkeypatch, capsys, "givental-p1xp1")
+    # the minor on the rays outside the basis, not [ray map | unit
+    # columns] at #rays × #rays (one 4 × 4 determinant on P¹ × P¹)
+    assert calls and max(a.rows for a, in calls) <= 2
+
+
+def test_bhk_job_takes_the_determinant_of_p_once_per_use(monkeypatch,
+                                                         capsys):
+    calls = count_calls(monkeypatch, LatticeMap, "det")
+    run_golden(monkeypatch, capsys, "bhk-loop4-trivial")
+    # three invertibility checks (the job's P, the P behind its symmetry
+    # group and the transpose behind the dual one), then |det P| once for
+    # both the order law and the determinant count (5 when it was taken
+    # for each)
+    assert len(calls) == 4

@@ -39,6 +39,16 @@ def test_fan_constructor_validation():
         Fan([(1, 0)], [(0,)], 2, marked_generators=[(1, 1)])
 
 
+def test_a_fan_of_negative_rank_is_rejected_before_its_rays():
+    # no ray to check, and rays that a negative rank never fits: the
+    # rank is read first either way
+    for rays in ([], [(1, 0, 0)]):
+        with pytest.raises(ValueError,
+                           match="^lattice rank must be nonnegative$"):
+            Fan(rays, [()], -3)
+    assert Fan([], [()], 0).lattice_rank == 0
+
+
 def count_cone_builds(monkeypatch):
     """A list that grows by one entry per `Cone.__init__` call."""
     builds = []

@@ -1,8 +1,12 @@
 """Split-bundle mirror potentials over smooth complete bases."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from dualfan.fans import Fan, orthant_fan, projective_space_fan
+from dualfan.lattice import LatticeMap
 from dualfan.polyhedra import Cone
 from dualfan.symbols import ParamPoly
 from dualfan.toric_lg import ToricDivisor
@@ -44,6 +48,64 @@ def test_splitting_basis_rejections():
         splitting_basis(P1, [(2,)])
     with pytest.raises(ValueError, match="out of range"):
         splitting_basis(P1, [7])
+
+
+def reference_splits(fan, indices):
+    """Whether the unit columns at `indices` complete the ray map to a
+    basis, read off the full #rays × #rays determinant."""
+    count, n = len(fan.rays), fan.lattice_rank
+    ray_map = LatticeMap.from_rows(list(fan.rays), ncols=n)
+    cols = [ray_map.col(i) for i in range(n)]
+    cols += [tuple(int(i == j) for i in range(count)) for j in indices]
+    return abs(LatticeMap.from_cols(cols, nrows=count).det()) == 1
+
+
+def polygon_fan(rays):
+    """The complete fan over consecutive pairs of rays in cyclic order."""
+    m = len(rays)
+    return Fan(rays, [(i, (i + 1) % m) for i in range(m)], 2)
+
+
+def hirzebruch(a):
+    return polygon_fan([(1, 0), (0, 1), (-1, a), (0, -1)])
+
+
+def blown_up_polygon_fans(seed, count):
+    """Smooth complete polygon fans: Hirzebruch fans blown up at random
+    torus-fixed points, each a new ray between two adjacent ones."""
+    rng = random.Random(seed)
+    fans = []
+    for _ in range(count):
+        rays = list(hirzebruch(rng.randrange(4)).rays)
+        for _ in range(rng.randrange(1, 5)):
+            i = rng.randrange(len(rays))
+            j = (i + 1) % len(rays)
+            rays.insert(i + 1, tuple(x + y for x, y in zip(rays[i], rays[j])))
+        fans.append(polygon_fan(rays))
+    return fans
+
+
+REFERENCE_FANS = ([P1, P2, PP, projective_space_fan(3)]
+                  + [hirzebruch(a) for a in range(4)]
+                  + blown_up_polygon_fans(20151, 8))
+
+
+@pytest.mark.parametrize("fan", REFERENCE_FANS)
+def test_splitting_basis_agrees_with_the_full_determinant(fan):
+    k = len(fan.rays) - fan.lattice_rank
+    for indices in combinations(range(len(fan.rays)), k):
+        if reference_splits(fan, indices):
+            assert splitting_basis(fan, list(indices)) == indices
+        else:
+            with pytest.raises(ValueError) as err:
+                splitting_basis(fan, list(indices))
+            assert str(err.value) == (
+                "chosen rays do not give a splitting basis")
+    default = next(
+        ixs for ixs in (tuple(sorted(set(range(len(fan.rays))) - set(cone)))
+                        for cone in fan.max_cones)
+        if len(ixs) == k and reference_splits(fan, ixs))
+    assert splitting_basis(fan) == default
 
 
 def test_p1_degree_two_report():
