@@ -404,6 +404,8 @@ def _load_payload(args):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON: {e}")
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply") from None
 
 
 # the option defaults, shared by `_parser` and `_plain_args`

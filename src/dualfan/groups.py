@@ -16,18 +16,24 @@ from math import prod
 from ._value import Value
 from .lattice import (
     LatticeMap,
-    _identity_rows,
     _integer,
     _phase_lattice,
     _rational,
-    int_inverse,
+    _scaled_inverse,
+    _scaled_phases,
     snf,
-    solve_integer_matrix,
 )
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(_rational(x))
+
+
+def _lattice_of(phases, ambient_rank):
+    """(ell, B, Y): `_phase_lattice`'s (ell, B) and Y = ell·B⁻¹."""
+    ell, basis = _phase_lattice(phases, ambient_rank)
+    return ell, basis, LatticeMap(_scaled_inverse(ell, basis),
+                                  cols=ambient_rank)
 
 
 def normalize_phase(q):
@@ -41,8 +47,9 @@ class FiniteAbelianGroup(Value):
     `invariant_factors` is the divisibility chain restricted to factors
     greater than one (empty means the trivial group).  `lifts[i]` is a
     rational vector in the rank-`ambient_rank` ambient whose class
-    generates the i-th cyclic factor.  `_lattice` keeps the (ell, B) of
-    the lifts once built, outside the key.
+    generates the i-th cyclic factor.  `_lattice` keeps the (ell, B, Y)
+    of the lifts once built, outside the key: B is the Hermite basis of
+    ell·L for the lattice L = Zᵐ + Σ Z·lift, and Y = ell·B⁻¹.
     """
 
     __slots__ = ("invariant_factors", "lifts", "ambient_rank", "_lattice")
@@ -75,29 +82,27 @@ class FiniteAbelianGroup(Value):
 
         The construction scales away denominators, takes the Hermite
         basis B of the scaled lattice, and reads the quotient by ell·Z^m
-        off the Smith form of B⁻¹·(ell·id).  Every step is canonical, so
-        two generating sets of the same subgroup produce equal objects.
-        The phases and the lifts generate one group, so they share L and
-        ell (its exponent), and the group keeps (ell, B).
+        off the Smith form U·Y·V = D of Y = B⁻¹·(ell·id).  Then
+        B·U⁻¹ = ell·V·D⁻¹, so lift i is column i of V over d_i.  Every
+        step is canonical, so two generating sets of the same subgroup
+        produce equal objects.  The phases and the lifts generate one
+        group, so they share L and ell (its exponent), and the group
+        keeps (ell, B, Y).
         """
-        ell, basis = _phase_lattice(phases, ambient_rank)
-        y = solve_integer_matrix(basis, LatticeMap(
-            [[ell * x for x in row] for row in _identity_rows(ambient_rank)],
-            cols=ambient_rank))
-        dec = snf(y)
-        u_inv = int_inverse(dec.U)
-        kept = [i for i, d in enumerate(dec.diagonal) if d > 1]
-        lifts = [tuple(Fraction(x, ell) % 1 for x in basis @ u_inv.col(i))
-                 for i in kept]
-        group = cls([dec.diagonal[i] for i in kept], lifts, ambient_rank)
-        object.__setattr__(group, "_lattice", (ell, basis))
+        lattice = _lattice_of(phases, ambient_rank)
+        dec = snf(lattice[2])
+        kept = [(i, d) for i, d in enumerate(dec.diagonal) if d > 1]
+        lifts = [tuple(Fraction(x, d) % 1 for x in dec.V.col(i))
+                 for i, d in kept]
+        group = cls([d for _, d in kept], lifts, ambient_rank)
+        object.__setattr__(group, "_lattice", lattice)
         return group
 
     @property
-    def _ell_basis(self):
-        """(ell, B) of the lattice of the lifts, built on first use."""
+    def _lattice_of_lifts(self):
+        """(ell, B, Y) of the lattice of the lifts, built on first use."""
         if self._lattice is None:
-            object.__setattr__(self, "_lattice", _phase_lattice(
+            object.__setattr__(self, "_lattice", _lattice_of(
                 self.lifts, self.ambient_rank))
         return self._lattice
 
@@ -111,7 +116,10 @@ class FiniteAbelianGroup(Value):
 
     def contains_phase(self, phase) -> bool:
         """Membership test for a rational vector, read modulo Z^m."""
-        return self._solve_phases((phase,)) is not None
+        ell = self._lattice_of_lifts[0]
+        phase_ell, cols = _scaled_phases((phase,), self.ambient_rank, ell)
+        # a denominator that self lacks, or ell·phase outside ell·L
+        return phase_ell == ell and self._coordinates(cols) is not None
 
     def elements(self):
         """Every element as a normalized phase tuple.
@@ -140,20 +148,31 @@ class FiniteAbelianGroup(Value):
         return snf(x).invariant_factors
 
     def _quotient_map(self, sub):
-        # Integer matrix X with B_self·X = B_sub at a common scale, or
+        # Integer matrix X with B_self·X = B_sub at self's scale ell, or
         # None when sub is not contained in self.
         if sub.ambient_rank != self.ambient_rank:
             return None
-        return self._solve_phases(sub.lifts)
-
-    def _solve_phases(self, phases):
-        # X as above for the lattice of `phases`: the phases lie in self
-        # exactly when their lattice needs no larger ell and sits in ell·L
-        ell, b_self = self._ell_basis
-        sub_ell, b_sub = _phase_lattice(phases, self.ambient_rank, ell)
-        if sub_ell != ell:  # a denominator that self lacks
+        ell = self._lattice_of_lifts[0]
+        sub_ell, b_sub, _ = sub._lattice_of_lifts
+        if ell % sub_ell:  # a denominator that self lacks
             return None
-        return solve_integer_matrix(b_self, b_sub)
+        # the Hermite basis of k·L is k times that of L
+        k = ell // sub_ell
+        cols = self._coordinates([k * x for x in c] for c in b_sub.columns())
+        return None if cols is None else LatticeMap.from_cols(
+            cols, nrows=self.ambient_rank)
+
+    def _coordinates(self, cols):
+        # B⁻¹·c = Y·c / ell for each integer column c, or None when one
+        # of them is not integral, i.e. c lies outside ell·L
+        ell, _, y = self._lattice_of_lifts
+        out = []
+        for c in cols:
+            x = y @ c
+            if any(v % ell for v in x):
+                return None
+            out.append(tuple(v // ell for v in x))
+        return out
 
     def _key(self):
         return self.invariant_factors, self.lifts, self.ambient_rank

@@ -6,14 +6,15 @@ The normal forms use a fixed pivoting rule (smallest nonzero absolute
 value, then lowest index), which makes every output reproducible across
 runs and platforms.
 
-Square matrices go through one elimination, `_adjugate`: fraction-free
-Gauss–Jordan (Bareiss, *Math. Comp.* 22, 1968) on [A | I].  By Sylvester's
-identity each update at step k is the previous pivot times a (k+1)-minor
-of [A | I] before its `//`, so every division is exact.  `det`, both
+Square matrices go through one routine, `_adjugate`.  Below 4×4 it
+writes out the cofactors; from 4×4 on it runs fraction-free Gauss–Jordan
+(Bareiss, *Math. Comp.* 22, 1968) on [A | I].  By Sylvester's identity
+each update at step k is the previous pivot times a (k+1)-minor of
+[A | I] before its `//`, so every division is exact.  `det`, both
 inverses, the simplicial facet normals of `polyhedra`, the smoothness
-test of `fans` and the solves of a square nonsingular system read it:
-such a system has the one solution adj(A)·b / det A, so it needs no
-Smith form.
+test of `fans`, the phase groups of `groups` and the solves of a square
+nonsingular system read it: such a system has the one solution
+adj(A)·b / det A, so it needs no Smith form.
 """
 
 from __future__ import annotations
@@ -210,34 +211,30 @@ def _identity_rows(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def hnf(a: LatticeMap):
-    """Row-style Hermite normal form.
+def _hermite(m, ncols):
+    """Row-Hermite form of the rows `m` on their first `ncols` columns.
 
-    Returns (H, U) with H = U·A, U unimodular, pivots positive, entries
-    above each pivot reduced into [0, pivot), and zero rows at the
-    bottom.  The form is the canonical one, so equal inputs give equal
-    outputs bit for bit.
+    The rows are lists and are changed in place; a row operation acts on
+    the whole row, so columns past `ncols` ride along (`hnf` keeps U
+    there).  Returns `m`.
     """
-    m = [list(row) for row in a.entries]
-    u = _identity_rows(a.rows)
+    nrows = len(m)
     r = 0
-    for c in range(a.cols):
-        if r == a.rows:
+    for c in range(ncols):
+        if r == nrows:
             break
         # clear the column below r with gcd-style row operations
         while True:
-            p = _pivot_below(m, r, c, a.rows)
+            p = _pivot_below(m, r, c, nrows)
             if p is None:
                 break
             if p != r:
                 m[r], m[p] = m[p], m[r]
-                u[r], u[p] = u[p], u[r]
             done = True
-            for i in range(r + 1, a.rows):
+            for i in range(r + 1, nrows):
                 if m[i][c] != 0:
                     q = m[i][c] // m[r][c]
                     m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
                     if m[i][c] != 0:
                         done = False
             if done:
@@ -246,14 +243,27 @@ def hnf(a: LatticeMap):
             continue
         if m[r][c] < 0:
             m[r] = [-x for x in m[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = m[i][c] // m[r][c]
             if q:
                 m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
-    return LatticeMap(m, cols=a.cols), LatticeMap(u, cols=a.rows)
+    return m
+
+
+def hnf(a: LatticeMap):
+    """Row-style Hermite normal form.
+
+    Returns (H, U) with H = U·A, U unimodular, pivots positive, entries
+    above each pivot reduced into [0, pivot), and zero rows at the
+    bottom.  The form is the canonical one, so equal inputs give equal
+    outputs bit for bit.  One `_hermite` pass on [A | I] leaves [H | U].
+    """
+    n = a.cols
+    m = _hermite([list(row) + e for row, e in
+                  zip(a.entries, _identity_rows(a.rows))], n)
+    return (LatticeMap([r[:n] for r in m], cols=n),
+            LatticeMap([r[n:] for r in m], cols=a.rows))
 
 
 def snf(a: LatticeMap) -> SmithDecomposition:
@@ -353,10 +363,27 @@ def kernel_basis(a: LatticeMap) -> LatticeMap:
 
 def _adjugate(rows):
     """(det A, adj A) for the square matrix with these integer rows, or
-    (0, None) when A is singular.  [A | I] ends at [d·I | d·A⁻¹] with
-    d = ±det A, the sign counting the row swaps."""
+    (0, None) when A is singular.  Below 4×4 the cofactors are written
+    out; from 4×4 on, [A | I] ends at [d·I | d·A⁻¹] with d = ±det A, the
+    sign counting the row swaps."""
     n = len(rows)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    if n == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+        return (det, [[d, -b], [-c, a]]) if det else (0, None)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        ei, fg, dh = e * i - f * h, f * g - d * i, d * h - e * g
+        det = a * ei + b * fg + c * dh
+        if not det:
+            return 0, None
+        return det, [[ei, c * h - b * i, b * f - c * e],
+                     [fg, a * i - c * g, c * d - a * f],
+                     [dh, b * g - a * h, a * e - b * d]]
+    if n < 2:
+        det = rows[0][0] if n else 1
+        return (det, [[1]] * n) if det else (0, None)
+    m = [list(r) + e for r, e in zip(rows, _identity_rows(n))]
     d, sign = 1, 1
     for k in range(n):
         p = next((i for i in range(k, n) if m[i][k]), None)
@@ -459,9 +486,9 @@ def column_lattice_basis(vectors, ambient_rank) -> LatticeMap:
     vecs = [tuple(v) for v in vectors if any(v)]
     if not vecs:
         return LatticeMap.zero(ambient_rank, 0)
-    h, _ = hnf(LatticeMap.from_rows(vecs))
-    rows = [r for r in h.entries if any(r)]
-    return LatticeMap.from_cols([tuple(r) for r in rows], nrows=ambient_rank)
+    ncols = LatticeMap(vecs).cols  # the entry and shape checks
+    rows = filter(any, _hermite([list(v) for v in vecs], ncols))
+    return LatticeMap.from_cols(rows, nrows=ambient_rank)
 
 
 def saturate_column_lattice(basis: LatticeMap) -> LatticeMap:
@@ -495,21 +522,36 @@ def cokernel(a: LatticeMap):
     return free_rank, torsion
 
 
-def _phase_lattice(phases, ambient_rank, ell=1):
-    """(ell, B) with B the canonical column basis of ell·L, where
-    L = Zⁿ + Σ Z·q over the phase vectors q and ell is the least common
-    multiple of the given `ell` and every denominator of the phases.
-
-    Every phase entry is read by `_rational`.  ell·Zⁿ ⊆ ell·L, so B is
-    a nonsingular n×n matrix, and it depends only on ell and L.
-    """
+def _scaled_phases(phases, ambient_rank, ell=1):
+    """(ell, columns): ell is the least common multiple of the given `ell`
+    and every denominator of the phases, and the columns are the phases
+    times ell, as int tuples.  Every phase entry is read by `_rational`."""
     phases = [tuple(map(_rational, q)) for q in phases]
     if any(len(q) != ambient_rank for q in phases):
         raise ValueError("phase vector has wrong length")
     ell = lcm(ell, *(x.denominator for q in phases for x in q))
-    cols = [tuple(_integer(x * ell) for x in q) for q in phases]
+    return ell, [tuple(x.numerator * (ell // x.denominator) for x in q)
+                 for q in phases]
+
+
+def _phase_lattice(phases, ambient_rank, ell=1):
+    """(ell, B) with B the canonical column basis of ell·L, where
+    L = Zⁿ + Σ Z·q over the phase vectors q and ell is as in
+    `_scaled_phases`.
+
+    ell·Zⁿ ⊆ ell·L, so B is a nonsingular n×n matrix, and it depends only
+    on ell and L.
+    """
+    ell, cols = _scaled_phases(phases, ambient_rank, ell)
     cols += [tuple(ell * x for x in row) for row in _identity_rows(ambient_rank)]
     return ell, column_lattice_basis(cols, ambient_rank)
+
+
+def _scaled_inverse(ell, basis):
+    """The rows of ell·B⁻¹ for a `_phase_lattice` pair (ell, B): the
+    rows of ell·adj(B) / det B, integral because ell·Zⁿ ⊆ B·Zⁿ."""
+    det, adj = _adjugate(basis.entries)
+    return [[ell * x // det for x in row] for row in adj]
 
 
 def annihilator_lattice(phases, ambient_rank) -> LatticeMap:
@@ -520,8 +562,5 @@ def annihilator_lattice(phases, ambient_rank) -> LatticeMap:
     that subgroup.
     """
     ell, basis = _phase_lattice(phases, ambient_rank)
-    # the lattice is L* = (B/ell)⁻ᵀ·Zⁿ, whose generators ell·B⁻ᵀ are the
-    # rows of ell·adj(B) / det B, integral because Zⁿ ⊆ L
-    det, adj = _adjugate(basis.entries)
-    return column_lattice_basis(
-        [[ell * x // det for x in row] for row in adj], ambient_rank)
+    # the lattice is L* = (B/ell)⁻ᵀ·Zⁿ, generated by the rows of ell·B⁻¹
+    return column_lattice_basis(_scaled_inverse(ell, basis), ambient_rank)

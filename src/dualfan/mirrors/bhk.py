@@ -22,15 +22,17 @@ from .report import MirrorReport
 
 
 def _as_matrix(p):
+    """(P, det P) for a checked exponent matrix P."""
     if not isinstance(p, LatticeMap):
         p = LatticeMap([tuple(row) for row in p])
     if p.rows != p.cols or p.rows == 0:
         raise ValueError("exponent matrix must be square and nonempty")
     if any(x < 0 for row in p.entries for x in row):
         raise ValueError("exponent matrix entries must be nonnegative")
-    if p.det() == 0:
+    det = p.det()
+    if det == 0:
         raise ValueError("exponent matrix must be invertible")
-    return p
+    return p, det
 
 
 def phase_symmetries(p) -> FiniteAbelianGroup:
@@ -40,19 +42,23 @@ def phase_symmetries(p) -> FiniteAbelianGroup:
     the j-th entry of P^t q, so the full group is generated by the rows
     of the inverse of P.
     """
-    p = _as_matrix(p)
+    return _symmetries(_as_matrix(p)[0])
+
+
+def _symmetries(p):
+    # `phase_symmetries` of an exponent matrix already checked
     return FiniteAbelianGroup.from_phases(rational_inverse(p), p.rows)
 
 
 def _dual_data(p, q_gens):
-    """(P, A, X, Q, Q_dual, G) with A a basis of the Q-invariant
+    """(P, A, X, Q, Q_dual, G, det P) with A a basis of the Q-invariant
     characters, X the exponents of P written in that basis, A @ X == P,
     and G the full symmetry group of P."""
-    p = _as_matrix(p)
+    p, det = _as_matrix(p)
     n = p.rows
     gens = tuple(q_gens)
     q_group = FiniteAbelianGroup.from_phases(gens, n)
-    symmetries = phase_symmetries(p)
+    symmetries = _symmetries(p)
     if not q_group.is_subgroup_of(symmetries):
         raise ValueError("Q is not a subgroup of the symmetry group of P")
     a = annihilator_lattice(gens, n)
@@ -62,7 +68,7 @@ def _dual_data(p, q_gens):
         raise InternalError("the exponents of P are not Q-invariant")
     dual_gens = tuple(zip(*rational_inverse(x)))
     q_dual = FiniteAbelianGroup.from_phases(dual_gens, n)
-    return p, a, x, q_group, q_dual, symmetries
+    return p, a, x, q_group, q_dual, symmetries, det
 
 
 def krawitz_dual_group(p, q_gens) -> FiniteAbelianGroup:
@@ -107,13 +113,13 @@ class BhkCriterionReport(Value):
 def verify_bhk_criterion(p, q_gens) -> BhkCriterionReport:
     """Check Q against the quotient of the transposed symmetries and
     the dual group against the quotient of the original ones."""
-    p, _, _, q_group, q_dual, symmetries = _dual_data(p, q_gens)
+    p, _, _, q_group, q_dual, symmetries, _ = _dual_data(p, q_gens)
     return _criterion(p, q_group, q_dual, symmetries)
 
 
 def _criterion(p, q_group, q_dual, symmetries):
     g_factors = symmetries.quotient_factors(q_group)
-    g_dual_factors = phase_symmetries(p.transpose()).quotient_factors(q_dual)
+    g_dual_factors = _symmetries(p.transpose()).quotient_factors(q_dual)
     return BhkCriterionReport(symmetries, q_group, q_dual, g_factors,
                               g_dual_factors)
 
@@ -127,7 +133,7 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
     the potential exponents of the other, and they pair to the entries
     of P.
     """
-    p, a, x, q_group, q_dual, symmetries = _dual_data(p, q_gens)
+    p, a, x, q_group, q_dual, symmetries, det = _dual_data(p, q_gens)
     n = p.rows
     orthant = orthant_fan(n)
 
@@ -148,7 +154,7 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
     checks.append(("markers_pair_to_exponents", pairing_ok))
 
     crit = _criterion(p, q_group, q_dual, symmetries)
-    det = abs(p.det())
+    det = abs(det)
     checks.append(("group_duality", crit.holds))
     checks.append(("order_law", q_group.order * q_dual.order == det))
 

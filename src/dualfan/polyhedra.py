@@ -23,8 +23,8 @@ from math import gcd, lcm
 from operator import mul
 
 from ._value import InternalError, Value
-from .lattice import (LatticeMap, _adjugate, _lattice_vector, _rational, hnf,
-                      kernel_basis)
+from .lattice import (LatticeMap, _adjugate, _hermite, _identity_rows,
+                      _lattice_vector, _rational, kernel_basis)
 
 
 def _dot(a, b):
@@ -99,7 +99,8 @@ def _double_description(constraints, ambient):
     lineality = lin
     if lin and cons:
         lin_basis = kernel_basis(LatticeMap.from_rows(cons, ncols=ambient))
-        lineality = list(filter(any, hnf(lin_basis.transpose())[0].entries))
+        lineality = [tuple(r) for r in _hermite(
+            [list(c) for c in lin_basis.columns()], ambient) if any(r)]
     return sorted(r for r, _ in rays), lineality
 
 
@@ -145,6 +146,10 @@ class Cone(Value):
         normals = _simplicial_normals(gens, ambient_rank)
         if normals is not None:  # simplicial and full-dimensional
             self._install(ambient_rank, gens, (), normals, ())
+            return
+        if not gens:  # the origin: its dual is the whole space
+            self._install(ambient_rank, (), (), (),
+                          list(map(tuple, _identity_rows(ambient_rank))))
             return
         dual_rays, dual_lin = _double_description(gens, ambient_rank)
         rays, lin = _double_description(

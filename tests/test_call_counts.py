@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ import dualfan.cli
 import dualfan.lattice
 import dualfan.mirrors.bb
 import dualfan.mirrors.bhk
+import dualfan.polyhedra
 import dualfan.toric_lg
 from dualfan.cli import _COMMANDS, main
 from dualfan.fans import Fan, is_complete, validate_fan
@@ -64,7 +66,8 @@ def test_kernel_basis_runs_only_when_a_cone_has_lines(monkeypatch):
 
 
 def test_bhk_job_builds_each_symmetry_group_once(monkeypatch, capsys):
-    calls = count_calls(monkeypatch, dualfan.mirrors.bhk, "phase_symmetries")
+    # the pipeline checks P once, then builds each group unchecked
+    calls = count_calls(monkeypatch, dualfan.mirrors.bhk, "_symmetries")
     job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
            "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
     assert run_job(monkeypatch, capsys, ["bhk"], job) == 0
@@ -76,10 +79,11 @@ def test_bhk_job_builds_each_group_lattice_once(monkeypatch, capsys):
     job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
            "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
     assert run_job(monkeypatch, capsys, ["bhk"], job) == 0
-    # six groups from phases, one annihilator and three subgroup tests,
-    # each of which builds only the subgroup's side: a group made from
-    # phases keeps their lattice (13 calls when each test rebuilt it)
-    assert len(calls) == 10
+    # six groups from phases and one annihilator; the three subgroup tests
+    # build no lattice, because a group made from phases keeps its own and
+    # the subgroup's scales from it (10 calls when each test built the
+    # subgroup's side, 13 when it built both)
+    assert len(calls) == 7
 
 
 BB_P2 = {"rank": 3,
@@ -158,6 +162,17 @@ def test_cones_meeting_at_the_origin_intersect_without_a_smith_form(
     assert run_job(monkeypatch, capsys, ["fan-validate"], {"fan": fan}) == 0
     # some pairs meet only at the origin, so `Cone.intersection` runs a
     # double description with no constraints: its lineality is all of Z²
+    assert calls == []
+
+
+def test_the_zero_cone_takes_no_double_description(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, dualfan.polyhedra, "_double_description")
+    job = {"fan": {"rank": 400, "rays": [], "max_cones": [[]]}}
+    started = time.perf_counter()
+    assert run_job(monkeypatch, capsys, ["fan-validate"], job) == 0
+    # its dual is the whole space, the identity rows as lineality (two
+    # passes over the 800 constraints ±e_i took about 8.7 s)
+    assert time.perf_counter() - started < 1.0
     assert calls == []
 
 
@@ -314,8 +329,9 @@ def test_quintic_tests_its_rewrite_for_unimodularity_once(monkeypatch,
     calls = count_calls(monkeypatch, dualfan.lattice, "int_inverse")
     run_golden(monkeypatch, capsys, "quintic")
     # one in `relabel_fan`, which rejects a rewrite that is not unimodular
-    # (3 when the pipeline ran the same test first)
-    assert len(calls) == 2
+    # (3 when the pipeline ran the same test first, 2 when the invariant
+    # group's lifts went through the inverse of a Smith transform)
+    assert len(calls) == 1
 
 
 def test_a_splitting_basis_takes_only_rank_sized_minors(monkeypatch, capsys):
@@ -330,8 +346,7 @@ def test_bhk_job_takes_the_determinant_of_p_once_per_use(monkeypatch,
                                                          capsys):
     calls = count_calls(monkeypatch, LatticeMap, "det")
     run_golden(monkeypatch, capsys, "bhk-loop4-trivial")
-    # three invertibility checks (the job's P, the P behind its symmetry
-    # group and the transpose behind the dual one), then |det P| once for
-    # both the order law and the determinant count (5 when it was taken
-    # for each)
-    assert len(calls) == 4
+    # one invertibility check of the job's P, whose value the order law
+    # and the determinant count read (4 when the P behind each symmetry
+    # group was checked again, 5 when |det P| was also taken per use)
+    assert len(calls) == 1

@@ -95,6 +95,15 @@ def reference_quotient_map(big, sub):
     return solve_integer_matrix(b_big, b_sub)
 
 
+def elimination_solve(big, phases):
+    """The route `_quotient_map` and `contains_phase` took before a group
+    kept Y = ell·B⁻¹: the lattice of `phases` at big's ell, then one
+    elimination of big's basis."""
+    ell, b_big = _phase_lattice(big.lifts, big.ambient_rank)
+    sub_ell, b_sub = _phase_lattice(phases, big.ambient_rank, ell)
+    return None if sub_ell != ell else solve_integer_matrix(b_big, b_sub)
+
+
 def random_entry(rng, max_den=12):
     # integers, negative entries and entries beyond [0, 1) all occur
     den = rng.randint(1, max_den)
@@ -137,12 +146,17 @@ def test_a_group_keeps_the_lattice_of_its_lifts_outside_its_key():
     for rank, phases in PHASE_SETS:
         g = FiniteAbelianGroup.from_phases(phases, rank)
         # the phases and the lifts generate one group, so one lattice
-        assert g._lattice == _phase_lattice(phases, rank) == _phase_lattice(
+        ell, basis, y = g._lattice
+        assert (ell, basis) == _phase_lattice(phases, rank) == _phase_lattice(
             g.lifts, rank), (rank, phases)
+        assert basis @ y == LatticeMap(
+            [[ell * int(i == j) for j in range(rank)] for i in range(rank)],
+            cols=rank)
         built = FiniteAbelianGroup(g.invariant_factors, g.lifts, rank)
         assert built._lattice is None
         assert built == g and hash(built) == hash(g)
-        assert built._ell_basis == g._lattice and built._lattice is not None
+        assert built._lattice_of_lifts == g._lattice
+        assert built._lattice is not None
 
 
 def test_annihilator_lattice_matches_the_stacked_kernel():
@@ -166,6 +180,33 @@ def test_quotient_maps_match_the_reference():
             assert big._quotient_map(small) == reference_quotient_map(
                 big, small)
         assert sub.is_subgroup_of(big)
+
+
+def test_kept_lattices_match_the_elimination_route():
+    rng = random.Random(2010)
+    groups = [FiniteAbelianGroup.from_phases(qs, rank)
+              for rank, qs in PHASE_SETS]
+    seen = {("map", True): 0, ("map", False): 0, ("phase", True): 0,
+            ("phase", False): 0}
+    for (rank, phases), big in zip(PHASE_SETS, groups):
+        sub = FiniteAbelianGroup.from_phases(
+            [tuple(2 * x for x in v) for v in big.lifts], rank)
+        for small in (sub, rng.choice(groups), big):
+            if small.ambient_rank == rank:
+                x = big._quotient_map(small)
+                assert x == elimination_solve(big, small.lifts), (rank, phases)
+                seen["map", x is not None] += 1
+        # the phases themselves, and probes off the group
+        probes = list(phases) + [
+            tuple(random_entry(rng, 6) for _ in range(rank))
+            for _ in range(3)]
+        for q in probes:
+            found = big.contains_phase(q)
+            assert found == (elimination_solve(big, (q,)) is not None), (
+                rank, phases, q)
+            seen["phase", found] += 1
+    # subgroups and non-subgroups, members and non-members
+    assert min(seen.values()) >= 30, seen
 
 
 def test_phase_lattice_is_canonical_and_scales_exactly():

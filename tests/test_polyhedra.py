@@ -113,6 +113,15 @@ def test_dual_of_origin_is_everything():
     assert set(full.generators) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
+def test_the_origin_matches_its_two_double_description_passes():
+    for rank in range(7):
+        dual_rays, dual_lin = _double_description([], rank)
+        rays, lin = _double_description(_with_flips(dual_rays, dual_lin), rank)
+        z = Cone([(0,) * rank], rank)
+        assert (z._rays, z._lineality, z._dual_rays, z._dual_lineality) == (
+            tuple(rays), tuple(lin), tuple(dual_rays), tuple(dual_lin))
+
+
 def test_strong_convexity():
     assert Cone([(1, 0), (0, 1)], 2).is_strongly_convex()
     assert not Cone([(1, 0), (-1, 0)], 2).is_strongly_convex()

@@ -11,6 +11,7 @@ checked against the Smith-form route they take for any other matrix.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +19,9 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from dualfan.fans import Fan, is_smooth
-from dualfan.lattice import (LatticeMap, _solve, int_inverse, rational_inverse,
-                             snf, solve_integer, solve_integer_matrix)
+from dualfan.lattice import (LatticeMap, _adjugate, _solve, int_inverse,
+                             rational_inverse, snf, solve_integer,
+                             solve_integer_matrix)
 from dualfan.polyhedra import primitive_vector
 
 
@@ -150,6 +152,34 @@ def test_square_kernels_match_the_textbook_routines():
     assert sum(d in (1, -1) for d in dets) > 500
     assert sum(d == -1 for d in dets) > 100
     assert dets.count("determinant of a non-square matrix") == 5
+
+
+def test_cofactor_adjugates_match_the_textbook_routines():
+    # below 4×4 `_adjugate` writes out the cofactors: every 2×2 with
+    # entries in [−2, 2], and a seeded mix of 1×1 and 3×3 matrices
+    rng = random.Random(1968)
+    cases = [LatticeMap([e[:2], e[2:]]) for e in product(range(-2, 3),
+                                                          repeat=4)]
+    for i in range(600):
+        n = 1 + 2 * (i % 2)
+        kind = i // 2 % 3
+        rows = (singular(rng, n, 6) if kind == 0 else unimodular(rng, n)
+                if kind == 1 else [[rng.randint(-9, 9) for _ in range(n)]
+                                   for _ in range(n)])
+        cases.append(LatticeMap(rows, cols=n))
+    cases.append(LatticeMap.zero(0, 0))
+    singular_count = 0
+    for a in cases:
+        det, adj = _adjugate(a.entries)
+        assert det == reference_det(a), a
+        if det == 0:
+            assert adj is None, a
+            singular_count += 1
+        else:
+            assert tuple(tuple(Fraction(x, det) for x in row)
+                         for row in adj) == reference_rational_inverse(a), a
+    assert len(cases) == 625 + 600 + 1
+    assert 200 < singular_count < 625
 
 
 @st.composite
