@@ -83,7 +83,16 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
 
 
 def canonical_json(obj) -> str:
-    return _ENCODER.encode(_jsonable(obj)) + "\n"
+    try:
+        tree = _jsonable(obj)
+    except ValueError:  # `str` of an int past the decimal digit limit
+        raise _too_many_digits("a reported integer") from None
+    return _ENCODER.encode(tree) + "\n"
+
+
+def _too_many_digits(what):
+    return InputError(
+        f"{what} has more than {sys.get_int_max_str_digits()} digits")
 
 
 def _require(obj, key, what):
@@ -105,11 +114,11 @@ def _as_int(x, what):
     if isinstance(x, int):
         return x
     if isinstance(x, str):
-        try:
-            if _digits(x.removeprefix("-")):  # -?[0-9]+
+        if _digits(x.removeprefix("-")):  # -?[0-9]+
+            try:
                 return int(x)
-        except ValueError:  # more digits than int() reads
-            pass
+            except ValueError:  # more digits than int() reads
+                raise _too_many_digits(what) from None
         raise InputError(f"{what} is not an integer: {x!r}")
     raise InputError(f"{what} must be an integer")
 
@@ -406,6 +415,8 @@ def _load_payload(args):
         raise InputError(f"invalid JSON: {e}")
     except RecursionError:
         raise InputError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal past the decimal digit limit
+        raise _too_many_digits("an input integer") from None
 
 
 # the option defaults, shared by `_parser` and `_plain_args`
@@ -468,14 +479,14 @@ def main(argv=None) -> int:
     try:
         payload = _load_payload(args)
         body, failed = _COMMANDS[args.command][0](payload, args.height_bound)
+        text = canonical_json(
+            {"schema_version": SCHEMA_VERSION, "command": args.command, **body})
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    text = canonical_json(
-        {"schema_version": SCHEMA_VERSION, "command": args.command, **body})
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

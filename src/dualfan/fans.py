@@ -15,7 +15,7 @@ from fractions import Fraction
 from ._value import Value
 from .groups import FiniteAbelianGroup
 from .lattice import (LatticeMap, _adjugate, _integer, _lattice_vector,
-                      int_inverse, snf)
+                      _unit_vector, int_inverse, snf)
 from .polyhedra import Cone, _dot, primitive_vector
 
 
@@ -375,7 +375,7 @@ def projective_space_fan(n) -> Fan:
     """Rays e₁,…,eₙ and −(e₁+⋯+eₙ); maximal cones are all n-subsets."""
     if n < 1:
         raise ValueError("rank must be positive")
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = [_unit_vector(i, n) for i in range(n)]
     rays.append(tuple(-1 for _ in range(n)))
     max_cones = [
         tuple(j for j in range(n + 1) if j != skip) for skip in range(n + 1)
@@ -386,5 +386,5 @@ def projective_space_fan(n) -> Fan:
 def orthant_fan(n) -> Fan:
     if n < 1:
         raise ValueError("rank must be positive")
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = [_unit_vector(i, n) for i in range(n)]
     return Fan(rays, [tuple(range(n))], n)

@@ -89,10 +89,7 @@ class LatticeMap(Value):
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-            cols=n,
-        )
+        return cls(tuple(_unit_vector(i, n) for i in range(n)), cols=n)
 
     @classmethod
     def zero(cls, rows, cols):
@@ -207,8 +204,15 @@ def _pivot_below(m, start_row, col, nrows):
     return best
 
 
+def _unit_vector(i, n):
+    """The i-th unit vector of Zⁿ, as a tuple."""
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
+
+
 def _identity_rows(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    """The rows of the n×n identity as fresh lists, for elimination in
+    place."""
+    return [list(_unit_vector(i, n)) for i in range(n)]
 
 
 def _hermite(m, ncols):

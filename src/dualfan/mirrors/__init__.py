@@ -23,7 +23,7 @@ from .bb import (
     support_partition,
 )
 from .givental import givental_mirror, hori_vafa_mirror, splitting_basis
-from .quintic import quintic_pipeline
+from .quintic import fermat_pipeline, quintic_pipeline
 
 __all__ = [
     "BhkCriterionReport",
@@ -33,6 +33,7 @@ __all__ = [
     "bb_mirror_pair",
     "bhk_pair",
     "dual_splittings",
+    "fermat_pipeline",
     "givental_mirror",
     "hori_vafa_mirror",
     "is_gorenstein",

@@ -8,7 +8,7 @@ exposed as separate entry points.
 """
 
 from ..fans import Fan, is_complete, is_dual_pair, is_smooth
-from ..lattice import LatticeMap, _lattice_vector
+from ..lattice import LatticeMap, _lattice_vector, _unit_vector
 from ..polyhedra import Cone
 from ..symbols import ParamPoly
 from ..toric_lg import (
@@ -105,7 +105,7 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
 
     lifted = []
     for a, poly in enumerate(sections):
-        tail = tuple(int(b == a) for b in range(c))
+        tail = _unit_vector(a, c)
         for v in poly.vertices:
             lifted.append(_lattice_vector(v, f"vertex of summand {a} sections")
                           + tail)
@@ -115,7 +115,7 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
     shape_ok = True
     for r in sigma_x_prime.rays:
         mu, tail = r[:n], r[n:]
-        hits = [a for a in range(c) if tail == tuple(int(b == a) for b in range(c))]
+        hits = [a for a in range(c) if tail == _unit_vector(a, c)]
         if len(hits) != 1 or not sections[hits[0]].contains(mu):
             shape_ok = False
             break

@@ -1,81 +1,67 @@
-"""End-to-end pipeline for the degree-five family and its quotient.
+"""End-to-end pipeline for the Fermat family of degree d = n + 1 and its
+quotient.
 
-The total space is the anticanonical bundle over four-dimensional
-projective space.  A rank-three group of fifth-root phases acts on the
+The total space is the anticanonical bundle over n-dimensional
+projective space.  A rank-(n - 1) group of d-th-root phases acts on the
 degree coordinates; its invariant characters cut a sublattice, and the
-image fan there, rewritten through the fifth-power sections, is dual to
-the original total-space fan.
+image fan there, rewritten through the d-th-power sections, is dual to
+the original total-space fan.  The quintic is the case n = 4.
 """
 
 from fractions import Fraction
 
 from .._value import InternalError
 from ..fans import is_dual_pair, projective_space_fan, quotient_fan, relabel_fan
-from ..lattice import (
-    LatticeMap,
-    annihilator_lattice,
-    solve_integer,
-    solve_integer_matrix,
-)
-from ..symbols import ParamPoly
-from ..toric_lg import (
-    AuxiliaryLG,
-    Specialization,
-    ToricDivisor,
-    _ci_family,
-    _unit_potential,
-    apply_specialization,
-    base_change_check,
-    line_bundle_fan,
-    section_polytope,
-)
+from ..lattice import (LatticeMap, _unit_vector, annihilator_lattice,
+                       solve_integer_matrix)
+from ..symbols import ParamPoly, Potential
+from ..toric_lg import (AuxiliaryLG, ToricDivisor, _ci_family, _unit_potential,
+                        base_change_check, line_bundle_fan, section_polytope)
 from .report import MirrorReport
 
-# phases acting on the five degree coordinates; each fixes the product
-# and multiplies one coordinate against the last
-_PHASES = (
-    (0, Fraction(1, 5), 0, 0, Fraction(4, 5)),
-    (0, 0, Fraction(1, 5), 0, Fraction(4, 5)),
-    (0, 0, 0, Fraction(1, 5), Fraction(4, 5)),
-)
+# the degree d in words for the note, as (cardinal, ordinal); digits from
+# ten on, where "th" holds up to d = 20, past any degree whose C(2n+1, n)
+# sections the pipeline can list
+_DEGREE_WORDS = dict(enumerate(zip(
+    "two three four five six seven eight nine".split(),
+    "second third fourth fifth sixth seventh eighth ninth".split()), 2))
 
 
-def quintic_pipeline() -> MirrorReport:
-    """Build and cross-check the mirror pair for the quintic family."""
-    base = projective_space_fan(4)
-    divisor = ToricDivisor(base, (1,) * 5)
+def fermat_pipeline(n) -> MirrorReport:
+    """Build and cross-check the mirror pair for the degree-(n + 1)
+    Fermat hypersurface in P^n, n ≥ 1."""
+    d = n + 1
+    divisor = ToricDivisor(projective_space_fan(n), (1,) * d)
     sigma_x = line_bundle_fan(divisor)
     gamma = _ci_family(sigma_x, [section_polytope(divisor)])
 
-    # degree dictionary: pairing an exponent with the five lifted rays
-    # gives the exponents of the corresponding degree-five monomial
-    dictionary = LatticeMap.from_rows(list(sigma_x.rays[:5]))
-    degrees_ok = all(
-        all(x >= 0 for x in d) and sum(d) == 5
-        for d in (dictionary @ e for e in gamma.exponents))
+    # degree dictionary: pairing an exponent with the d lifted rays gives
+    # the degree vector g = D·e of the corresponding degree-d monomial
+    dictionary = LatticeMap.from_rows(list(sigma_x.rays[:d]))
+    degrees = [dictionary @ e for e in gamma.exponents]
+    degrees_ok = all(min(g) >= 0 and sum(g) == d for g in degrees)
 
-    powers = []
-    for i in range(5):
-        x = solve_integer(dictionary, [5 * int(j == i) for j in range(5)])
-        if x is None:
-            raise InternalError("a pure fifth power is not a section")
-        powers.append(tuple(x))
-    product = solve_integer(dictionary, [1] * 5)
-    if product is None:
-        raise InternalError("the product monomial is not a section")
-    product = tuple(product)
+    # the d pure powers and the product, from one elimination of D
+    solved = solve_integer_matrix(dictionary, LatticeMap.from_rows(
+        [tuple(d * x for x in _unit_vector(i, d)) + (1,) for i in range(d)]))
+    if solved is None:
+        raise InternalError("a pure power or the product is not a section")
+    *powers, product = solved.columns()
 
-    # characters invariant under all three phases, pulled through the
-    # dictionary, form a finite-index sublattice
-    pulled = [tuple(dictionary.transpose() @ g) for g in _PHASES]
-    invariants = annihilator_lattice(pulled, 5)
+    # one phase per middle coordinate, 1/d there and n/d on the last,
+    # kept as d·phase; the characters invariant under all of them, pulled
+    # through the dictionary, form a finite-index sublattice
+    scaled = [_unit_vector(i, n) + (n,) for i in range(1, n)]
+    pulled = [tuple(Fraction(x, d) for x in dictionary.transpose() @ s)
+              for s in scaled]
+    invariants = annihilator_lattice(pulled, d)
     quotiented, (free_rank, deck) = quotient_fan(sigma_x, invariants.transpose())
 
-    # rewrite the sublattice through the fifth-power sections: the map
+    # rewrite the sublattice through the d-th-power sections: the map
     # sending the i-th coordinate to the i-th power monomial relative to
     # the product must be an integral change of basis
     identification = LatticeMap.from_cols(
-        [tuple(a - b for a, b in zip(powers[i], product)) for i in range(4)]
+        [tuple(a - b for a, b in zip(powers[i], product)) for i in range(n)]
         + [product])
     placement_t = solve_integer_matrix(invariants, identification.transpose())
     if placement_t is None:
@@ -83,30 +69,27 @@ def quintic_pipeline() -> MirrorReport:
     # `relabel_fan` raises unless the rewrite is unimodular
     sigma_x_prime = relabel_fan(quotiented, placement_t.transpose())
 
+    # e is invariant iff ⟨phase, D·e⟩ is integral for every phase
     marker_set = set(sigma_x_prime.marked_generators)
     invariant_exponents = {
-        e for e in gamma.exponents
-        if all(sum(h * x for h, x in zip(hj, e)).denominator == 1
-               for hj in pulled)}
+        e for e, g in zip(gamma.exponents, degrees)
+        if all(sum(h * x for h, x in zip(s, g)) % d == 0 for s in scaled)}
 
     duality = is_dual_pair(sigma_x, sigma_x_prime)
     gamma_prime = AuxiliaryLG(sigma_x_prime, sigma_x.marked_generators)
     to_gamma = base_change_check(gamma, sigma_x_prime)
     to_gamma_prime = base_change_check(gamma_prime, sigma_x)
 
-    # one-parameter slice: the five pure powers with unit coefficient,
-    # the product against -5 psi, everything else off
-    assignments = {e: 0 for e in gamma.exponents}
-    for x in powers:
-        assignments[x] = ParamPoly.constant(1)
-    assignments[product] = ParamPoly.parameter("psi", coeff=-5)
-    w_fermat = apply_specialization(gamma, Specialization(assignments))
+    # one-parameter slice: the d pure powers with unit coefficient, the
+    # product against -d psi, everything else off
+    w_fermat = Potential([(x, 1) for x in powers]
+                         + [(product, ParamPoly.parameter("psi", coeff=-d))])
     w_prime = _unit_potential(gamma_prime)
 
     checks = [
         ("monomial_dictionary", degrees_ok),
         ("finite_quotient", free_rank == 0),
-        ("deck_group_factors", deck.invariant_factors == (5, 5, 5)),
+        ("deck_group_factors", deck.invariant_factors == (d,) * (n - 1)),
         ("markers_are_power_monomials",
          marker_set == set(powers) | {product}),
         ("invariant_sections_match_markers",
@@ -114,7 +97,7 @@ def quintic_pipeline() -> MirrorReport:
         ("coefficient_ring_isomorphic", to_gamma_prime.is_isomorphism),
     ]
     counts = [
-        ("rank", 5),
+        ("rank", d),
         ("xi_count", len(gamma.exponents)),
         ("xi_prime_count", len(gamma_prime.exponents)),
         ("surviving_coefficients", len(to_gamma.surviving)),
@@ -122,8 +105,9 @@ def quintic_pipeline() -> MirrorReport:
          len(gamma.exponents) - len(to_gamma.surviving)),
         ("deck_group_order", deck.order),
     ]
+    many, power = _DEGREE_WORDS.get(d, (str(d), f"{d}th"))
     notes = (
-        "markers on the quotient side are the five fifth-power sections "
+        f"markers on the quotient side are the {many} {power}-power sections "
         "and the coordinate product",
     )
     return MirrorReport(sigma_x, sigma_x_prime, duality,
@@ -132,3 +116,8 @@ def quintic_pipeline() -> MirrorReport:
                         potentials=[("w_fermat", w_fermat),
                                     ("w_prime", w_prime)],
                         notes=notes)
+
+
+def quintic_pipeline() -> MirrorReport:
+    """Build and cross-check the mirror pair for the quintic family."""
+    return fermat_pipeline(4)

@@ -23,8 +23,8 @@ from math import gcd, lcm
 from operator import mul
 
 from ._value import InternalError, Value
-from .lattice import (LatticeMap, _adjugate, _hermite, _identity_rows,
-                      _lattice_vector, _rational, kernel_basis)
+from .lattice import (LatticeMap, _adjugate, _hermite, _lattice_vector,
+                      _rational, _unit_vector, kernel_basis)
 
 
 def _dot(a, b):
@@ -58,7 +58,7 @@ def _double_description(constraints, ambient):
     on, bit k for the k-th constraint, updated as constraints go in.
     """
     cons = sorted({primitive_vector(c) for c in constraints if any(c)})
-    lin = [tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
+    lin = [_unit_vector(i, ambient) for i in range(ambient)]
     rays = []  # (ray, tight mask) pairs
     for k, a in enumerate(cons):
         bit = 1 << k
@@ -148,8 +148,8 @@ class Cone(Value):
             self._install(ambient_rank, gens, (), normals, ())
             return
         if not gens:  # the origin: its dual is the whole space
-            self._install(ambient_rank, (), (), (),
-                          list(map(tuple, _identity_rows(ambient_rank))))
+            eye = [_unit_vector(i, ambient_rank) for i in range(ambient_rank)]
+            self._install(ambient_rank, (), (), (), eye)
             return
         dual_rays, dual_lin = _double_description(gens, ambient_rank)
         rays, lin = _double_description(

@@ -15,7 +15,8 @@ from itertools import combinations
 
 from ._value import Value
 from .fans import Fan, is_complete, is_dual_pair, relabel_fan
-from .lattice import LatticeMap, _lattice_vector, int_inverse, snf, solve_integer
+from .lattice import (LatticeMap, _lattice_vector, _unit_vector, int_inverse,
+                      snf, solve_integer)
 from .polyhedra import Polytope, _dot, primitive_vector
 from .symbols import ParamPoly, Potential
 
@@ -125,10 +126,7 @@ def split_bundle_fan(divisors) -> Fan:
         tuple(ray) + tuple(d.coeffs[i] for d in divisors)
         for i, ray in enumerate(base.rays)
     ]
-    verticals = [
-        tuple(0 for _ in range(n)) + tuple(int(j == a) for j in range(c))
-        for a in range(c)
-    ]
+    verticals = [_unit_vector(n + a, n + c) for a in range(c)]
     nrays = len(base.rays)
     vertical_ix = tuple(range(nrays, nrays + c))
     cones = [tuple(ixs) + vertical_ix for ixs in base.max_cones]
@@ -206,7 +204,7 @@ def _ci_family(total, sections):
     c = len(sections)
     exponents = []
     for i, poly in enumerate(sections):
-        indicator = tuple(int(j == i) for j in range(c))
+        indicator = _unit_vector(i, c)
         for m in poly.lattice_points():
             exponents.append(tuple(m) + indicator)
     return AuxiliaryLG(total, exponents)
@@ -425,10 +423,7 @@ def _recover(f: Fan, idx):
     dec = snf(mc)
     if dec.rank < c or dec.invariant_factors != ():
         return None  # candidates do not extend to a lattice basis
-    units = [
-        tuple(int(j == base_rank + k) for j in range(f.lattice_rank))
-        for k in range(c)
-    ]
+    units = [_unit_vector(base_rank + k, f.lattice_rank) for k in range(c)]
     if all(f.rays[i] == u for i, u in zip(idx, units)):
         transform = LatticeMap.identity(f.lattice_rank)
     else:

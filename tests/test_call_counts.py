@@ -334,6 +334,16 @@ def test_quintic_tests_its_rewrite_for_unimodularity_once(monkeypatch,
     assert len(calls) == 1
 
 
+def test_quintic_solves_for_its_powers_in_one_elimination(monkeypatch,
+                                                          capsys):
+    calls = count_calls(monkeypatch, dualfan.lattice, "solve_integer")
+    run_golden(monkeypatch, capsys, "quintic")
+    # the five pure powers and the product are the columns of one matrix
+    # solve; the five calls left are `is_cartier`'s (11 when each of the
+    # six monomials was solved for on its own)
+    assert len(calls) == 5
+
+
 def test_a_splitting_basis_takes_only_rank_sized_minors(monkeypatch, capsys):
     calls = count_calls(monkeypatch, LatticeMap, "det")
     run_golden(monkeypatch, capsys, "givental-p1xp1")

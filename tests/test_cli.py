@@ -484,6 +484,15 @@ def test_missing_field_is_exit_2(capsys, monkeypatch):
     assert "missing the field 'P'" in err
 
 
+def test_a_digit_string_past_the_digit_limit_is_exit_2(capsys, monkeypatch):
+    # the message a JSON integer literal of that length gets, not "is not
+    # an integer" with all 5000 digits echoed
+    job = {"fan": PLANE, "divisor": {"coeffs": [0, 0, "1" * 5000]}}
+    code, body, err = run(capsys, ["section-polytope"], job, monkeypatch)
+    assert code == 2 and body is None
+    assert err == "error: entry of divisor coeffs has more than 4300 digits\n"
+
+
 @pytest.mark.parametrize("command, job, message", [
     ("fan-validate", {"fan": dict(LINE, rays=5)}, "fan rays must be a list"),
     ("fan-validate", {"fan": dict(LINE, max_cones=5)},

@@ -1,9 +1,15 @@
-"""The degree-five pipeline, checked against hand-computed values."""
+"""The degree-five pipeline, checked against hand-computed values, and
+the Fermat pipeline of every degree, against closed forms and against
+the benchmark's own build from public functions."""
+
+import importlib.util
+from math import comb
+from pathlib import Path
 
 import pytest
 
 from dualfan.fans import is_smooth, validate_fan
-from dualfan.mirrors import quintic_pipeline
+from dualfan.mirrors import fermat_pipeline, quintic_pipeline
 from dualfan.symbols import ParamPoly
 
 POWER_MARKERS = {
@@ -84,3 +90,45 @@ def test_runs_are_deterministic():
     assert a.checks == b.checks
     assert a.counts == b.counts
     assert a.potentials == b.potentials
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fermat_pipeline_matches_its_closed_forms(n):
+    report = fermat_pipeline(n)
+    assert report.passed
+    assert report.count("rank") == n + 1
+    assert report.count("xi_count") == comb(2 * n + 1, n)
+    assert report.count("xi_prime_count") == n + 2
+    # the check compares the invariant factors with (n + 1,) * (n - 1)
+    assert report.check("deck_group_factors")
+    assert report.count("deck_group_order") == (n + 1) ** (n - 1)
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fermat_pipeline_matches_the_benchmark_build(bench_workloads, n):
+    # the benchmark keeps its own build, from public functions and one
+    # elimination per power, so that it can time any revision
+    bench, deck = bench_workloads.fermat_pipeline(n)
+    report = fermat_pipeline(n)
+    assert report.sigma_x == bench.sigma_x
+    assert report.sigma_x_prime.rays == bench.sigma_x_prime.rays
+    assert (report.sigma_x_prime.marked_generators
+            == bench.sigma_x_prime.marked_generators)
+    assert report.duality.verdict == bench.duality.verdict
+    assert report.to_gamma.surviving == bench.to_gamma.surviving
+    assert report.potential("w_fermat") == bench.potential("w_fermat")
+    for name, value in bench.counts:
+        assert report.count(name) == value
+    for name, value in bench.checks:
+        assert report.check(name) == value
+    assert deck.invariant_factors == (n + 1,) * (n - 1)
+    assert report.count("deck_group_order") == deck.order
