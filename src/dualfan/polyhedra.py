@@ -274,6 +274,64 @@ def _primitive_lift(vector, last):
     return primitive_vector(v)
 
 
+def _sweep(rows, lo, hi):
+    """The integer points m of the box lo ≤ m ≤ hi with a·m + ℓ ≥ 0 for
+    every row (*a, ℓ) of integers, lexicographically sorted; the box
+    has at least one coordinate.
+
+    Integer interval sweep over the coordinates, depth first.  Each row
+    carries a running partial sum ℓ + Σ_{i<d} a_i·m_i down the sweep.
+    With the suffix bound R_d = Σ_{i>d} max(a_i·lo_i, a_i·hi_i) over
+    the box, a row admits exactly the values k of coordinate d with
+    sum + a_d·k + R_d ≥ 0: a floor or ceiling division.  Intersecting
+    these bounds gives one interval per node, so no value outside it is
+    tried; the last coordinate emits its interval whole.  Values run
+    upwards at every depth, which makes the output lexicographic
+    without sorting.
+    """
+    n = len(lo)
+    sums = [row[n] for row in rows]
+    # bound[r][d]: the most that coordinates d.. can add to row r
+    bound = []
+    for row in rows:
+        tail = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            tail[i] = tail[i + 1] + max(row[i] * lo[i], row[i] * hi[i])
+        bound.append(tail)
+    if any(s + b[0] < 0 for s, b in zip(sums, bound)):
+        return []
+    # every node at depth d keeps sums[r] + bound[r][d] ≥ 0 for all
+    # rows, so a depth consults only the rows involving its coordinate
+    active = [
+        [(r, row[d], bound[r][d + 1])
+         for r, row in enumerate(rows) if row[d]]
+        for d in range(n)
+    ]
+    out = []
+
+    def sweep(d, prefix):
+        first, last = lo[d], hi[d]
+        for r, c, rest in active[d]:
+            t = sums[r] + rest
+            if c > 0:
+                first = max(first, -(t // c))
+            else:
+                last = min(last, t // -c)
+        if d == n - 1:
+            out.extend(prefix + (k,) for k in range(first, last + 1))
+            return
+        moved = [(r, c, sums[r]) for r, c, _ in active[d]]
+        for k in range(first, last + 1):
+            for r, c, s in moved:
+                sums[r] = s + c * k
+            sweep(d + 1, prefix + (k,))
+        for r, _, s in moved:
+            sums[r] = s
+
+    sweep(0, ())
+    return out
+
+
 class Polytope(Value):
     """A rational convex polyhedral set, bounded unless stated otherwise.
 
@@ -379,19 +437,8 @@ class Polytope(Value):
         )
 
     def lattice_points(self):
-        """All integer points, lexicographically sorted.
-
-        Integer interval sweep over the coordinates, depth first.  Each
-        H-rep row a·m + ℓ ≥ 0 is integral, and carries a running partial
-        sum ℓ + Σ_{i<d} a_i·m_i down the sweep.
-        With the suffix bound R_d = Σ_{i>d} max(a_i·lo_i, a_i·hi_i) over
-        the vertex bounding box, a row admits exactly the values k of
-        coordinate d with sum + a_d·k + R_d ≥ 0: a floor or ceiling
-        division.  Intersecting these bounds gives one interval per
-        node, so no value outside it is tried; the last coordinate emits
-        its interval whole.  Values run upwards at every depth, which
-        makes the output lexicographic without sorting.
-        """
+        """All integer points, lexicographically sorted: `_sweep` over
+        the H-rep inside the vertex bounding box."""
         if not self.bounded:
             raise ValueError("unbounded")
         if not self.vertices:
@@ -405,47 +452,7 @@ class Polytope(Value):
             coords = [v[i] for v in self.vertices]
             lo.append(-int(-min(coords) // 1))
             hi.append(int(max(coords) // 1))
-        rows = [(*a, off) for a, off in self.hrep]  # primitive already
-        sums = [row[n] for row in rows]
-        # bound[r][d]: the most that coordinates d.. can add to row r
-        bound = []
-        for row in rows:
-            tail = [0] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                tail[i] = tail[i + 1] + max(row[i] * lo[i], row[i] * hi[i])
-            bound.append(tail)
-        if any(s + b[0] < 0 for s, b in zip(sums, bound)):
-            return []
-        # every node at depth d keeps sums[r] + bound[r][d] ≥ 0 for all
-        # rows, so a depth consults only the rows involving its coordinate
-        active = [
-            [(r, row[d], bound[r][d + 1])
-             for r, row in enumerate(rows) if row[d]]
-            for d in range(n)
-        ]
-        out = []
-
-        def sweep(d, prefix):
-            first, last = lo[d], hi[d]
-            for r, c, rest in active[d]:
-                t = sums[r] + rest
-                if c > 0:
-                    first = max(first, -(t // c))
-                else:
-                    last = min(last, t // -c)
-            if d == n - 1:
-                out.extend(prefix + (k,) for k in range(first, last + 1))
-                return
-            moved = [(r, c, sums[r]) for r, c, _ in active[d]]
-            for k in range(first, last + 1):
-                for r, c, s in moved:
-                    sums[r] = s + c * k
-                sweep(d + 1, prefix + (k,))
-            for r, _, s in moved:
-                sums[r] = s
-
-        sweep(0, ())
-        return out
+        return _sweep([(*a, off) for a, off in self.hrep], lo, hi)
 
     def polar(self) -> "Polytope":
         """{n : ⟨m,n⟩ ≥ −1 for every m here}; an involution."""

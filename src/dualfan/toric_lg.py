@@ -15,8 +15,8 @@ from itertools import combinations
 
 from ._value import Value
 from .fans import Fan, is_complete, is_dual_pair, relabel_fan
-from .lattice import (LatticeMap, _lattice_vector, _unit_vector, int_inverse,
-                      snf, solve_integer)
+from .lattice import (LatticeMap, _integer, _lattice_vector, _unit_vector,
+                      int_inverse, snf, solve_integer)
 from .polyhedra import Polytope, _dot, primitive_vector
 from .symbols import ParamPoly, Potential
 
@@ -269,7 +269,11 @@ def base_change_check(aux: AuxiliaryLG, s_prime: Fan) -> BaseChangeReport:
 
 
 class Specialization(Value):
-    """Assignment of one coefficient value to every exponent of a family."""
+    """Assignment of one coefficient value to every exponent of a family.
+
+    Plain values are read as integers, and equal ones share one constant
+    `ParamPoly` within a call.
+    """
 
     __slots__ = ("assignments",)
 
@@ -277,10 +281,14 @@ class Specialization(Value):
         if hasattr(assignments, "items"):
             assignments = assignments.items()
         pairs = {}
+        constants = {}
         for exponent, value in assignments:
             exponent = _lattice_vector(exponent, "exponent")
             if not isinstance(value, ParamPoly):
-                value = ParamPoly.constant(value)
+                value = _integer(value)
+                if value not in constants:
+                    constants[value] = ParamPoly.constant(value)
+                value = constants[value]
             if exponent in pairs:
                 raise ValueError(f"exponent {exponent} assigned twice")
             pairs[exponent] = value

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import dualfan.mirrors.bb
-from dualfan.mirrors.bb import _height_slice
-from dualfan.polyhedra import Cone
+from dualfan.mirrors.bb import (_cut, _decomposes, _dominance_masks,
+                                _slice_points)
+from dualfan.polyhedra import Cone, Polytope
 from dualfan.toric_lg import AuxiliaryLG
 from dualfan.mirrors import (
     bb_mirror_pair,
@@ -23,6 +24,15 @@ P2_SPLIT = [(0, 0, 1)]
 # two orthogonal segments at their own heights; self-mirror up to swap
 SQ_GENS = [(1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 0, 1), (0, -1, 0, 1)]
 SQ_SPLIT = [(0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+def _height_slice(cone, functional, h):
+    """The height-h slice as a polytope from its H-representation: the
+    reference the library's slice listings are checked against."""
+    pairs = [(n, 0) for n in cone.facet_normals]
+    pairs.append((functional, -h))
+    pairs.append((tuple(-x for x in functional), h))
+    return Polytope.from_hrep(pairs, cone.ambient_rank)
 
 
 def test_gorenstein_orthant():
@@ -113,11 +123,9 @@ def test_gorenstein_witness_matches_the_sum_set_reference():
         assert is_gorenstein(_reeve(r)).witness == (1, 1, 1, 2)
 
 
-def test_gorenstein_height_cap_matches_the_sum_set_reference():
-    # heights stop at rank - 2, since the height-one slice P has dimension
-    # d = rank - 1 and (c+1)P = cP + P on lattice points once c >= d - 1;
-    # the reference scans every height up to the bound, here up to
-    # rank + 1, so each bound past the cap is a check of the theorem
+def _height_cap_cones():
+    """Thirty seeded cones each of rank 4 and 5 over 0/1 and 0/1/2
+    polytopes, sheared."""
     rng = random.Random(17)
     cones = {4: [], 5: []}
     while min(map(len, cones.values())) < 30:
@@ -127,8 +135,16 @@ def test_gorenstein_height_cap_matches_the_sum_set_reference():
         cone = Cone(_sheared(rng, [p + (1,) for p in points]), d + 1)
         if cone.dim == d + 1 and len(cones[d + 1]) < 30:
             cones[d + 1].append(cone)
+    return cones[4] + cones[5]
+
+
+def test_gorenstein_height_cap_matches_the_sum_set_reference():
+    # heights stop at rank - 2, since the height-one slice P has dimension
+    # d = rank - 1 and (c+1)P = cP + P on lattice points once c >= d - 1;
+    # the reference scans every height up to the bound, here up to
+    # rank + 1, so each bound past the cap is a check of the theorem
     witnesses = 0
-    for cone in cones[4] + cones[5]:
+    for cone in _height_cap_cones():
         for bound in range(2, cone.ambient_rank + 2):
             rep = is_gorenstein(cone, bound)
             assert rep.height_bound == bound
@@ -136,6 +152,37 @@ def test_gorenstein_height_cap_matches_the_sum_set_reference():
                 cone, rep.functional, bound), (cone, bound)
             witnesses += rep.witness is not None
     assert witnesses >= 20, witnesses
+
+
+def test_slices_match_the_polytope_reference():
+    # the height-h slice is the hull of h times the rays, so its listing
+    # from the cone's own rays and facets is the H-representation's
+    for cone in [_reeve(r) for r in (2, 3, 4)] + _height_cap_cones():
+        ell = is_gorenstein(cone, 1).functional
+        for h in (1, 2, 3):
+            assert _slice_points(cone, ell, h) == _height_slice(
+                cone, ell, h).lattice_points(), (cone, h)
+
+
+def test_facet_dominance_matches_the_previous_height_search():
+    # p − q is a height-(h−1) point iff A·q ≤ A·p for the facet normals A,
+    # so every point of heights 2 and 3 gets the verdict of the search
+    # through the listed height-(h−1) points
+    missing = 0
+    for cone in [_reeve(r) for r in (2, 3, 4)] + _height_cap_cones():
+        ell = is_gorenstein(cone, 1).functional
+        level_one = _height_slice(cone, ell, 1).lattice_points()
+        dominance = _dominance_masks(cone.facet_normals, level_one)
+        previous = set(level_one)
+        for h in (2, 3):
+            expected = _height_slice(cone, ell, h).lattice_points()
+            for p in expected:
+                found = any(tuple(a - b for a, b in zip(p, q)) in previous
+                            for q in level_one)
+                assert _decomposes(dominance, p) == found, (cone, p)
+                missing += not found
+            previous = set(expected)
+    assert missing >= 20, missing
 
 
 def test_gorenstein_rejects_lineality():
@@ -220,29 +267,61 @@ def _seeded_reflexive_inputs(rng, count):
     return inputs
 
 
-def test_support_partition_lists_every_slice_point_once():
-    # the functionals take nonnegative integer values summing to 1 at
-    # each lattice point of the slice, so exactly one part holds it
+def _partition_sides():
+    """(cone, functionals) pairs from both sides of seeded reflexive
+    cones, with every dual splitting of each."""
     segment = ((-1, 1), (1, 1))
     inputs = [(P2_GENS, P2_SPLIT), (SQ_GENS, SQ_SPLIT)]
     inputs += [([_apply(s, g) for g in segment], [_apply(s, (0, 1))])
                for s in _square_symmetries()]
     inputs += _seeded_reflexive_inputs(random.Random(400), 12)
-    checked = 0
+    sides = []
     for gens, split in inputs:
         k = Cone(gens, len(gens[0]))
         ell_dual = is_reflexive(k).cone_report.functional
-        sides = [(k.dual(), split)]
+        sides.append((k.dual(), split))
         sides += [(k, dual)
                   for dual in dual_splittings(k.dual(), ell_dual, split)]
-        for cone, functionals in sides:
-            total = tuple(map(sum, zip(*functionals)))
-            union = sorted(p for part in support_partition(cone, functionals)
-                           for p in part.lattice_points())
-            assert union == _height_slice(cone, total, 1).lattice_points(), (
-                gens, functionals)
-            checked += 1
-    assert checked >= 40, checked
+    return sides
+
+
+def _reference_parts(cone, functionals):
+    """Part i as a polytope from its H-representation: the cone's facet
+    inequalities, functional i = 1 and every other functional = 0."""
+    parts = []
+    for i in range(len(functionals)):
+        pairs = [(n, 0) for n in cone.facet_normals]
+        for j, f in enumerate(functionals):
+            pairs += [(f, -int(j == i)), (tuple(-x for x in f), int(j == i))]
+        parts.append(Polytope.from_hrep(pairs, cone.ambient_rank))
+    return parts
+
+
+def test_support_partition_lists_every_slice_point_once():
+    # the functionals take nonnegative integer values summing to 1 at
+    # each lattice point of the slice, so exactly one part holds it
+    sides = _partition_sides()
+    for cone, functionals in sides:
+        total = tuple(map(sum, zip(*functionals)))
+        union = sorted(p for part in support_partition(cone, functionals)
+                       for p in part.lattice_points())
+        assert union == _height_slice(cone, total, 1).lattice_points(), (
+            cone, functionals)
+    assert len(sides) >= 40, len(sides)
+
+
+def test_parts_are_the_faces_of_the_polytope_reference():
+    # part i is the face of the hull of the rays where functional i is 1
+    for cone, functionals in _partition_sides():
+        reference = _reference_parts(cone, functionals)
+        assert list(support_partition(cone, functionals)) == reference
+        vertices, points = _cut(cone, functionals)
+        assert [list(v) for v in vertices] == [
+            list(part.vertices) for part in reference]
+        assert list(points) == [part.lattice_points() for part in reference]
+        total = tuple(map(sum, zip(*functionals)))
+        assert sorted(p for pts in points for p in pts) == _height_slice(
+            cone, total, 1).lattice_points()
 
 
 def test_support_partition_rejects_bad_functionals():
@@ -251,6 +330,9 @@ def test_support_partition_rejects_bad_functionals():
         support_partition(cone, [(0, 0, -1)])
     with pytest.raises(ValueError, match="sum to a height functional"):
         support_partition(cone, [(0, 0, 1), (0, 0, 1)])
+    # a cone with lines has an unbounded slice, no hull of its rays
+    with pytest.raises(ValueError, match="strongly convex"):
+        support_partition(Cone([(1, 0), (-1, 0), (0, 1)], 2), [(0, 1)])
 
 
 def test_dual_splittings_index_one_is_forced():

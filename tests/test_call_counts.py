@@ -99,21 +99,26 @@ def test_bb_job_tests_reflexivity_once(monkeypatch, capsys):
 
 
 def test_bb_job_partitions_each_slice_once(monkeypatch, capsys):
-    calls = count_calls(monkeypatch, dualfan.mirrors.bb, "support_partition")
+    cuts = count_calls(monkeypatch, dualfan.mirrors.bb, "_cut")
+    parts = count_calls(monkeypatch, dualfan.mirrors.bb, "support_partition")
     assert run_job(monkeypatch, capsys, ["bb"], BB_P2) == 0
-    assert len(calls) == 2  # the cone's slice and the dual cone's
+    assert len(cuts) == 2  # the cone's slice and the dual cone's
+    # the parts are faces of the slice, read off the cone's rays, so no
+    # part polytope is built
+    assert parts == []
 
 
 def test_bb_job_lists_each_slice_once(monkeypatch, capsys):
-    slices = count_calls(monkeypatch, dualfan.mirrors.bb, "_height_slice")
+    slices = count_calls(monkeypatch, dualfan.mirrors.bb, "_slice_points")
     listed = count_calls(monkeypatch, Polytope, "lattice_points")
     assert run_job(monkeypatch, capsys, ["bb"], BB_P2) == 0
-    # height one of the cone and of its dual: the slices are polygons, and
-    # every lattice point of (c+1)P is one of cP plus one of P for a
-    # lattice polygon P once c ≥ 1, so no higher height is listed
-    assert len(slices) == 2
-    # those two slices, one part per side and one section polytope per side
-    assert len(listed) <= 6
+    # height one of the cone and of its dual, once each for the parts:
+    # the slices are polygons, and every lattice point of (c+1)P is one
+    # of cP plus one of P for a lattice polygon P once c ≥ 1, so the
+    # Gorenstein test lists no height at all
+    assert [h for _, _, h in slices] == [1, 1]
+    # one section polytope per side; slices and parts are no polytopes
+    assert len(listed) <= 2
 
 
 def test_bb_job_builds_each_section_polytope_once(monkeypatch, capsys):
@@ -319,9 +324,23 @@ def test_bb_job_changes_each_side_to_its_base_once(monkeypatch, capsys):
     run_golden(monkeypatch, capsys, "bb-p2")
     # each side's part vertices reach base coordinates through the one
     # inverse of psi = [b | splitting], with no solve per vertex (12 Smith
-    # forms and 14 solves when each of the six vertices was solved for)
-    assert len(smith) == 6
+    # forms and 14 solves when each of the six vertices was solved for);
+    # no slice or part polytope takes a kernel of its equations (6 Smith
+    # forms when they did)
+    assert len(smith) == 2
     assert len(solves) == 8
+
+
+def test_bb_job_builds_each_slice_from_its_cone(monkeypatch, capsys):
+    passes = count_calls(monkeypatch, dualfan.polyhedra,
+                         "_double_description")
+    built = count_calls(monkeypatch, Cone, "__init__")
+    run_golden(monkeypatch, capsys, "bb-p2")
+    # each slice and part is read from the rays and facets of a cone
+    # already built (20 passes and 21 cones when the two slices and the
+    # two parts were each a polytope from an H-representation)
+    assert len(passes) == 12
+    assert len(built) == 17
 
 
 def test_quintic_tests_its_rewrite_for_unimodularity_once(monkeypatch,

@@ -762,3 +762,62 @@ def test_no_comprehension_truncates_with_int():
         and not call.keywords
         and isinstance(call.args[0], (ast.Name, ast.BinOp))})
     assert truncating == []
+
+
+BB_P2_JOB = json.loads(json.loads(
+    (Path(__file__).resolve().parent / "golden" / "jobs.json").read_text(
+        encoding="utf-8"))["bb-p2"]["stdin"])
+_DROP = object()
+_FUZZ_ENTRY = st.integers(-4, 4) | st.sampled_from(
+    ["1", "x", "", 0.5, 2.0, -1e300, None, True, {}, {"a": 1}, [], [1], [[2]]])
+_FUZZ_VECTOR = (st.lists(st.integers(-4, 4), min_size=3, max_size=3)
+                | st.lists(_FUZZ_ENTRY, max_size=4) | _FUZZ_ENTRY)
+_FUZZ_MATRIX = (st.lists(st.lists(st.integers(-4, 4), min_size=3,
+                                  max_size=3), min_size=1, max_size=5)
+                | st.lists(_FUZZ_VECTOR, max_size=5) | _FUZZ_VECTOR)
+
+
+def _mutated(name, replacement):
+    """The golden field, kept half the time, else dropped, wrapped in one
+    more list or replaced."""
+    kept = BB_P2_JOB.get(name, _DROP)
+    return st.integers(0, 5).flatmap(
+        lambda k: st.just(kept) if k < 3 else st.just(_DROP) if k == 3
+        else st.just([kept] if kept is not _DROP else [[]]) if k == 4
+        else replacement)
+
+
+def _job(nest, **fields):
+    job = {k: v for k, v in fields.items() if v is not _DROP}
+    return [job] if nest else job
+
+
+_BB_PAYLOADS = st.builds(
+    _job,
+    nest=st.integers(0, 9).map(lambda k: k == 9),
+    rank=_mutated("rank", st.integers(-1, 5) | _FUZZ_ENTRY),
+    generators=_mutated("generators", _FUZZ_MATRIX),
+    ell_dual=_mutated("ell_dual", _FUZZ_VECTOR),
+    splitting=_mutated("splitting", _FUZZ_MATRIX),
+    dual_splitting=_mutated("dual_splitting", _FUZZ_MATRIX),
+)
+
+
+@given(_BB_PAYLOADS)
+@settings(max_examples=200, deadline=2000, derandomize=True)
+def test_mutated_bb_jobs_keep_the_exit_code_contract(payload):
+    # a mutated `bb` job is verified (0), fails with a witness (1) or is
+    # rejected with one error line (2); anything that escapes `main`
+    # fails the test, and exit 3 would be a bug
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(json.dumps(payload))
+    with mock.patch.object(sys, "stdin", stdin), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bb", "-"])
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert json.loads(out.getvalue())["command"] == "bb"

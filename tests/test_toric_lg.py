@@ -1,5 +1,8 @@
 """Tests for divisors, bundle fans, potential families, and recovery."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from dualfan.fans import (
@@ -220,6 +223,33 @@ def test_specialization_and_application():
         apply_specialization(aux, Specialization({(1, 0): 1}))
     with pytest.raises(ValueError, match="assigned twice"):
         Specialization([((1, 0), 1), ((1, 0), 2)])
+
+
+def test_specialization_builds_one_constant_per_distinct_value(monkeypatch):
+    original = ParamPoly.constant.__func__
+    calls = []
+
+    def counting(cls, c):
+        calls.append(c)
+        return original(cls, c)
+
+    monkeypatch.setattr(ParamPoly, "constant", classmethod(counting))
+    values = {(i, j): (i * j) % 3 - 1 for i in range(10) for j in range(10)}
+    values[(0, 10)] = Fraction(4, 2)
+    values[(0, 11)] = True
+    spec = Specialization(values)
+    # one per distinct value after the integer reading (a Fraction with
+    # denominator 1 and a bool are ints), not one per exponent
+    assert sorted(calls) == [-1, 0, 1, 2]
+    monkeypatch.undo()
+    assert spec == Specialization(
+        (e, ParamPoly.constant(int(v))) for e, v in values.items())
+    # a value that is no integer raises the same error as before, also
+    # when it could not be looked up
+    for bad in (2.5, Fraction(1, 2), "3", [1]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad!r} is not an integer")):
+            Specialization({(1, 0): 1, (0, 1): bad})
 
 
 def test_lg_model_requires_duality():
