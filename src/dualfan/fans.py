@@ -16,7 +16,7 @@ from ._value import Value
 from .groups import FiniteAbelianGroup
 from .lattice import (LatticeMap, _adjugate, _integer, _lattice_vector,
                       _unit_vector, int_inverse, snf)
-from .polyhedra import Cone, _dot, primitive_vector
+from .polyhedra import Cone, _dot, _primitive
 
 
 class FanValidation(Value):
@@ -74,7 +74,7 @@ class Fan(Value):
                 raise ValueError("ray has wrong length")
             if not any(r):
                 raise ValueError("zero ray")
-            if primitive_vector(r) != r:
+            if _primitive(r) != r:
                 raise ValueError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("rays must be pairwise distinct")
@@ -86,7 +86,7 @@ class Fan(Value):
             if len(marked) != len(rays):
                 raise ValueError("one marked generator per ray")
             for r, m in zip(rays, marked):
-                if primitive_vector(m) != r:
+                if _primitive(m) != r:
                     raise ValueError(
                         f"marked generator {m} is not a positive multiple of ray {r}"
                     )
@@ -116,7 +116,7 @@ class Fan(Value):
     def from_generators(cls, generators, max_cones, lattice_rank):
         """Rays are primitivized; the inputs become the marked generators."""
         gens = [_lattice_vector(g, "generator") for g in generators]
-        return cls([primitive_vector(g) for g in gens], max_cones,
+        return cls([_primitive(g) for g in gens], max_cones,
                    lattice_rank, marked_generators=gens)
 
     @classmethod
@@ -180,6 +180,7 @@ def validate_fan(f: Fan) -> FanValidation:
     order passes without an intersection: u ≥ 0 on s and u ≤ 0 on t cut
     both in the face cone(S), so s ∩ t = cone(S) is a face of each (the
     separation lemma, Fulton, *Introduction to Toric Varieties*, §1.2).
+    Any other pair takes one double description pass for its meet.
     """
     problems = []
     for ixs, cone in zip(f.max_cones, f.cones):
@@ -191,8 +192,7 @@ def validate_fan(f: Fan) -> FanValidation:
                 s, t = f.cones[i], f.cones[j]
                 if _separated(s, t) or _separated(t, s):
                     continue
-                meet = s.intersection(t)
-                if not meet.is_face_of(s) or not meet.is_face_of(t):
+                if not s._meets_in_a_face(t):
                     problems.append(
                         f"intersection of cones {list(f.max_cones[i])} and "
                         f"{list(f.max_cones[j])} is not a common face"
@@ -300,7 +300,7 @@ def quotient_fan(f: Fan, q: LatticeMap):
         if not any(img):
             ray_image[i] = None  # ray collapses onto the origin
             continue
-        prim = primitive_vector(img)
+        prim = _primitive(img)
         mark = q @ m
         if prim in index_of:
             if new_marked[index_of[prim]] != mark:
@@ -327,7 +327,7 @@ def quotient_fan(f: Fan, q: LatticeMap):
         rays = src.extreme_rays
         if src.is_strongly_convex() and img.dim == len(rays):
             continue
-        pushed = [primitive_vector(q @ r) for r in rays]
+        pushed = [_primitive(q @ r) for r in rays]
         bad = []
         for key in src._face_index_sets():
             face = {pushed[i] for i in key}

@@ -15,11 +15,11 @@ from ..toric_lg import (
     AuxiliaryLG,
     Specialization,
     _ci_family,
+    _sections,
+    _total_fan,
     apply_specialization,
     base_change_check,
     is_cartier,
-    section_polytope,
-    split_bundle_fan,
 )
 from .report import MirrorReport
 
@@ -92,7 +92,7 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
         cart = is_cartier(d)
         if cart is None:
             raise ValueError(f"summand {i} is not Cartier")
-        poly = section_polytope(d)
+        poly = _sections(d)
         for m in cart.cone_characters:
             if not poly.contains(tuple(-x for x in m)):
                 raise ValueError(f"summand {i} is not nef")
@@ -100,7 +100,7 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
     c = len(divisors)
 
     basis = splitting_basis(fan, basis_rays)
-    sigma_x = split_bundle_fan(divisors)
+    sigma_x = _total_fan(divisors)
     gamma = _ci_family(sigma_x, sections)
 
     lifted = []

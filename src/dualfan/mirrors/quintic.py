@@ -14,6 +14,7 @@ from .._value import InternalError
 from ..fans import is_dual_pair, projective_space_fan, quotient_fan, relabel_fan
 from ..lattice import (LatticeMap, _unit_vector, annihilator_lattice,
                        solve_integer_matrix)
+from ..polyhedra import _dot
 from ..symbols import ParamPoly, Potential
 from ..toric_lg import (AuxiliaryLG, ToricDivisor, _ci_family, _unit_potential,
                         base_change_check, line_bundle_fan, section_polytope)
@@ -38,7 +39,8 @@ def fermat_pipeline(n) -> MirrorReport:
     # degree dictionary: pairing an exponent with the d lifted rays gives
     # the degree vector g = D·e of the corresponding degree-d monomial
     dictionary = LatticeMap.from_rows(list(sigma_x.rays[:d]))
-    degrees = [dictionary @ e for e in gamma.exponents]
+    degrees = [tuple(_dot(row, e) for row in dictionary.entries)
+               for e in gamma.exponents]
     degrees_ok = all(min(g) >= 0 and sum(g) == d for g in degrees)
 
     # the d pure powers and the product, from one elimination of D

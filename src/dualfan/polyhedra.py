@@ -6,7 +6,11 @@ facet normals and back; inequalities go through `Cone(normals).dual()`.
 A cone over n independent generators in rank n skips both passes: its
 rays are the generators and its facet normals the primitive columns of
 the adjugate of the generator matrix from `lattice._adjugate`, just
-what double description finds for such a simplicial cone.
+what double description finds for such a simplicial cone.  A first
+pass that finds n independent facet normals and no lineality has found
+a simplicial dual, so the rays come from its adjugate, with no second
+pass.  Whether two cones meet in a face of each takes one pass, for the
+rays of the meet, and builds no meet cone.
 Constraints are inserted in sorted order, so results are deterministic.
 Each ray carries its tight set as an int bitmask over the inserted
 constraints, and two rays are adjacent when no third ray's mask covers
@@ -31,22 +35,26 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def primitive_vector(v):
-    """Divide out the content; the direction is preserved."""
-    v = _lattice_vector(v)
+def _primitive(v):
+    """A tuple of ints divided by its content."""
     g = gcd(*v)
     if g <= 1:
         return v
     return tuple(x // g for x in v)
 
 
+def primitive_vector(v):
+    """Divide out the content; the direction is preserved."""
+    return _primitive(_lattice_vector(v))
+
+
 def _combine(s, u, t, v):
     """The primitive vector along s·u − t·v."""
-    return primitive_vector(tuple(s * x - t * y for x, y in zip(u, v)))
+    return _primitive(tuple(s * x - t * y for x, y in zip(u, v)))
 
 
 def _double_description(constraints, ambient):
-    """Extreme rays and lineality of {x : c·x ≥ 0 for every c}.
+    """Extreme rays and lineality of {x : c·x ≥ 0 for every int vector c}.
 
     Returns (rays, lineality) where `rays` generate the pointed part and
     `lineality` is the canonical saturated basis of the largest linear
@@ -57,7 +65,7 @@ def _double_description(constraints, ambient):
     Each ray carries the bitmask of the inserted constraints it is tight
     on, bit k for the k-th constraint, updated as constraints go in.
     """
-    cons = sorted({primitive_vector(c) for c in constraints if any(c)})
+    cons = sorted({_primitive(tuple(c)) for c in constraints if any(c)})
     lin = [_unit_vector(i, ambient) for i in range(ambient)]
     rays = []  # (ray, tight mask) pairs
     for k, a in enumerate(cons):
@@ -112,7 +120,7 @@ def _simplicial_normals(gens, n):
     det, adj = _adjugate(gens) if len(gens) == n else (0, None)
     if adj is None:
         return None
-    return sorted(primitive_vector(c if det > 0 else [-x for x in c])
+    return sorted(_primitive(c if det > 0 else tuple(-x for x in c))
                   for c in zip(*adj))
 
 
@@ -130,6 +138,8 @@ class Cone(Value):
     cone carries ± pairs of span equations among its normals.  For n
     independent generators in rank n the cone is simplicial and pointed:
     each generator is a ray and each facet misses exactly one of them.
+    Roles swapped, a cone with n independent facet normals takes one
+    double description pass.
     Every description of one cone gives the same generators, so cones
     compare and hash by (ambient_rank, generators).
     """
@@ -145,26 +155,35 @@ class Cone(Value):
                 raise ValueError("generator has wrong length")
         normals = _simplicial_normals(gens, ambient_rank)
         if normals is not None:  # simplicial and full-dimensional
-            self._install(ambient_rank, gens, (), normals, ())
+            gens, normals = tuple(gens), tuple(normals)
+            self._install(ambient_rank, gens, (), gens, normals, (), normals)
             return
         if not gens:  # the origin: its dual is the whole space
             eye = [_unit_vector(i, ambient_rank) for i in range(ambient_rank)]
-            self._install(ambient_rank, (), (), (), eye)
+            self._install(ambient_rank, (), (), (), (), eye,
+                          _with_flips((), eye))
             return
         dual_rays, dual_lin = _double_description(gens, ambient_rank)
-        rays, lin = _double_description(
-            _with_flips(dual_rays, dual_lin), ambient_rank
-        )
-        self._install(ambient_rank, rays, lin, dual_rays, dual_lin)
+        rays = None if dual_lin else _simplicial_normals(
+            dual_rays, ambient_rank)
+        if rays is not None:  # a simplicial dual: the cone is simplicial too
+            rays, dual = tuple(rays), tuple(dual_rays)
+            self._install(ambient_rank, rays, (), rays, dual, (), dual)
+            return
+        normals = _with_flips(dual_rays, dual_lin)
+        rays, lin = _double_description(normals, ambient_rank)
+        self._install(ambient_rank, rays, lin, _with_flips(rays, lin),
+                      dual_rays, dual_lin, normals)
 
-    def _install(self, ambient_rank, rays, lin, dual_rays, dual_lin):
+    def _install(self, ambient_rank, rays, lin, generators, dual_rays,
+                 dual_lin, facet_normals):
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "_rays", tuple(rays))
         object.__setattr__(self, "_lineality", tuple(lin))
         object.__setattr__(self, "_dual_rays", tuple(dual_rays))
         object.__setattr__(self, "_dual_lineality", tuple(dual_lin))
-        object.__setattr__(self, "generators", _with_flips(rays, lin))
-        object.__setattr__(self, "facet_normals", _with_flips(dual_rays, dual_lin))
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "facet_normals", facet_normals)
         object.__setattr__(self, "lineality_rank", len(lin))
         # the dual's lineality is the orthogonal complement of the span
         object.__setattr__(self, "dim", ambient_rank - len(dual_lin))
@@ -180,13 +199,9 @@ class Cone(Value):
     def dual(self) -> "Cone":
         """The dual cone, free of charge: both descriptions swap."""
         cone = object.__new__(Cone)
-        cone._install(
-            self.ambient_rank,
-            self._dual_rays,
-            self._dual_lineality,
-            self._rays,
-            self._lineality,
-        )
+        cone._install(self.ambient_rank, self._dual_rays,
+                      self._dual_lineality, self.facet_normals,
+                      self._rays, self._lineality, self.generators)
         return cone
 
     def is_strongly_convex(self) -> bool:
@@ -203,6 +218,16 @@ class Cone(Value):
             raise ValueError("ambient rank mismatch")
         return Cone.from_inequalities(
             self.facet_normals + other.facet_normals, self.ambient_rank)
+
+    def _meets_in_a_face(self, other) -> bool:
+        """Whether self ∩ other is a face of both, from one pass for the
+        rays of the meet: as `is_face_of` tests, the meet is a face of self
+        iff the smallest face of self around it lies in other."""
+        rays, _ = _double_description(
+            self.facet_normals + other.facet_normals, self.ambient_rank)
+        # a line of the meet lies in every face of self and of other
+        return all(map(other.contains_vector, self._closure(rays))) and all(
+            map(self.contains_vector, other._closure(rays)))
 
     def _closure(self, vectors):
         """Generators of the smallest face whose span admits the vectors."""
@@ -271,7 +296,7 @@ def _primitive_lift(vector, last):
         v = tuple(map(_rational, v))
         d = lcm(*(x.denominator for x in v))
         v = tuple(x.numerator * (d // x.denominator) for x in v)
-    return primitive_vector(v)
+    return _primitive(v)
 
 
 def _sweep(rows, lo, hi):

@@ -17,7 +17,7 @@ from ._value import Value
 from .fans import Fan, is_complete, is_dual_pair, relabel_fan
 from .lattice import (LatticeMap, _integer, _lattice_vector, _unit_vector,
                       int_inverse, snf, solve_integer)
-from .polyhedra import Polytope, _dot, primitive_vector
+from .polyhedra import Polytope, _dot, _primitive
 from .symbols import ParamPoly, Potential
 
 
@@ -96,6 +96,11 @@ def section_polytope(divisor: ToricDivisor) -> Polytope:
     """
     if not is_complete(divisor.fan):
         raise ValueError("sections undefined: fan is not complete")
+    return _sections(divisor)
+
+
+def _sections(divisor):
+    """`section_polytope` of a divisor on a fan known to be complete."""
     return Polytope.from_hrep(
         list(zip(divisor.fan.rays, divisor.coeffs)), divisor.fan.lattice_rank
     )
@@ -120,6 +125,12 @@ def split_bundle_fan(divisors) -> Fan:
     for i, d in enumerate(divisors):
         if is_cartier(d) is None:
             raise ValueError(f"summand {i} is not Cartier")
+    return _total_fan(divisors)
+
+
+def _total_fan(divisors):
+    """`split_bundle_fan` of Cartier summands on one fan."""
+    base = divisors[0].fan
     c = len(divisors)
     n = base.lattice_rank
     lifted = [
@@ -450,7 +461,7 @@ def _recover(f: Fan, idx):
         if pos in idx:
             continue
         u = ray[:base_rank]
-        if not any(u) or primitive_vector(u) != u or u in positions:
+        if not any(u) or _primitive(u) != u or u in positions:
             return None
         positions[u] = len(base_rays)
         base_rays.append(u)

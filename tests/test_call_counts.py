@@ -182,7 +182,10 @@ def test_the_zero_cone_takes_no_double_description(monkeypatch, capsys):
 
 
 def test_validate_fan_intersects_only_unseparated_pairs(monkeypatch):
-    calls = count_calls(monkeypatch, Cone, "intersection")
+    # the cones are simplicial, so every pass is one pair's: one double
+    # description for the rays of the meet, and no meet cone (two passes
+    # per pair when `validate_fan` built `s.intersection(t)`)
+    calls = count_calls(monkeypatch, dualfan.polyhedra, "_double_description")
     axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
             (0, 0, -1)]
     octants = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
@@ -271,14 +274,20 @@ def test_an_unknown_command_builds_the_full_tree(monkeypatch, capsys):
 
 def test_givental_job_builds_each_section_polytope_once(monkeypatch,
                                                          capsys):
-    sections = count_calls(monkeypatch, dualfan.toric_lg, "section_polytope")
-    totals = count_calls(monkeypatch, dualfan.toric_lg, "split_bundle_fan")
+    sections = count_calls(monkeypatch, dualfan.toric_lg, "_sections")
+    totals = count_calls(monkeypatch, dualfan.toric_lg, "_total_fan")
+    cartier = count_calls(monkeypatch, dualfan.toric_lg, "is_cartier")
+    complete = count_calls(monkeypatch, dualfan.toric_lg, "is_complete")
     job = {"bundles": [{"coeffs": [1, 1, 0, 0]}, {"coeffs": [0, 0, 1, 1]}],
            "fan": {"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
                    "max_cones": [[0, 2], [0, 3], [1, 2], [1, 3]]}}
     assert run_job(monkeypatch, capsys, ["givental"], job) == 0
     assert len(sections) == 2  # one per summand
     assert len(totals) == 1
+    # the base is checked once up front, not again per section polytope
+    # and total fan (4 Cartier tests and 3 completeness tests before)
+    assert len(cartier) == 2
+    assert len(complete) == 1
 
 
 def test_report_encoding_makes_no_call_per_point(monkeypatch, capsys):
@@ -338,8 +347,9 @@ def test_bb_job_builds_each_slice_from_its_cone(monkeypatch, capsys):
     run_golden(monkeypatch, capsys, "bb-p2")
     # each slice and part is read from the rays and facets of a cone
     # already built (20 passes and 21 cones when the two slices and the
-    # two parts were each a polytope from an H-representation)
-    assert len(passes) == 12
+    # two parts were each a polytope from an H-representation); a cone
+    # with a simplicial dual takes one pass, not two (12 passes then)
+    assert len(passes) == 6
     assert len(built) == 17
 
 

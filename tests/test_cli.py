@@ -764,9 +764,10 @@ def test_no_comprehension_truncates_with_int():
     assert truncating == []
 
 
-BB_P2_JOB = json.loads(json.loads(
+GOLDEN_JOBS = json.loads(
     (Path(__file__).resolve().parent / "golden" / "jobs.json").read_text(
-        encoding="utf-8"))["bb-p2"]["stdin"])
+        encoding="utf-8"))
+BB_P2_JOB = json.loads(GOLDEN_JOBS["bb-p2"]["stdin"])
 _DROP = object()
 _FUZZ_ENTRY = st.integers(-4, 4) | st.sampled_from(
     ["1", "x", "", 0.5, 2.0, -1e300, None, True, {}, {"a": 1}, [], [1], [[2]]])
@@ -777,10 +778,10 @@ _FUZZ_MATRIX = (st.lists(st.lists(st.integers(-4, 4), min_size=3,
                 | st.lists(_FUZZ_VECTOR, max_size=5) | _FUZZ_VECTOR)
 
 
-def _mutated(name, replacement):
+def _mutated(name, replacement, golden=BB_P2_JOB):
     """The golden field, kept half the time, else dropped, wrapped in one
     more list or replaced."""
-    kept = BB_P2_JOB.get(name, _DROP)
+    kept = golden.get(name, _DROP)
     return st.integers(0, 5).flatmap(
         lambda k: st.just(kept) if k < 3 else st.just(_DROP) if k == 3
         else st.just([kept] if kept is not _DROP else [[]]) if k == 4
@@ -806,18 +807,59 @@ _BB_PAYLOADS = st.builds(
 @given(_BB_PAYLOADS)
 @settings(max_examples=200, deadline=2000, derandomize=True)
 def test_mutated_bb_jobs_keep_the_exit_code_contract(payload):
-    # a mutated `bb` job is verified (0), fails with a witness (1) or is
-    # rejected with one error line (2); anything that escapes `main`
-    # fails the test, and exit 3 would be a bug
+    assert_exit_code_contract("bb", payload)
+
+
+def assert_exit_code_contract(command, payload):
+    """A mutated job is verified (0), fails with a witness (1) or is
+    rejected with one error line (2); anything that escapes `main` fails
+    the test, and exit 3 would be a bug."""
     out, err = io.StringIO(), io.StringIO()
     stdin = io.StringIO(json.dumps(payload))
     with mock.patch.object(sys, "stdin", stdin), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["bb", "-"])
+        code = main([command, "-"])
     assert code in (0, 1, 2), (code, err.getvalue())
     if code == 2:
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     else:
-        assert json.loads(out.getvalue())["command"] == "bb"
+        assert json.loads(out.getvalue())["command"] == command
+    return code
+
+
+# the fans of the `fan-validate` goldens that are not rejected
+GOLDEN_FANS = [json.loads(job["stdin"])["fan"] for job in GOLDEN_JOBS.values()
+               if job["argv"][0] == "fan-validate" and job["exit"] != 2]
+
+
+def _mutated_fan(golden):
+    """Each field of a golden fan kept, dropped, wrapped or replaced:
+    rays by small vectors of the golden rank or by junk, cones by small
+    index lists or by junk."""
+    rank = golden["rank"]
+    rays = st.lists(st.lists(st.integers(-2, 2), min_size=rank,
+                             max_size=rank), max_size=6)
+    cones = st.lists(st.lists(st.integers(-1, 6), max_size=4), max_size=6)
+    return st.builds(
+        _job,
+        nest=st.just(False),
+        rank=_mutated("rank", st.integers(-1, 4) | _FUZZ_ENTRY, golden),
+        rays=_mutated("rays", rays | _FUZZ_MATRIX, golden),
+        max_cones=_mutated("max_cones", cones | _FUZZ_MATRIX, golden),
+        marked=_mutated("marked", rays | _FUZZ_MATRIX, golden),
+    )
+
+
+_FAN_VALIDATE_PAYLOADS = st.builds(
+    _job,
+    nest=st.integers(0, 9).map(lambda k: k == 9),
+    fan=st.sampled_from(GOLDEN_FANS).flatmap(_mutated_fan) | _FUZZ_ENTRY,
+)
+
+
+@given(_FAN_VALIDATE_PAYLOADS)
+@settings(max_examples=200, deadline=2000, derandomize=True)
+def test_mutated_fan_validate_jobs_keep_the_exit_code_contract(payload):
+    assert_exit_code_contract("fan-validate", payload)

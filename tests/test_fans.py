@@ -12,6 +12,7 @@ import pytest
 from dualfan.fans import (
     DualFanReport,
     Fan,
+    _separated,
     is_complete,
     is_dual_pair,
     is_smooth,
@@ -184,6 +185,34 @@ def test_validate_fan_matches_the_pairwise_intersection_test():
             assert (v.ok, list(v.diagnostics)) == (not problems, problems), f
             outcomes[rank, v.ok] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_the_one_pass_face_test_matches_intersection_and_is_face_of():
+    rng = random.Random(24073)
+    outcomes = Counter()
+    for rank in (2, 3):
+        for _ in range(80):
+            f = random_fan(rng, rank)
+            for s, t in combinations(f.cones, 2):
+                if _separated(s, t) or _separated(t, s):
+                    continue
+                meet = s.intersection(t)
+                expected = meet.is_face_of(s) and meet.is_face_of(t)
+                assert s._meets_in_a_face(t) == expected, (s, t)
+                assert t._meets_in_a_face(s) == expected, (s, t)
+                outcomes[rank, expected] += 1
+    # cones around the one line through (1, 0, 0)
+    line = [(1, 0, 0), (-1, 0, 0)]
+    wedges = [Cone(line + extra, 3) for extra in (
+        [(0, 1, 0)], [(0, -1, 0)], [(0, 1, 0), (0, 0, 1)], [(0, 1, 1)],
+        [(0, 1, -1), (0, 0, 1)], [(0, -1, 1), (0, 1, 1)])]
+    for s, t in combinations(wedges, 2):
+        meet = s.intersection(t)
+        expected = meet.is_face_of(s) and meet.is_face_of(t)
+        assert s._meets_in_a_face(t) == expected, (s, t)
+        outcomes["line", expected] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+    assert min(n for (rank, _), n in outcomes.items() if rank != "line") >= 30
 
 
 def test_a_separating_sum_needs_strict_signs_on_the_other_cone():

@@ -204,7 +204,9 @@ def test_other_generator_lists_take_both_passes():
         ([(1, 2), (2, 4)], 2),                   # one ray, twice
         ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),  # in a plane
         ([(1, 0), (-1, 0)], 2),                  # a line
-        ([(1, 0), (0, 1), (1, 1)], 2),           # more rays than rank
+        # more generators than rank; its dual is simplicial, so it takes
+        # one pass, with the fields of two
+        ([(1, 0), (0, 1), (1, 1)], 2),
     ]:
         dual_rays, dual_lin = _double_description(gens, rank)
         rays, lin = _double_description(_with_flips(dual_rays, dual_lin), rank)
@@ -213,6 +215,99 @@ def test_other_generator_lists_take_both_passes():
         assert cone.facet_normals == _with_flips(dual_rays, dual_lin)
         assert cone.lineality_rank == len(lin)
         assert cone.dim == rank - len(dual_lin)
+
+
+def two_pass_fields(gens, rank):
+    """`_rays`, `_lineality`, `generators`, `facet_normals` and `dim` as
+    the two double description passes give them, kept as the reference
+    for the routes that skip a pass."""
+    dual_rays, dual_lin = _double_description(gens, rank)
+    rays, lin = _double_description(_with_flips(dual_rays, dual_lin), rank)
+    return (tuple(rays), tuple(lin), _with_flips(rays, lin),
+            _with_flips(dual_rays, dual_lin), rank - len(dual_lin))
+
+
+def cone_fields(cone):
+    return (cone._rays, cone._lineality, cone.generators, cone.facet_normals,
+            cone.dim)
+
+
+def redundant_generators(rng, rank):
+    """Generators of a seeded cone, padded with nonnegative combinations
+    of themselves so that n independent ones rarely come alone: a
+    simplicial cone with extra generators, a cone over more rays, one
+    inside a hyperplane, or one with a line."""
+    kind = rng.randrange(4)
+    count = rank if kind == 0 else rng.randint(rank + 1, rank + 3)
+    gens = [tuple(rng.randint(-3, 3) for _ in range(rank))
+            for _ in range(count)]
+    if kind == 2:
+        gens = [(0,) + g[1:] for g in gens]
+    if kind == 3:
+        gens.append(tuple(-x for x in gens[0]))
+    gens += [tuple(sum(rng.randrange(3) * g[i] for g in gens)
+                   for i in range(rank))
+             for _ in range(rng.randint(1, 3))]
+    return gens
+
+
+def simplex_rows(rng, rank):
+    """The H-rows that `Polytope.from_hrep` lifts for a seeded simplex."""
+    while True:
+        verts = [[rng.randint(-3, 3) for _ in range(rank)]
+                 for _ in range(rank + 1)]
+        simplex = Polytope.from_vertices(verts)
+        if simplex.dim == rank:
+            break
+    rows = [_primitive_lift(a, off) for a, off in simplex.hrep]
+    return rows + [(0,) * rank + (1,)]
+
+
+def test_a_simplicial_dual_gives_the_two_pass_fields(monkeypatch):
+    rng = random.Random(24071)
+    cases = []
+    for rank in range(1, 6):
+        cases += [("cone", redundant_generators(rng, rank), rank)
+                  for _ in range(80)]
+        cases += [("simplex", simplex_rows(rng, rank), rank + 1)
+                  for _ in range(20 if rank < 4 else 4)]
+    expected = [two_pass_fields(gens, rank) for _, gens, rank in cases]
+    passes = []
+    original = dualfan.polyhedra._double_description
+
+    def counting(*args):
+        passes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dualfan.polyhedra, "_double_description", counting)
+    routes = Counter()
+    for (kind, gens, rank), fields in zip(cases, expected):
+        del passes[:]
+        assert cone_fields(Cone(gens, rank)) == fields, (gens, rank)
+        if kind == "cone" and fields[1]:
+            kind = "line"
+        routes[kind, len(passes)] += 1
+    # every simplex takes one pass, and so do many padded cones; a cone
+    # with a line never does. Padding that comes out zero leaves n
+    # independent generators, which take no pass.
+    assert routes["simplex", 1] == 68 and routes["cone", 1] >= 40, routes
+    assert routes["cone", 2] >= 80 and routes["line", 2] >= 150, routes
+    assert routes["line", 1] == 0, routes
+
+
+def test_the_dual_equals_a_fresh_build():
+    rng = random.Random(24072)
+    slots = Cone.__slots__
+    for rank in range(1, 6):
+        for _ in range(60):
+            cone = Cone(redundant_generators(rng, rank), rank)
+            for dual in (cone.dual(), cone.dual().dual().dual()):
+                fresh = Cone(dual.generators, rank)
+                assert [getattr(dual, k) for k in slots] == [
+                    getattr(fresh, k) for k in slots], cone
+            twice = cone.dual().dual()
+            assert [getattr(twice, k) for k in slots] == [
+                getattr(cone, k) for k in slots]
 
 
 def test_double_description_against_membership_oracle():
