@@ -538,15 +538,15 @@ def _scaled_phases(phases, ambient_rank, ell=1):
                  for q in phases]
 
 
-def _phase_lattice(phases, ambient_rank, ell=1):
+def _phase_lattice(phases, ambient_rank):
     """(ell, B) with B the canonical column basis of ell·L, where
-    L = Zⁿ + Σ Z·q over the phase vectors q and ell is as in
-    `_scaled_phases`.
+    L = Zⁿ + Σ Z·q over the phase vectors q and ell is the least common
+    multiple of their denominators.
 
     ell·Zⁿ ⊆ ell·L, so B is a nonsingular n×n matrix, and it depends only
     on ell and L.
     """
-    ell, cols = _scaled_phases(phases, ambient_rank, ell)
+    ell, cols = _scaled_phases(phases, ambient_rank)
     cols += [tuple(ell * x for x in row) for row in _identity_rows(ambient_rank)]
     return ell, column_lattice_basis(cols, ambient_rank)
 

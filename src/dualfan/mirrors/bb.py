@@ -26,10 +26,10 @@ from ..polyhedra import Cone, Polytope, _dot, _sweep
 from ..toric_lg import (
     AuxiliaryLG,
     ToricDivisor,
-    _ci_family,
+    _ci_exponents,
+    _sections,
     _unit_potential,
     base_change_check,
-    section_polytope,
     split_bundle_fan,
 )
 from .report import MirrorReport
@@ -274,6 +274,16 @@ def _choices(points, ell_dual):
     return out
 
 
+def _spans(cone, rays):
+    """Whether the primitive `rays` generate the pointed cone `cone`, as
+    `Cone(rays, rank) == cone` says, with no double description: they do
+    iff they all lie in it and include each of its extreme rays, since an
+    extreme ray is a positive combination of vectors of the cone only of
+    its own multiples."""
+    return (set(cone.extreme_rays) <= set(rays)
+            and all(map(cone.contains_vector, rays)))
+
+
 def _total_space(parts, points, splitting, dual_splitting, opposite):
     """One side of the pair: (base, ambient, family, checks).
 
@@ -334,22 +344,22 @@ def _total_space(parts, points, splitting, dual_splitting, opposite):
         ToricDivisor(base, tuple(1 if c == i else 0 for c in classes))
         for i in range(len(splitting)))
 
-    recomputed = tuple(section_polytope(d) for d in divisors)
+    # the base is a normal fan or the point, so complete
+    recomputed = tuple(_sections(d) for d in divisors)
     total = split_bundle_fan(divisors)
     ambient = relabel_fan(total, psi_inv.transpose())
     # the parts' points partition the slice's (see `support_partition`)
     xi = sorted(p for pts in points for p in pts)
     family = AuxiliaryLG(ambient, xi)
-    aux_ci = _ci_family(total, recomputed)
     checks = {
         "sections_match_parts": recomputed == tuple(sections),
         "ray_set_identity":
             # the opposite slice's vertices are the opposite cone's
             # primitive rays, which sit at height one
             set(ambient.rays) == set(cone.extreme_rays) | set(dual_splitting),
-        "support_identity": Cone(list(ambient.rays), rank) == cone,
+        "support_identity": _spans(cone, ambient.rays),
         "section_dictionary":
-            {tuple(psi @ e) for e in aux_ci.exponents} == set(xi),
+            {tuple(psi @ e) for e in _ci_exponents(recomputed)} == set(xi),
     }
     if n and section_sum.dim == n and all(
             off > 0 for _, off in section_sum.hrep):

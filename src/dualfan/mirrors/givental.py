@@ -10,14 +10,12 @@ exposed as separate entry points.
 from ..fans import Fan, is_complete, is_dual_pair, is_smooth
 from ..lattice import LatticeMap, _lattice_vector, _unit_vector
 from ..polyhedra import Cone
-from ..symbols import ParamPoly
+from ..symbols import ParamPoly, Potential
 from ..toric_lg import (
     AuxiliaryLG,
-    Specialization,
-    _ci_family,
+    _ci_exponents,
     _sections,
     _total_fan,
-    apply_specialization,
     base_change_check,
     is_cartier,
 )
@@ -75,7 +73,7 @@ def splitting_basis(fan, basis_rays=None):
     raise ValueError("no splitting basis among the maximal cone complements")
 
 
-def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
+def _bundle_mirror(fan, divisors, basis_rays, fiber_sign):
     if not is_smooth(fan):
         raise ValueError("base fan must be smooth")
     if not is_complete(fan):
@@ -101,7 +99,7 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
 
     basis = splitting_basis(fan, basis_rays)
     sigma_x = _total_fan(divisors)
-    gamma = _ci_family(sigma_x, sections)
+    gamma = AuxiliaryLG(sigma_x, _ci_exponents(sections))
 
     lifted = []
     for a, poly in enumerate(sections):
@@ -125,18 +123,12 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
     to_gamma = base_change_check(gamma, sigma_x_prime)
     to_gamma_prime = base_change_check(gamma_prime, sigma_x)
 
-    assignments = {}
-    for idx, e in enumerate(gamma_prime.exponents):
-        if idx >= count:
-            value = ParamPoly.constant(fiber_sign)
-        elif idx in basis:
-            slot = basis.index(idx) + 1
-            value = ParamPoly.parameter(f"q{slot}", power=-1, coeff=-1)
-        else:
-            value = ParamPoly.constant(-1)
-        assignments[e] = value
-    w_prime = apply_specialization(gamma_prime,
-                                   Specialization(assignments))
+    fiber, minus_one = ParamPoly.constant(fiber_sign), ParamPoly.constant(-1)
+    values = [fiber if idx >= count else minus_one
+              for idx in range(len(gamma_prime.exponents))]
+    for slot, idx in enumerate(basis, 1):
+        values[idx] = ParamPoly.parameter(f"q{slot}", power=-1, coeff=-1)
+    w_prime = Potential(zip(gamma_prime.exponents, values))
 
     checks = [
         ("rays_are_marked_sections", shape_ok),
@@ -154,8 +146,8 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
         ("dual_ray_count", len(sigma_x_prime.rays)),
     ]
     notes = [f"inverse parameters sit on rays {tuple(basis)}"]
-    if note:
-        notes.append(note)
+    if fiber_sign == -1:
+        notes.append("fiber-direction coefficients carry sign -1")
 
     return MirrorReport(sigma_x, sigma_x_prime, duality,
                         to_gamma=to_gamma, to_gamma_prime=to_gamma_prime,
@@ -165,10 +157,9 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign, note):
 
 def givental_mirror(fan, divisors, basis_rays=None) -> MirrorReport:
     """Mirror data with fiber directions entering positively."""
-    return _bundle_mirror(fan, divisors, basis_rays, 1, None)
+    return _bundle_mirror(fan, divisors, basis_rays, 1)
 
 
 def hori_vafa_mirror(fan, divisors, basis_rays=None) -> MirrorReport:
     """Mirror data with fiber directions entering negatively."""
-    return _bundle_mirror(fan, divisors, basis_rays, -1,
-                          "fiber-direction coefficients carry sign -1")
+    return _bundle_mirror(fan, divisors, basis_rays, -1)

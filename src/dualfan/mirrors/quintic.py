@@ -16,8 +16,8 @@ from ..lattice import (LatticeMap, _unit_vector, annihilator_lattice,
                        solve_integer_matrix)
 from ..polyhedra import _dot
 from ..symbols import ParamPoly, Potential
-from ..toric_lg import (AuxiliaryLG, ToricDivisor, _ci_family, _unit_potential,
-                        base_change_check, line_bundle_fan, section_polytope)
+from ..toric_lg import (AuxiliaryLG, ToricDivisor, _unit_potential,
+                        auxiliary_lg_from_ci, base_change_check)
 from .report import MirrorReport
 
 # the degree d in words for the note, as (cardinal, ordinal); digits from
@@ -33,8 +33,8 @@ def fermat_pipeline(n) -> MirrorReport:
     Fermat hypersurface in P^n, n ≥ 1."""
     d = n + 1
     divisor = ToricDivisor(projective_space_fan(n), (1,) * d)
-    sigma_x = line_bundle_fan(divisor)
-    gamma = _ci_family(sigma_x, [section_polytope(divisor)])
+    gamma, _ = auxiliary_lg_from_ci((divisor,))
+    sigma_x = gamma.fan
 
     # degree dictionary: pairing an exponent with the d lifted rays gives
     # the degree vector g = D·e of the corresponding degree-d monomial

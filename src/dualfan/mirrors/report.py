@@ -17,6 +17,14 @@ def _named_tuple(pairs, label):
     return out
 
 
+def _lookup(pairs, name):
+    """The value named `name` among (name, value) pairs."""
+    for n, v in pairs:
+        if n == name:
+            return v
+    raise KeyError(name)
+
+
 class MirrorReport(Value):
     """A constructed mirror pair together with everything verified about it.
 
@@ -64,22 +72,13 @@ class MirrorReport(Value):
         return self.duality.verdict and all(v for _, v in self.checks)
 
     def check(self, name):
-        for n, v in self.checks:
-            if n == name:
-                return v
-        raise KeyError(name)
+        return _lookup(self.checks, name)
 
     def count(self, name):
-        for n, v in self.counts:
-            if n == name:
-                return v
-        raise KeyError(name)
+        return _lookup(self.counts, name)
 
     def potential(self, name):
-        for n, v in self.potentials:
-            if n == name:
-                return v
-        raise KeyError(name)
+        return _lookup(self.potentials, name)
 
     def __repr__(self):
         verdict = "passed" if self.passed else "failed"

@@ -204,21 +204,20 @@ def auxiliary_lg_from_ci(divisors):
     """
     divisors = tuple(divisors)
     total = split_bundle_fan(divisors)
-    family = _ci_family(total, [section_polytope(d) for d in divisors])
+    family = AuxiliaryLG(
+        total, _ci_exponents([section_polytope(d) for d in divisors]))
     count = len(total.rays)
     return family, tuple(range(count - len(divisors), count))
 
 
-def _ci_family(total, sections):
-    """The family of `auxiliary_lg_from_ci` from a built total fan and
-    the summands' section polytopes."""
-    c = len(sections)
+def _ci_exponents(sections):
+    """The exponents of `auxiliary_lg_from_ci`, from the summands'
+    section polytopes."""
     exponents = []
     for i, poly in enumerate(sections):
-        indicator = _unit_vector(i, c)
-        for m in poly.lattice_points():
-            exponents.append(tuple(m) + indicator)
-    return AuxiliaryLG(total, exponents)
+        indicator = _unit_vector(i, len(sections))
+        exponents += [tuple(m) + indicator for m in poly.lattice_points()]
+    return exponents
 
 
 class BaseChangeReport(Value):
@@ -326,8 +325,8 @@ def apply_specialization(aux: AuxiliaryLG, spec: Specialization) -> Potential:
 
 def _unit_potential(aux: AuxiliaryLG) -> Potential:
     """The potential of `aux` with every coefficient equal to 1."""
-    return apply_specialization(
-        aux, Specialization({e: 1 for e in aux.exponents}))
+    one = ParamPoly.constant(1)
+    return Potential((e, one) for e in aux.exponents)
 
 
 class DualityError(ValueError):
@@ -481,6 +480,6 @@ def _recover(f: Fan, idx):
         if is_cartier(d) is None:
             return None
         divisors.append(d)
-    if split_bundle_fan(divisors) != relabeled:
+    if _total_fan(divisors) != relabeled:
         return None
     return CIData(base, tuple(divisors), transform)

@@ -6,8 +6,8 @@ import pytest
 
 import dualfan.mirrors.bb
 from dualfan.mirrors.bb import (_cut, _decomposes, _dominance_masks,
-                                _slice_points)
-from dualfan.polyhedra import Cone, Polytope
+                                _slice_points, _spans)
+from dualfan.polyhedra import Cone, Polytope, primitive_vector
 from dualfan.toric_lg import AuxiliaryLG
 from dualfan.mirrors import (
     bb_mirror_pair,
@@ -183,6 +183,46 @@ def test_facet_dominance_matches_the_previous_height_search():
                 missing += not found
             previous = set(expected)
     assert missing >= 20, missing
+
+
+def _seeded_pointed_cones(rng, count):
+    """Full-dimensional cones of ranks 2 to 5, pointed because every
+    generator has a positive last coordinate."""
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n - 1))
+                + (rng.randint(1, 3),) for _ in range(rng.randint(n, n + 4))]
+        cone = Cone(gens, n)
+        if cone.dim == n:
+            yield cone
+
+
+def test_support_by_membership_matches_building_the_cone():
+    rng = random.Random(25)
+    seen, ranks = {}, set()
+    for cone in _seeded_pointed_cones(rng, 160):
+        n = cone.ambient_rank
+        ranks.add(n)
+        rays = list(cone.extreme_rays)
+        inner = [primitive_vector([sum(c) for c in zip(*rng.sample(
+            rays, rng.randint(2, len(rays))))]) for _ in range(3)]
+        outside = primitive_vector(
+            [rng.randint(-3, 3) for _ in range(n - 1)] + [rng.randint(-3, 1)])
+        dropped = rng.randrange(len(rays))
+        for kind, candidate in (
+                ("all", rays + inner),
+                ("missing", rays[:dropped] + rays[dropped + 1:] + inner),
+                ("outside", rays + inner + [outside] * any(outside))):
+            verdict = _spans(cone, candidate)
+            assert verdict == (Cone(candidate, n) == cone), (cone, candidate)
+            seen[kind, verdict] = seen.get((kind, verdict), 0) + 1
+    # every extreme ray with inner points spans the cone; dropping one
+    # never does, and an added point spans it only when it lies inside
+    # (6 of the 157 random points here)
+    assert set(seen) == {("all", True), ("missing", False),
+                         ("outside", True), ("outside", False)}, seen
+    assert min(seen.values()) >= 5, seen
+    assert ranks == {2, 3, 4, 5}
 
 
 def test_gorenstein_rejects_lineality():

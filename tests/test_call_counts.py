@@ -122,11 +122,14 @@ def test_bb_job_lists_each_slice_once(monkeypatch, capsys):
 
 
 def test_bb_job_builds_each_section_polytope_once(monkeypatch, capsys):
-    sections = count_calls(monkeypatch, dualfan.toric_lg, "section_polytope")
+    sections = count_calls(monkeypatch, dualfan.toric_lg, "_sections")
     totals = count_calls(monkeypatch, dualfan.toric_lg, "split_bundle_fan")
+    complete = count_calls(monkeypatch, dualfan.toric_lg, "is_complete")
     assert run_job(monkeypatch, capsys, ["bb"], BB_P2) == 0
     assert len(sections) == 2  # one per side
     assert len(totals) == 2
+    # each base is a normal fan, so complete: no wall census per summand
+    assert complete == []
 
 
 def test_quintic_job_builds_its_bundle_fan_once(monkeypatch, capsys):
@@ -348,9 +351,11 @@ def test_bb_job_builds_each_slice_from_its_cone(monkeypatch, capsys):
     # each slice and part is read from the rays and facets of a cone
     # already built (20 passes and 21 cones when the two slices and the
     # two parts were each a polytope from an H-representation); a cone
-    # with a simplicial dual takes one pass, not two (12 passes then)
-    assert len(passes) == 6
-    assert len(built) == 17
+    # with a simplicial dual takes one pass, not two (12 passes then);
+    # each side tests its support against the cone it holds (6 passes and
+    # 17 cones when it built the cone over its rays)
+    assert len(passes) == 4
+    assert len(built) == 15
 
 
 def test_quintic_tests_its_rewrite_for_unimodularity_once(monkeypatch,
@@ -389,3 +394,13 @@ def test_bhk_job_takes_the_determinant_of_p_once_per_use(monkeypatch,
     # and the determinant count read (4 when the P behind each symmetry
     # group was checked again, 5 when |det P| was also taken per use)
     assert len(calls) == 1
+
+
+def test_no_golden_job_builds_a_specialization(monkeypatch, capsys):
+    built = count_calls(monkeypatch, dualfan.toric_lg.Specialization,
+                        "__init__")
+    for name in GOLDEN_JOBS:
+        run_golden(monkeypatch, capsys, name)
+    # every unit potential and Givental's w' are one `Potential` over the
+    # family's exponents (72 specializations per `small-jobs` pass before)
+    assert built == []

@@ -863,3 +863,37 @@ _FAN_VALIDATE_PAYLOADS = st.builds(
 @settings(max_examples=200, deadline=2000, derandomize=True)
 def test_mutated_fan_validate_jobs_keep_the_exit_code_contract(payload):
     assert_exit_code_contract("fan-validate", payload)
+
+
+# the jobs of the six `givental` and `hori-vafa` goldens
+GOLDEN_BUNDLE_JOBS = [json.loads(job["stdin"]) for job in GOLDEN_JOBS.values()
+                      if job["argv"][0] in ("givental", "hori-vafa")]
+
+
+def _mutated_bundle_job(golden):
+    """A golden bundle job with its fan mutated as in the `fan-validate`
+    fuzz, and its summands and basis rays kept, dropped, wrapped or
+    replaced: coefficients by small vectors of the golden ray count,
+    basis rays by small ray indices or vectors of the golden rank."""
+    fan = golden["fan"]
+    count, rank = len(fan["rays"]), fan["rank"]
+    coeffs = st.lists(st.integers(-4, 4), min_size=count, max_size=count)
+    summand = st.fixed_dictionaries({"coeffs": coeffs | _FUZZ_VECTOR})
+    basis = st.lists(st.integers(-1, count) | st.lists(
+        st.integers(-2, 2), min_size=rank, max_size=rank), max_size=3)
+    return st.builds(
+        _job,
+        nest=st.integers(0, 9).map(lambda k: k == 9),
+        fan=_mutated("fan", _mutated_fan(fan) | _FUZZ_ENTRY, golden),
+        bundles=_mutated("bundles", st.lists(summand | _FUZZ_ENTRY,
+                                             max_size=3) | _FUZZ_MATRIX,
+                         golden),
+        basis_rays=_mutated("basis_rays", basis | _FUZZ_VECTOR, golden),
+    )
+
+
+@given(st.sampled_from(["givental", "hori-vafa"]),
+       st.sampled_from(GOLDEN_BUNDLE_JOBS).flatmap(_mutated_bundle_job))
+@settings(max_examples=200, deadline=2000, derandomize=True)
+def test_mutated_givental_jobs_keep_the_exit_code_contract(command, payload):
+    assert_exit_code_contract(command, payload)

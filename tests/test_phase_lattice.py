@@ -100,8 +100,10 @@ def elimination_solve(big, phases):
     kept Y = ell·B⁻¹: the lattice of `phases` at big's ell, then one
     elimination of big's basis."""
     ell, b_big = _phase_lattice(big.lifts, big.ambient_rank)
-    sub_ell, b_sub = _phase_lattice(phases, big.ambient_rank, ell)
-    return None if sub_ell != ell else solve_integer_matrix(b_big, b_sub)
+    if lcm(ell, reference_common_denominator(phases)) != ell:
+        return None
+    b_sub = reference_scaled_lattice_basis(phases, big.ambient_rank, ell)
+    return solve_integer_matrix(b_big, b_sub)
 
 
 def random_entry(rng, max_den=12):
@@ -214,8 +216,10 @@ def test_phase_lattice_is_canonical_and_scales_exactly():
         ell, basis = _phase_lattice(phases, rank)
         assert (ell, basis) == _phase_lattice(
             [normalize_phase(q) for q in reversed(phases)], rank)
-        assert _phase_lattice(phases, rank, 5 * ell) == (
-            5 * ell, reference_scaled_lattice_basis(phases, rank, 5 * ell))
+        assert basis == reference_scaled_lattice_basis(phases, rank, ell)
+        assert reference_scaled_lattice_basis(phases, rank, 5 * ell) == (
+            LatticeMap([[5 * x for x in row] for row in basis.entries],
+                       cols=rank))
 
 
 def small_groups(seed, count, order_cap=625):
