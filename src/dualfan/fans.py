@@ -227,37 +227,47 @@ def is_dual_pair(s: Fan, s_prime: Fan) -> DualFanReport:
     return DualFanReport(True)
 
 
-def is_complete(f: Fan) -> bool:
-    """Wall census: complete iff the support has no boundary.
+def _covers(f: Fan, facets=()) -> bool:
+    """Wall census: whether the support of the valid fan f is the
+    full-dimensional cone K = {x : a·x ≥ 0 for a in facets}, the whole
+    space when there are none.  Never raises.
 
-    Every maximal cone must be strongly convex and full dimensional, and
-    each facet, the rays on which one facet normal vanishes, must lie in
-    exactly two of them.  Meaningful for a valid fan; never raises.
-
-    A convex cone holds a wall iff it holds each of the wall's rays, so
-    with bit i of `holders[r]` set when cone i holds the ray r, a wall's
-    census is the popcount of the AND of its rays' masks: the count of
-    testing the wall against every cone, at one test per (ray, cone).
-    An empty wall keeps every bit, as `all([])` holds.
+    Every maximal cone must be strongly convex, full dimensional and in
+    K, and each wall, the rays on which a facet normal of a cone vanishes,
+    must lie in two of them, or in one when it lies in a facet of K; else
+    a segment from a cone's interior to a point of K off the support
+    leaves it through a wall inside K, held from one side only.  A convex
+    cone holds a wall iff it holds the wall's rays, so bit i of `holders[r]`
+    marks cone i holding the ray r, bit j of `on[r]` marks facets[j]
+    vanishing on r, and a wall ANDs its rays' masks; an empty wall keeps
+    every bit, as `all([])` holds.
     """
     cones = f.cones
-    if not cones or any(
-        c.dim != f.lattice_rank or not c.is_strongly_convex() for c in cones
-    ):
+    if not cones or any(c.dim != f.lattice_rank or not c.is_strongly_convex()
+                        for c in cones):
         return False
-    holders = {}
+    holders, on = {}, {}
+    for r in {r for c in cones for r in c.extreme_rays}:
+        if any(_dot(a, r) < 0 for a in facets):
+            return False
+        holders[r] = sum(1 << i for i, c in enumerate(cones)
+                         if c.contains_vector(r))
+        on[r] = sum(1 << j for j, a in enumerate(facets) if not _dot(a, r))
+    every = (1 << len(cones)) - 1, (1 << len(facets)) - 1
     for cone in cones:
         for normal in cone.facet_normals:
-            held = (1 << len(cones)) - 1
+            inside, outer = every
             for r in cone.extreme_rays:
                 if _dot(normal, r) == 0:
-                    if r not in holders:
-                        holders[r] = sum(1 << i for i, c in enumerate(cones)
-                                         if c.contains_vector(r))
-                    held &= holders[r]
-            if held.bit_count() != 2:
+                    inside, outer = inside & holders[r], outer & on[r]
+            if inside.bit_count() != 2 - bool(outer):
                 return False
     return True
+
+
+def is_complete(f: Fan) -> bool:
+    """Whether the valid fan f covers the whole space (`_covers`)."""
+    return _covers(f)
 
 
 def is_smooth(f: Fan) -> bool:

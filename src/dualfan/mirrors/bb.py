@@ -19,7 +19,7 @@ from itertools import product
 from operator import sub
 
 from .._value import InternalError, Value
-from ..fans import Fan, is_dual_pair, relabel_fan
+from ..fans import Fan, _covers, is_dual_pair, relabel_fan
 from ..lattice import (LatticeMap, _integer, _lattice_vector, int_inverse,
                        kernel_basis, solve_integer)
 from ..polyhedra import Cone, Polytope, _dot, _sweep
@@ -274,16 +274,6 @@ def _choices(points, ell_dual):
     return out
 
 
-def _spans(cone, rays):
-    """Whether the primitive `rays` generate the pointed cone `cone`, as
-    `Cone(rays, rank) == cone` says, with no double description: they do
-    iff they all lie in it and include each of its extreme rays, since an
-    extreme ray is a positive combination of vectors of the cone only of
-    its own multiples."""
-    return (set(cone.extreme_rays) <= set(rays)
-            and all(map(cone.contains_vector, rays)))
-
-
 def _total_space(parts, points, splitting, dual_splitting, opposite):
     """One side of the pair: (base, ambient, family, checks).
 
@@ -357,7 +347,7 @@ def _total_space(parts, points, splitting, dual_splitting, opposite):
             # the opposite slice's vertices are the opposite cone's
             # primitive rays, which sit at height one
             set(ambient.rays) == set(cone.extreme_rays) | set(dual_splitting),
-        "support_identity": _spans(cone, ambient.rays),
+        "support_identity": _covers(ambient, cone.facet_normals),
         "section_dictionary":
             {tuple(psi @ e) for e in _ci_exponents(recomputed)} == set(xi),
     }

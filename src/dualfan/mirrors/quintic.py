@@ -11,7 +11,8 @@ the original total-space fan.  The quintic is the case n = 4.
 from fractions import Fraction
 
 from .._value import InternalError
-from ..fans import is_dual_pair, projective_space_fan, quotient_fan, relabel_fan
+from ..fans import (_covers, is_dual_pair, projective_space_fan, quotient_fan,
+                    relabel_fan)
 from ..lattice import (LatticeMap, _unit_vector, annihilator_lattice,
                        solve_integer_matrix)
 from ..polyhedra import _dot
@@ -70,6 +71,10 @@ def fermat_pipeline(n) -> MirrorReport:
         raise InternalError("the power monomials are not invariant")
     # `relabel_fan` raises unless the rewrite is unimodular
     sigma_x_prime = relabel_fan(quotiented, placement_t.transpose())
+    # no pairing check sees a missing cone, but the wall census does: σ_X′
+    # must cover the dual of σ_X's support, the cone over the lifted rays
+    if not _covers(sigma_x_prime, sigma_x.rays[:d]):
+        raise InternalError("the quotient fan does not cover the dual support")
 
     # e is invariant iff ⟨phase, D·e⟩ is integral for every phase
     marker_set = set(sigma_x_prime.marked_generators)

@@ -5,9 +5,10 @@ import random
 import pytest
 
 import dualfan.mirrors.bb
+from dualfan.fans import Fan, _covers, validate_fan
 from dualfan.mirrors.bb import (_cut, _decomposes, _dominance_masks,
-                                _slice_points, _spans)
-from dualfan.polyhedra import Cone, Polytope, primitive_vector
+                                _slice_points)
+from dualfan.polyhedra import Cone, Polytope, _dot, primitive_vector
 from dualfan.toric_lg import AuxiliaryLG
 from dualfan.mirrors import (
     bb_mirror_pair,
@@ -197,31 +198,32 @@ def _seeded_pointed_cones(rng, count):
             yield cone
 
 
-def test_support_by_membership_matches_building_the_cone():
+def test_wall_census_sees_a_missing_or_protruding_cone():
+    # the star subdivision of K from an interior ray c, one cone per facet
+    # F of K over F and c, covers K; dropping a cone opens a wall inside
+    # K, and a cone over F and a ray beyond F leaves K
     rng = random.Random(25)
     seen, ranks = {}, set()
     for cone in _seeded_pointed_cones(rng, 160):
         n = cone.ambient_rank
         ranks.add(n)
         rays = list(cone.extreme_rays)
-        inner = [primitive_vector([sum(c) for c in zip(*rng.sample(
-            rays, rng.randint(2, len(rays))))]) for _ in range(3)]
-        outside = primitive_vector(
-            [rng.randint(-3, 3) for _ in range(n - 1)] + [rng.randint(-3, 1)])
-        dropped = rng.randrange(len(rays))
-        for kind, candidate in (
-                ("all", rays + inner),
-                ("missing", rays[:dropped] + rays[dropped + 1:] + inner),
-                ("outside", rays + inner + [outside] * any(outside))):
-            verdict = _spans(cone, candidate)
-            assert verdict == (Cone(candidate, n) == cone), (cone, candidate)
+        c = primitive_vector([sum(x) for x in zip(*rays)])
+        facets = [[i for i, r in enumerate(rays) if not _dot(a, r)]
+                  for a in cone.facet_normals]
+        star = [ixs + [len(rays)] for ixs in facets]
+        # the rays of F sum to 0 on F's normal, and c pairs > 0 with it
+        f_sum = [sum(x) for x in zip(*(rays[i] for i in facets[0]))]
+        beyond = primitive_vector([x - y for x, y in zip(f_sum, c)])
+        protruding = star + [facets[0] + [len(rays) + 1]]
+        for kind, cones in (("star", star), ("missing", star[:-1]),
+                            ("protruding", protruding)):
+            fan = Fan(rays + [c, beyond], cones, n)
+            assert validate_fan(fan), (cone, kind)
+            verdict = _covers(fan, cone.facet_normals)
             seen[kind, verdict] = seen.get((kind, verdict), 0) + 1
-    # every extreme ray with inner points spans the cone; dropping one
-    # never does, and an added point spans it only when it lies inside
-    # (6 of the 157 random points here)
-    assert set(seen) == {("all", True), ("missing", False),
-                         ("outside", True), ("outside", False)}, seen
-    assert min(seen.values()) >= 5, seen
+    assert seen == {("star", True): 153, ("missing", False): 153,
+                    ("protruding", False): 153}, seen
     assert ranks == {2, 3, 4, 5}
 
 

@@ -353,9 +353,11 @@ def test_bb_job_builds_each_slice_from_its_cone(monkeypatch, capsys):
     # two parts were each a polytope from an H-representation); a cone
     # with a simplicial dual takes one pass, not two (12 passes then);
     # each side tests its support against the cone it holds (6 passes and
-    # 17 cones when it built the cone over its rays)
+    # 17 cones when it built the cone over its rays), by a wall census of
+    # its ambient fan's three simplicial cones, which take no pass (15
+    # cones when it tested only that the rays span the cone)
     assert len(passes) == 4
-    assert len(built) == 15
+    assert len(built) == 21
 
 
 def test_quintic_tests_its_rewrite_for_unimodularity_once(monkeypatch,

@@ -24,6 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualfan.cli
+import dualfan.mirrors.bb
+import dualfan.mirrors.quintic
 from dualfan.cli import canonical_json, emit_fan, main, parse_fan
 from dualfan.fans import Fan, projective_space_fan
 from dualfan.polyhedra import Polytope
@@ -897,3 +899,29 @@ def _mutated_bundle_job(golden):
 @settings(max_examples=200, deadline=2000, derandomize=True)
 def test_mutated_givental_jobs_keep_the_exit_code_contract(command, payload):
     assert_exit_code_contract(command, payload)
+
+
+def test_a_dropped_maximal_cone_fails_the_wall_census(monkeypatch, capsys):
+    # a `relabel_fan` that loses the last maximal cone keeps every ray, so
+    # the ray pairings and the coefficient maps cannot see the hole; the
+    # census of each fan against the cone it must cover does
+    def dropping(relabel):
+        def relabel_and_drop(f, t):
+            fan = relabel(f, t)
+            return Fan(fan.rays, fan.max_cones[:-1], fan.lattice_rank,
+                       fan.marked_generators)
+        return relabel_and_drop
+
+    for module in (dualfan.mirrors.bb, dualfan.mirrors.quintic):
+        monkeypatch.setattr(module, "relabel_fan",
+                            dropping(module.relabel_fan))
+    code, body, err = run(capsys, ["bb"], BB_P2_JOB, monkeypatch)
+    assert (code, err) == (1, "")
+    assert not body["report"]["passed"]
+    checks = body["report"]["checks"]
+    assert not checks["support_identity"]
+    assert not checks["dual_support_identity"]
+    code, body, err = run(capsys, ["quintic"])
+    assert (code, body) == (3, None)
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: ")

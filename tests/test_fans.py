@@ -12,6 +12,7 @@ import pytest
 from dualfan.fans import (
     DualFanReport,
     Fan,
+    _covers,
     _separated,
     is_complete,
     is_dual_pair,
@@ -409,6 +410,23 @@ def test_is_complete_is_false_on_a_cone_with_a_line():
     # two half-planes cover the plane, yet neither is strongly convex
     halves = Fan([(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 1, 2), (0, 1, 3)], 2)
     assert is_complete(halves) is False
+
+
+def test_wall_census_against_a_cone_counts_its_boundary_walls_once():
+    # in rank 1 every wall is empty, so it lies in K's facet, if any
+    ray = Fan([(1,)], [(0,)], 1)
+    line = Fan([(1,), (-1,)], [(0,), (1,)], 1)
+    assert _covers(ray, [(1,)]) and not is_complete(ray)
+    assert is_complete(line) and not _covers(line, [(1,)])
+    # the quadrant in two cones, and the half under the diagonal, which
+    # the upper cone leaves
+    quadrant = [(1, 0), (1, 1), (0, 1)]
+    both = Fan(quadrant, [(0, 1), (1, 2)], 2)
+    lower = Fan(quadrant, [(0, 1)], 2)
+    assert _covers(both, [(1, 0), (0, 1)])
+    assert not _covers(lower, [(1, 0), (0, 1)])
+    assert not _covers(both, [(0, 1), (1, -1)])
+    assert _covers(lower, [(0, 1), (1, -1)])
 
 
 def test_smoothness():

@@ -9,6 +9,11 @@ there must be a unimodular A that carries one pipeline's Σ_X onto the
 other's (rays onto rays, maximal cones onto maximal cones, markers onto
 markers), and then A^(−T), its action on the dual lattice, must carry
 Σ_X′ onto Σ_X′ in the same way.
+
+Batyrev–Borisov duality is also an involution, so `bb_mirror_pair` on
+the dual cone with the splittings exchanged must give the same pair with
+its sides swapped.  Neither oracle sees a bug that both constructions, or
+both directions, share.
 """
 
 from itertools import permutations
@@ -16,7 +21,9 @@ from itertools import permutations
 import pytest
 
 from dualfan.lattice import LatticeMap, int_inverse
-from dualfan.mirrors import bb_mirror_pair, fermat_pipeline
+from dualfan.mirrors import (bb_mirror_pair, dual_splittings, fermat_pipeline,
+                             is_reflexive)
+from dualfan.polyhedra import Cone
 
 
 def p_n_cone(n):
@@ -28,6 +35,11 @@ def p_n_cone(n):
     generators += [tuple(d * (j == i) - 1 for j in range(n)) + (1,)
                    for i in range(n)]
     return generators, [(0,) * n + (1,)]
+
+
+# two orthogonal segments at their own heights, split by the two heights
+SQ_GENS = [(1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 0, 1), (0, -1, 0, 1)]
+SQ_SPLIT = [(0, 0, 1, 0), (0, 0, 0, 1)]
 
 
 def shape(fan):
@@ -85,3 +97,21 @@ def test_fermat_and_batyrev_borisov_mirrors_agree(n):
     assert a is not None, "no lattice isomorphism between the Σ_X sides"
     dual_a = int_inverse(a).transpose()
     assert carried(dual_a, fermat.sigma_x_prime) == shape(bb.sigma_x_prime)
+
+
+@pytest.mark.parametrize("generators, splitting",
+                         [p_n_cone(n) for n in (2, 3, 4)]
+                         + [(SQ_GENS, SQ_SPLIT)],
+                         ids=["P2", "P3", "P4", "square"])
+def test_batyrev_borisov_mirror_of_the_mirror_is_the_pair_swapped(
+        generators, splitting):
+    # Batyrev–Borisov duality is an involution: the pair built from K^∨
+    # with the two splittings exchanged is the pair of K, sides swapped
+    k = Cone(generators, len(generators[0]))
+    ell_dual = is_reflexive(k).cone_report.functional
+    dual = dual_splittings(k.dual(), ell_dual, splitting)[0]
+    pair = bb_mirror_pair(generators, splitting, dual)
+    mirror = bb_mirror_pair(k.dual().extreme_rays, dual, splitting)
+    assert pair.passed and mirror.passed
+    assert mirror.sigma_x == pair.sigma_x_prime
+    assert mirror.sigma_x_prime == pair.sigma_x
