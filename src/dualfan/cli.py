@@ -338,7 +338,10 @@ def _cmd_givental(payload, build):
 
 
 def _cmd_quintic(payload, height_bound):
-    rep = quintic_pipeline()
+    try:
+        rep = quintic_pipeline()
+    except ValueError as e:  # no input to reject: dualfan itself broke
+        raise InternalError(str(e)) from e
     body = {
         "report": _mirror_json(rep),
         "dual_fans": rep.duality.verdict,

@@ -237,31 +237,47 @@ def _covers(f: Fan, facets=()) -> bool:
     must lie in two of them, or in one when it lies in a facet of K; else
     a segment from a cone's interior to a point of K off the support
     leaves it through a wall inside K, held from one side only.  A convex
-    cone holds a wall iff it holds the wall's rays, so bit i of `holders[r]`
-    marks cone i holding the ray r, bit j of `on[r]` marks facets[j]
-    vanishing on r, and a wall ANDs its rays' masks; an empty wall keeps
-    every bit, as `all([])` holds.
+    cone holds a wall iff it holds the wall's rays, so bit i of `holders[k]`
+    marks cone i holding the k-th ray, bit j of `on[k]` marks facets[j]
+    vanishing on it, and a wall ANDs its rays' masks; an empty wall keeps
+    every bit, as `all([])` holds.  Each normal, of K or of a cone, is
+    paired once with every ray, and both masks read that one list.
     """
     cones = f.cones
     if not cones or any(c.dim != f.lattice_rank or not c.is_strongly_convex()
                         for c in cones):
         return False
-    holders, on = {}, {}
-    for r in {r for c in cones for r in c.extreme_rays}:
-        if any(_dot(a, r) < 0 for a in facets):
+    rays = list(dict.fromkeys(r for c in cones for r in c.extreme_rays))
+    index = {r: k for k, r in enumerate(rays)}
+    on = [0] * len(rays)
+    for j, a in enumerate(facets):
+        pairings = [_dot(a, r) for r in rays]
+        if any(p < 0 for p in pairings):
             return False
-        holders[r] = sum(1 << i for i, c in enumerate(cones)
-                         if c.contains_vector(r))
-        on[r] = sum(1 << j for j, a in enumerate(facets) if not _dot(a, r))
-    every = (1 << len(cones)) - 1, (1 << len(facets)) - 1
-    for cone in cones:
+        for k, p in enumerate(pairings):
+            if not p:
+                on[k] |= 1 << j
+    # a cone holds the rays none of its normals is negative on, and each
+    # normal's wall is the cone's own rays it vanishes on
+    holders = [0] * len(rays)
+    walls = []
+    for i, cone in enumerate(cones):
+        own = [index[r] for r in cone.extreme_rays]
+        held = [True] * len(rays)
         for normal in cone.facet_normals:
-            inside, outer = every
-            for r in cone.extreme_rays:
-                if _dot(normal, r) == 0:
-                    inside, outer = inside & holders[r], outer & on[r]
-            if inside.bit_count() != 2 - bool(outer):
-                return False
+            pairings = [_dot(normal, r) for r in rays]
+            held = [h and p >= 0 for h, p in zip(held, pairings)]
+            walls.append([k for k in own if not pairings[k]])
+        for k, h in enumerate(held):
+            if h:
+                holders[k] |= 1 << i
+    every = (1 << len(cones)) - 1, (1 << len(facets)) - 1
+    for wall in walls:
+        inside, outer = every
+        for k in wall:
+            inside, outer = inside & holders[k], outer & on[k]
+        if inside.bit_count() != 2 - bool(outer):
+            return False
     return True
 
 

@@ -17,7 +17,8 @@ constraints, and two rays are adjacent when no third ray's mask covers
 the AND of theirs (Fukuda & Prodon, *Double Description Method
 Revisited*, 1996).  A kernel is computed only when lines remain.
 Polytopes ride on top of their homogenization cones: a polytope
-in rank n is the slice at height one of a cone in rank n+1.
+in rank n is the slice at height one of a cone in rank n+1, which it
+keeps, so its polar is the slice of that cone's dual.
 """
 
 from __future__ import annotations
@@ -360,24 +361,41 @@ def _sweep(rows, lo, hi):
 class Polytope(Value):
     """A rational convex polyhedral set, bounded unless stated otherwise.
 
-    The H-rep pairs (a, ℓ) mean a·m + ℓ ≥ 0, with a a primitive integer
-    normal and ℓ an exact int.  Construction from either
-    representation converges to the same canonical fields, with vertices
-    sorted lexicographically and facet data inherited from the
-    homogenization cone.
+    A polytope in rank n keeps its homogenization cone in rank n+1, of
+    which it is the slice at height one, and compares by that cone; an
+    empty one keeps none.  The H-rep pairs (a, ℓ) mean a·m + ℓ ≥ 0, with
+    a a primitive integer normal and ℓ an exact int.  Vertices are sorted
+    lexicographically, and both representations are read off the cone.
     """
 
     __slots__ = ("ambient_rank", "vertices", "hrep", "bounded", "dim",
-                 "_recession", "_lineality")
+                 "_cone")
 
-    def __init__(self, *, ambient_rank, vertices, hrep, bounded, recession, lineality, dim):
+    def __init__(self, cone, ambient_rank):
+        verts = []
+        bounded = cone.is_strongly_convex()
+        for r in cone.extreme_rays:
+            t = r[-1]
+            if t > 0:
+                verts.append(tuple(Fraction(x, t) for x in r[:-1]))
+            elif t == 0:
+                bounded = False
+            else:
+                raise InternalError("height must be nonnegative")
+        if verts:
+            # vacuous height constraints like t ≥ 0 have a = 0
+            hrep = sorted((n[:-1], n[-1]) for n in cone.facet_normals
+                          if any(n[:-1]))
+            dim = cone.dim - 1
+        else:  # empty; the one H-rep row 0 - 1 ≥ 0 holds nowhere
+            cone, bounded, dim = None, True, -1
+            hrep = [((0,) * ambient_rank, -1)]
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "hrep", hrep)
+        object.__setattr__(self, "vertices", tuple(sorted(verts)))
+        object.__setattr__(self, "hrep", tuple(hrep))
         object.__setattr__(self, "bounded", bounded)
-        object.__setattr__(self, "_recession", recession)
-        object.__setattr__(self, "_lineality", lineality)
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_cone", cone)
 
     @classmethod
     def from_vertices(cls, points, ambient_rank=None):
@@ -388,51 +406,14 @@ class Polytope(Value):
             ambient_rank = len(points[0])
         if any(len(p) != ambient_rank for p in points):
             raise ValueError("point has wrong length")
-        cone = Cone([_primitive_lift(p, 1) for p in points], ambient_rank + 1)
-        return cls._from_homogenization(cone, ambient_rank)
+        return cls(Cone([_primitive_lift(p, 1) for p in points],
+                        ambient_rank + 1), ambient_rank)
 
     @classmethod
     def from_hrep(cls, pairs, ambient_rank):
         rows = [_primitive_lift(a, off) for a, off in pairs]
         rows.append(tuple(0 for _ in range(ambient_rank)) + (1,))
-        return cls._from_homogenization(
-            Cone(rows, ambient_rank + 1).dual(), ambient_rank
-        )
-
-    @classmethod
-    def _from_homogenization(cls, cone, ambient_rank):
-        verts = []
-        recession = []
-        for r in cone.extreme_rays:
-            t = r[-1]
-            if t > 0:
-                verts.append(tuple(Fraction(x, t) for x in r[:-1]))
-            elif t == 0:
-                recession.append(r[:-1])
-            else:
-                raise InternalError("height must be nonnegative")
-        if not verts:  # empty; the one H-rep row 0 - 1 ≥ 0 holds nowhere
-            return cls(ambient_rank=ambient_rank, vertices=(),
-                       hrep=(((0,) * ambient_rank, -1),),
-                       bounded=True, recession=(), lineality=(), dim=-1)
-        # lines lie at height zero, so dropping it keeps the Hermite form
-        lineality = tuple(l[:-1] for l in cone._lineality)
-        hrep = []
-        for n in cone.facet_normals:
-            a, off = n[:-1], n[-1]
-            if not any(a):
-                continue  # vacuous height constraints like t ≥ 0
-            hrep.append((a, off))
-        bounded = not recession and not lineality
-        return cls(
-            ambient_rank=ambient_rank,
-            vertices=tuple(sorted(verts)),
-            hrep=tuple(sorted(hrep)),
-            bounded=bounded,
-            recession=tuple(sorted(recession)),
-            lineality=lineality,
-            dim=cone.dim - 1,
-        )
+        return cls(Cone(rows, ambient_rank + 1).dual(), ambient_rank)
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -487,10 +468,9 @@ class Polytope(Value):
             off <= 0 for _, off in self.hrep
         ):
             raise ValueError("polar undefined: origin is not interior")
-        return Polytope.from_hrep(
-            [(v, 1) for v in self.vertices],
-            self.ambient_rank,
-        )
+        # the cone over the polar is the dual of the cone over P, which
+        # holds (0, 1) inside: every ray of the dual is at positive height
+        return Polytope(self._cone.dual(), self.ambient_rank)
 
     def normal_fan(self):
         """The complete fan of vertex cones in the dual lattice.
@@ -516,7 +496,7 @@ class Polytope(Value):
         return Fan.from_maximal_cones(cones, self.ambient_rank)
 
     def _key(self):
-        return self.ambient_rank, self.vertices, self._recession, self._lineality
+        return self.ambient_rank, self._cone
 
     def __repr__(self):
         return (

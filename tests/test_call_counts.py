@@ -355,9 +355,11 @@ def test_bb_job_builds_each_slice_from_its_cone(monkeypatch, capsys):
     # each side tests its support against the cone it holds (6 passes and
     # 17 cones when it built the cone over its rays), by a wall census of
     # its ambient fan's three simplicial cones, which take no pass (15
-    # cones when it tested only that the rays span the cone)
-    assert len(passes) == 4
-    assert len(built) == 21
+    # cones when it tested only that the rays span the cone); each polar
+    # is the dual of the cone its polytope keeps (4 passes and 21 cones
+    # when each polar rebuilt that cone from the vertices)
+    assert len(passes) == 2
+    assert len(built) == 19
 
 
 def test_quintic_tests_its_rewrite_for_unimodularity_once(monkeypatch,

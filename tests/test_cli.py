@@ -410,6 +410,32 @@ def test_quintic_command(capsys):
     assert terms[(0, 0, 0, 0, 1)] == "-5*psi"
 
 
+def test_a_fault_in_the_quintic_pipeline_is_exit_3(capsys, monkeypatch):
+    # `quintic` reads no input, so a ValueError from inside the pipeline
+    # is a fault in dualfan: here the second solve, the placement of the
+    # quotient lattice, comes back with a doubled column, which
+    # `relabel_fan` rejects as not unimodular
+    from dualfan.lattice import LatticeMap
+
+    solve = dualfan.mirrors.quintic.solve_integer_matrix
+    calls = []
+
+    def doubling_the_second(a, b):
+        x = solve(a, b)
+        calls.append(x)
+        if len(calls) != 2:
+            return x
+        first, *rest = x.columns()
+        return LatticeMap.from_cols([tuple(2 * v for v in first), *rest],
+                                    nrows=x.rows)
+
+    monkeypatch.setattr(dualfan.mirrors.quintic, "solve_integer_matrix",
+                        doubling_the_second)
+    code, body, err = run(capsys, ["quintic"])
+    assert (code, body) == (3, None)
+    assert err == "internal error: matrix is not unimodular\n"
+
+
 def test_section_polytope_command(capsys, monkeypatch):
     job = {"fan": PLANE, "divisor": {"coeffs": [0, 0, 1]}}
     code, body, _ = run(capsys, ["section-polytope"], job, monkeypatch)
@@ -899,6 +925,102 @@ def _mutated_bundle_job(golden):
 @settings(max_examples=200, deadline=2000, derandomize=True)
 def test_mutated_givental_jobs_keep_the_exit_code_contract(command, payload):
     assert_exit_code_contract(command, payload)
+
+
+def _integers(x):
+    """Every int in a JSON value."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return [i for item in x for i in _integers(item)]
+    return [x] if isinstance(x, int) else []
+
+
+def _small_golden_jobs(command):
+    """The jobs of the command's goldens that are not rejected and whose
+    integers lie within |x| ≤ 4: nothing bounds the work of a job yet,
+    so a kept huge coefficient on a mutated fan could run unbounded."""
+    jobs = [json.loads(job["stdin"]) for job in GOLDEN_JOBS.values()
+            if job["argv"][0] == command and job["exit"] != 2]
+    return [job for job in jobs if all(abs(i) <= 4 for i in _integers(job))]
+
+
+_PHASE = (st.builds("{}/{}".format, st.integers(-4, 4), st.integers(1, 4))
+          | st.integers(-4, 4) | _FUZZ_ENTRY)
+
+
+def _mutated_bhk_job(golden):
+    """P's entries kept, dropped, wrapped or replaced by small matrices of
+    the golden rank or by junk; Q's phases likewise, by small fractions."""
+    rank = len(golden["P"]["entries"])
+    entries = st.lists(st.lists(st.integers(-1, 4), min_size=rank,
+                                max_size=rank), min_size=rank, max_size=rank)
+    phases = st.lists(st.lists(_PHASE, min_size=rank, max_size=rank)
+                      | _FUZZ_VECTOR, max_size=2)
+    return st.builds(
+        _job,
+        nest=st.integers(0, 9).map(lambda k: k == 9),
+        P=_mutated("P", st.fixed_dictionaries(
+            {"entries": entries | _FUZZ_MATRIX}) | _FUZZ_ENTRY, golden),
+        Q=_mutated("Q", st.fixed_dictionaries(
+            {"phases": phases | _FUZZ_MATRIX}) | _FUZZ_ENTRY, golden),
+    )
+
+
+@given(st.sampled_from(_small_golden_jobs("bhk")).flatmap(_mutated_bhk_job))
+@settings(max_examples=200, deadline=2000, derandomize=True)
+def test_mutated_bhk_jobs_keep_the_exit_code_contract(payload):
+    assert_exit_code_contract("bhk", payload)
+
+
+def _mutated_dualcheck_job(golden):
+    """Each of the two fans kept, dropped, wrapped or replaced by a
+    mutated golden fan or by junk."""
+    fans = st.sampled_from(GOLDEN_FANS).flatmap(_mutated_fan) | _FUZZ_ENTRY
+    return st.builds(
+        _job,
+        nest=st.integers(0, 9).map(lambda k: k == 9),
+        fan=_mutated("fan", fans, golden),
+        dual_fan=_mutated("dual_fan", fans, golden),
+    )
+
+
+@given(st.sampled_from(_small_golden_jobs("dualcheck"))
+       .flatmap(_mutated_dualcheck_job))
+@settings(max_examples=200, deadline=2000, derandomize=True)
+def test_mutated_dualcheck_jobs_keep_the_exit_code_contract(payload):
+    assert_exit_code_contract("dualcheck", payload)
+
+
+def _mutated_divisor_job(golden, field):
+    """The golden fan mutated as in the `fan-validate` fuzz; its divisor
+    (or list of divisors) kept, dropped, wrapped or replaced by small
+    coefficient vectors of the golden ray count or by junk."""
+    count = len(golden["fan"]["rays"])
+    coeffs = st.lists(st.integers(-4, 4), min_size=count, max_size=count)
+    divisor = st.fixed_dictionaries({"coeffs": coeffs | _FUZZ_VECTOR})
+    if field == "divisors":
+        divisor = st.lists(divisor | _FUZZ_ENTRY, max_size=3)
+    return st.builds(
+        _job,
+        nest=st.integers(0, 9).map(lambda k: k == 9),
+        fan=_mutated("fan", _mutated_fan(golden["fan"]) | _FUZZ_ENTRY, golden),
+        **{field: _mutated(field, divisor | _FUZZ_ENTRY, golden)},
+    )
+
+
+@given(st.sampled_from(_small_golden_jobs("section-polytope"))
+       .flatmap(lambda job: _mutated_divisor_job(job, "divisor")))
+@settings(max_examples=200, deadline=2000, derandomize=True)
+def test_mutated_section_polytope_jobs_keep_the_exit_code_contract(payload):
+    assert_exit_code_contract("section-polytope", payload)
+
+
+@given(st.sampled_from(_small_golden_jobs("bundle-fan"))
+       .flatmap(lambda job: _mutated_divisor_job(job, "divisors")))
+@settings(max_examples=200, deadline=2000, derandomize=True)
+def test_mutated_bundle_fan_jobs_keep_the_exit_code_contract(payload):
+    assert_exit_code_contract("bundle-fan", payload)
 
 
 def test_a_dropped_maximal_cone_fails_the_wall_census(monkeypatch, capsys):

@@ -12,17 +12,23 @@ markers), and then A^(−T), its action on the dual lattice, must carry
 
 Batyrev–Borisov duality is also an involution, so `bb_mirror_pair` on
 the dual cone with the splittings exchanged must give the same pair with
-its sides swapped.  Neither oracle sees a bug that both constructions, or
-both directions, share.
+its sides swapped.  So is Berglund–Hübsch–Krawitz: `bhk_pair` on the
+transposed matrix with Krawitz's dual group gives the pair of (P, Q)
+with its sides swapped, up to a lattice isomorphism.  Neither oracle
+sees a bug that both constructions, or both directions, share.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualfan.lattice import LatticeMap, int_inverse
-from dualfan.mirrors import (bb_mirror_pair, dual_splittings, fermat_pipeline,
-                             is_reflexive)
+from dualfan.lattice import LatticeMap, int_inverse, rational_inverse
+from dualfan.mirrors import (bb_mirror_pair, bhk_pair, dual_splittings,
+                             fermat_pipeline, is_reflexive,
+                             krawitz_dual_group, phase_symmetries)
 from dualfan.polyhedra import Cone
 
 
@@ -115,3 +121,93 @@ def test_batyrev_borisov_mirror_of_the_mirror_is_the_pair_swapped(
     assert pair.passed and mirror.passed
     assert mirror.sigma_x == pair.sigma_x_prime
     assert mirror.sigma_x_prime == pair.sigma_x
+
+
+def marker_isomorphism(source, target):
+    """The A with A·(i-th marker of source) = i-th marker of target for
+    every i, when it is a unimodular integer matrix, else None."""
+    rank = source.lattice_rank
+    inverse = rational_inverse(LatticeMap.from_cols(source.marked_generators,
+                                                    nrows=rank))
+    columns = list(zip(*inverse))
+    a = [[sum(t * x for t, x in zip(row, col)) for col in columns]
+         for row in zip(*target.marked_generators)]
+    if any(x.denominator != 1 for row in a for x in row):
+        return None
+    a = LatticeMap([tuple(x.numerator for x in row) for row in a])
+    return a if abs(a.det()) == 1 else None
+
+
+def assert_bhk_mirror_of_the_mirror_is_the_pair_swapped(p, q):
+    # the i-th marker of the mirror's Σ_X and of the pair's Σ_X′ both come
+    # from the i-th monomial of P, and the j-th markers of the other two
+    # sides from its j-th variable; both pairings are P, so A must carry
+    # the one side and A^(−T) the other
+    pair = bhk_pair(p, q)
+    transposed = [list(column) for column in zip(*p)]
+    mirror = bhk_pair(transposed, krawitz_dual_group(p, q).lifts)
+    assert pair.passed and mirror.passed
+    a = marker_isomorphism(mirror.sigma_x, pair.sigma_x_prime)
+    assert a is not None, "the markers admit no lattice isomorphism"
+    assert carried(a, mirror.sigma_x) == shape(pair.sigma_x_prime)
+    dual_a = int_inverse(a).transpose()
+    assert [dual_a @ m for m in mirror.sigma_x_prime.marked_generators] == (
+        list(pair.sigma_x.marked_generators))
+    assert carried(dual_a, mirror.sigma_x_prime) == shape(pair.sigma_x)
+
+
+def fermat_p(n, a):
+    return [[a * (i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("p, q", [
+    (fermat_p(3, 3), [("1/3", "1/3", "1/3")]),
+    (fermat_p(3, 3), []),
+    ([[2, 1, 0], [0, 2, 1], [1, 0, 2]], []),
+    ([[3, 0, 0], [1, 3, 0], [0, 1, 3]], []),
+    (fermat_p(5, 5), [("1/5",) * 5]),
+], ids=["fermat-J", "fermat-trivial", "loop", "chain", "quintic-J"])
+def test_bhk_mirror_of_the_mirror_is_the_pair_swapped(p, q):
+    q = [tuple(Fraction(x) for x in phase) for phase in q]
+    assert_bhk_mirror_of_the_mirror_is_the_pair_swapped(p, q)
+
+
+@st.composite
+def atomic_block_sums(draw):
+    """Block sums of Kreuzer–Skarke atomic types of total rank ≤ 4, with
+    Q drawn from the phases of the full symmetry group.  With columns as
+    monomials: a Fermat x^a, a chain x_i^a_i·x_(i+1) ending in x_k^a_k,
+    and a loop x_i^a_i·x_(i−1) with indices mod k, each a_i from 2 to 4."""
+    blocks, rank = [], 0
+    while rank < 4:
+        kinds = ["fermat", "chain", "loop"] if rank < 3 else ["fermat"]
+        kind = draw(st.sampled_from(kinds))
+        size = 1 if kind == "fermat" else draw(st.integers(2, 4 - rank))
+        exponents = draw(st.lists(st.integers(2, 4), min_size=size,
+                                  max_size=size))
+        block = [[0] * size for _ in range(size)]
+        for i, e in enumerate(exponents):
+            block[i][i] = e
+            if kind == "chain" and i:
+                block[i][i - 1] = 1
+            elif kind == "loop":
+                block[i][(i + 1) % size] = 1
+        blocks.append(block)
+        rank += size
+        if draw(st.booleans()):
+            break
+    p = [[0] * rank for _ in range(rank)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            p[at + i][at:at + len(row)] = row
+        at += len(block)
+    phases = phase_symmetries(p).elements()
+    q = draw(st.lists(st.sampled_from(phases), max_size=2))
+    return p, q
+
+
+@given(atomic_block_sums())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_bhk_mirror_of_the_mirror_swaps_on_atomic_block_sums(case):
+    assert_bhk_mirror_of_the_mirror_is_the_pair_swapped(*case)

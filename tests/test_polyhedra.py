@@ -417,7 +417,7 @@ def three_pass_cone(normals, rank):
 def three_pass_polytope(pairs, rank):
     rows = [_primitive_lift(a, off) for a, off in pairs]
     rows.append((0,) * rank + (1,))
-    return Polytope._from_homogenization(three_pass_cone(rows, rank + 1), rank)
+    return Polytope(three_pass_cone(rows, rank + 1), rank)
 
 
 def same_lattice(a, b):
@@ -692,7 +692,7 @@ def test_h_descriptions_round_trip():
 def test_polytopes_with_lines_compare_as_sets(pairs, redundant):
     rank = len(redundant[0])
     plain = Polytope.from_hrep(pairs, rank)
-    assert plain._lineality and not plain.bounded
+    assert plain._cone.lineality_rank and not plain.bounded
     assert Polytope.from_hrep(pairs + [redundant], rank) == plain
 
 
@@ -955,6 +955,44 @@ def test_polar_involution_and_vertex_formula():
             tuple(F(a_i, 1) / off for a_i in a) for a, off in p.hrep
         }
         assert set(q.vertices) == expected
+
+
+def polytopes_around_the_origin(rng, count):
+    """Seeded full-dimensional polytopes of ranks 1 to 4 with the origin
+    inside: a scaled cross polytope and some random rational points."""
+    for _ in range(count):
+        rank = rng.randrange(1, 5)
+        scale = F(rng.randint(1, 3), rng.randint(1, 2))
+        points = [tuple(s * scale * (i == j) for j in range(rank))
+                  for i in range(rank) for s in (1, -1)]
+        points += [tuple(F(rng.randint(-6, 6), rng.randint(1, 2))
+                         for _ in range(rank))
+                   for _ in range(rng.randrange(0, 2 * rank + 2))]
+        yield Polytope.from_vertices(points, rank)
+
+
+def test_polar_is_the_dual_cone_and_matches_the_h_route():
+    rng = random.Random(27053)
+    for p in polytopes_around_the_origin(rng, 150):
+        q = p.polar()
+        # the earlier route, kept as the reference: the polar from the
+        # H-representation m·v + 1 ≥ 0 of every vertex v
+        old = Polytope.from_hrep([(v, 1) for v in p.vertices], p.ambient_rank)
+        assert q == old
+        assert (q.vertices, q.hrep, q.bounded, q.dim) == (
+            old.vertices, old.hrep, old.bounded, old.dim)
+        assert q.polar() == p
+
+
+def test_polar_runs_no_double_description(monkeypatch):
+    polytopes = list(polytopes_around_the_origin(random.Random(27054), 40))
+
+    def no_pass(*args):
+        raise AssertionError("double description ran for a polar")
+
+    monkeypatch.setattr(dualfan.polyhedra, "_double_description", no_pass)
+    for p in polytopes:
+        assert p.polar().polar() == p
 
 
 def test_minkowski_sum_of_segments():
