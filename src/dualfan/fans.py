@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from ._value import Value
 from .groups import FiniteAbelianGroup
-from .lattice import (LatticeMap, _adjugate, _integer, _lattice_vector,
+from .lattice import (LatticeMap, _adjugate, _dot, _integer, _lattice_vector,
                       _unit_vector, int_inverse, snf)
-from .polyhedra import Cone, _dot, _primitive
+from .polyhedra import Cone, _primitive
 
 
 class FanValidation(Value):
@@ -220,11 +220,17 @@ def is_dual_pair(s: Fan, s_prime: Fan) -> DualFanReport:
     if s.lattice_rank != s_prime.lattice_rank:
         raise ValueError("rank mismatch")
     for m in s_prime.rays:
-        for n in s.rays:
-            value = sum(a * b for a, b in zip(m, n))
-            if value < 0:
-                return DualFanReport(False, (m, n, value))
+        n = _negative_ray(s, m, "ray")
+        if n is not None:
+            return DualFanReport(False, (m, n, _dot(m, n)))
     return DualFanReport(True)
+
+
+def _negative_ray(fan, m, what):
+    """The first ray of the fan pairing negatively with m, or None."""
+    if len(m) != fan.lattice_rank:
+        raise ValueError(f"{what} has wrong length")
+    return next((r for r in fan.rays if _dot(m, r) < 0), None)
 
 
 def _covers(f: Fan, facets=()) -> bool:

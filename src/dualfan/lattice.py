@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import mul
 
 from ._value import Value
 
@@ -46,6 +47,11 @@ def _rational(x):
     if isinstance(x, (int, Fraction)):
         return x
     raise ValueError(f"{x!r} is not a rational number")
+
+
+def _dot(a, b):
+    """The pairing Σ aᵢ·bᵢ of two vectors, the one pairing in dualfan."""
+    return sum(map(mul, a, b))
 
 
 def _lattice_vector(v, what="vector"):
@@ -137,10 +143,8 @@ class LatticeMap(Value):
                 raise ValueError("shape mismatch")
             ot = list(zip(*other.entries)) if other.rows else []
             return LatticeMap(
-                tuple(
-                    tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                    for row in self.entries
-                )
+                tuple(tuple(_dot(row, col) for col in ot)
+                      for row in self.entries)
                 if ot
                 else tuple((0,) * other.cols for _ in range(self.rows)),
                 cols=other.cols,
@@ -149,7 +153,7 @@ class LatticeMap(Value):
         vec = tuple(other)
         if self.cols != len(vec):
             raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        return tuple(_dot(row, vec) for row in self.entries)
 
     def _key(self):
         return self.entries
@@ -464,7 +468,7 @@ def _solve_columns(a, columns):
         if adj is None:
             x = _solve(a, dec, b)
         else:
-            x = [sum(p * q for p, q in zip(row, b)) for row in adj]
+            x = [_dot(row, b) for row in adj]
             x = None if any(v % det for v in x) else tuple(v // det for v in x)
         if x is None:
             return None

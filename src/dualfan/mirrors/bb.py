@@ -20,9 +20,9 @@ from operator import sub
 
 from .._value import InternalError, Value
 from ..fans import Fan, _covers, is_dual_pair, relabel_fan
-from ..lattice import (LatticeMap, _integer, _lattice_vector, int_inverse,
-                       kernel_basis, solve_integer)
-from ..polyhedra import Cone, Polytope, _dot, _sweep
+from ..lattice import (LatticeMap, _dot, _integer, _lattice_vector,
+                       int_inverse, kernel_basis, solve_integer)
+from ..polyhedra import Cone, Polytope, _sweep
 from ..toric_lg import (
     AuxiliaryLG,
     ToricDivisor,

@@ -9,16 +9,17 @@ the monomial exponents in that basis.
 """
 
 from .._value import InternalError, Value
-from ..fans import is_dual_pair, orthant_fan, quotient_fan
+from ..fans import orthant_fan, quotient_fan
 from ..groups import FiniteAbelianGroup
 from ..lattice import (
     LatticeMap,
+    _dot,
     annihilator_lattice,
     rational_inverse,
     solve_integer_matrix,
 )
 from ..toric_lg import AuxiliaryLG, _unit_potential, base_change_check
-from .report import MirrorReport
+from .report import MirrorReport, built_duality
 
 
 def _as_matrix(p):
@@ -147,10 +148,8 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
 
     # markers pair to the exponent matrix itself
     pairing_ok = all(
-        sum(ai * xi for ai, xi in zip(sigma.marked_generators[i],
-                                      sigma_prime.marked_generators[j]))
-        == p.entries[i][j]
-        for i in range(n) for j in range(n))
+        _dot(sigma.marked_generators[i], sigma_prime.marked_generators[j])
+        == p.entries[i][j] for i in range(n) for j in range(n))
     checks.append(("markers_pair_to_exponents", pairing_ok))
 
     crit = _criterion(p, q_group, q_dual, symmetries)
@@ -158,6 +157,7 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
     checks.append(("group_duality", crit.holds))
     checks.append(("order_law", q_group.order * q_dual.order == det))
 
+    duality = built_duality(sigma, sigma_prime)
     # each orthant ray keeps one marker, the column of its map
     gamma = AuxiliaryLG(sigma, sigma_prime.marked_generators)
     gamma_prime = AuxiliaryLG(sigma_prime, sigma.marked_generators)
@@ -183,7 +183,7 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
         "pairing reproduces P entrywise",
     )
 
-    return MirrorReport(sigma, sigma_prime, is_dual_pair(sigma, sigma_prime),
+    return MirrorReport(sigma, sigma_prime, duality,
                         to_gamma=to_gamma, to_gamma_prime=to_gamma_prime,
                         checks=checks, counts=counts, potentials=potentials,
                         notes=notes, criterion=crit)

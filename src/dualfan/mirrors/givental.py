@@ -7,7 +7,7 @@ of the ray lattice.  Two sign conventions for the fiber directions are
 exposed as separate entry points.
 """
 
-from ..fans import Fan, is_complete, is_dual_pair, is_smooth
+from ..fans import Fan, is_complete, is_smooth
 from ..lattice import LatticeMap, _lattice_vector, _unit_vector
 from ..polyhedra import Cone
 from ..symbols import ParamPoly, Potential
@@ -19,7 +19,7 @@ from ..toric_lg import (
     base_change_check,
     is_cartier,
 )
-from .report import MirrorReport
+from .report import MirrorReport, built_duality
 
 
 def splitting_basis(fan, basis_rays=None):
@@ -110,15 +110,7 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign):
     cone = Cone(lifted, n + c)
     sigma_x_prime = Fan.from_maximal_cones([cone], n + c)
 
-    shape_ok = True
-    for r in sigma_x_prime.rays:
-        mu, tail = r[:n], r[n:]
-        hits = [a for a in range(c) if tail == _unit_vector(a, c)]
-        if len(hits) != 1 or not sections[hits[0]].contains(mu):
-            shape_ok = False
-            break
-
-    duality = is_dual_pair(sigma_x, sigma_x_prime)
+    duality = built_duality(sigma_x, sigma_x_prime)
     gamma_prime = AuxiliaryLG(sigma_x_prime, sigma_x.marked_generators)
     to_gamma = base_change_check(gamma, sigma_x_prime)
     to_gamma_prime = base_change_check(gamma_prime, sigma_x)
@@ -131,7 +123,8 @@ def _bundle_mirror(fan, divisors, basis_rays, fiber_sign):
     w_prime = Potential(zip(gamma_prime.exponents, values))
 
     checks = [
-        ("rays_are_marked_sections", shape_ok),
+        # the rays of the cone over the lifted vertices are exactly those
+        ("rays_are_marked_sections", set(sigma_x_prime.rays) == set(lifted)),
         ("coefficient_ring_isomorphic", to_gamma_prime.is_isomorphism),
         ("dual_fan_is_single_cone", len(sigma_x_prime.max_cones) == 1),
     ]

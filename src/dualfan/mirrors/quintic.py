@@ -9,17 +9,16 @@ the original total-space fan.  The quintic is the case n = 4.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .._value import InternalError
-from ..fans import (_covers, is_dual_pair, projective_space_fan, quotient_fan,
-                    relabel_fan)
-from ..lattice import (LatticeMap, _unit_vector, annihilator_lattice,
+from ..fans import _covers, projective_space_fan, quotient_fan, relabel_fan
+from ..lattice import (LatticeMap, _dot, _unit_vector, annihilator_lattice,
                        solve_integer_matrix)
-from ..polyhedra import _dot
 from ..symbols import ParamPoly, Potential
 from ..toric_lg import (AuxiliaryLG, ToricDivisor, _unit_potential,
                         auxiliary_lg_from_ci, base_change_check)
-from .report import MirrorReport
+from .report import MirrorReport, built_duality
 
 # the degree d in words for the note, as (cardinal, ordinal); digits from
 # ten on, where "th" holds up to d = 20, past any degree whose C(2n+1, n)
@@ -42,7 +41,11 @@ def fermat_pipeline(n) -> MirrorReport:
     dictionary = LatticeMap.from_rows(list(sigma_x.rays[:d]))
     degrees = [tuple(_dot(row, e) for row in dictionary.entries)
                for e in gamma.exponents]
-    degrees_ok = all(min(g) >= 0 and sum(g) == d for g in degrees)
+    # D is invertible and the exponents are distinct, so the degree
+    # vectors are distinct: they are all C(2n + 1, n) degree-d monomials
+    # in d variables, each once, iff there are that many and each is one
+    degrees_ok = len(degrees) == comb(2 * n + 1, n) and all(
+        min(g) >= 0 and sum(g) == d for g in degrees)
 
     # the d pure powers and the product, from one elimination of D
     solved = solve_integer_matrix(dictionary, LatticeMap.from_rows(
@@ -80,9 +83,9 @@ def fermat_pipeline(n) -> MirrorReport:
     marker_set = set(sigma_x_prime.marked_generators)
     invariant_exponents = {
         e for e, g in zip(gamma.exponents, degrees)
-        if all(sum(h * x for h, x in zip(s, g)) % d == 0 for s in scaled)}
+        if all(_dot(s, g) % d == 0 for s in scaled)}
 
-    duality = is_dual_pair(sigma_x, sigma_x_prime)
+    duality = built_duality(sigma_x, sigma_x_prime)
     gamma_prime = AuxiliaryLG(sigma_x_prime, sigma_x.marked_generators)
     to_gamma = base_change_check(gamma, sigma_x_prime)
     to_gamma_prime = base_change_check(gamma_prime, sigma_x)

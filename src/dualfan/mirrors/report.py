@@ -1,7 +1,7 @@
 """Common result type for the mirror pipelines."""
 
-from .._value import Value
-from ..fans import DualFanReport, Fan
+from .._value import InternalError, Value
+from ..fans import DualFanReport, Fan, is_dual_pair
 from ..lattice import _integer
 from ..symbols import Potential
 from ..toric_lg import BaseChangeReport
@@ -23,6 +23,18 @@ def _lookup(pairs, name):
         if n == name:
             return v
     raise KeyError(name)
+
+
+def built_duality(sigma, sigma_prime) -> DualFanReport:
+    """`is_dual_pair` of a pair that a pipeline built.  The construction
+    makes every accepted input dual, so a witness is a fault in dualfan,
+    raised as an `InternalError` that names it."""
+    duality = is_dual_pair(sigma, sigma_prime)
+    if not duality:
+        m, n, value = duality.witness
+        raise InternalError(f"the built fans are not dual: ray {list(m)} "
+                            f"pairs to {value} with ray {list(n)}")
+    return duality
 
 
 class MirrorReport(Value):

@@ -25,15 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from ._value import InternalError, Value
-from .lattice import (LatticeMap, _adjugate, _hermite, _lattice_vector,
+from .lattice import (LatticeMap, _adjugate, _dot, _hermite, _lattice_vector,
                       _rational, _unit_vector, kernel_basis)
-
-
-def _dot(a, b):
-    return sum(map(mul, a, b))
 
 
 def _primitive(v):
@@ -126,6 +121,10 @@ def _simplicial_normals(gens, n):
 
 
 def _with_flips(rays, lineality):
+    """The sorted rays padded with ± each lineality basis vector; the
+    rays tuple itself, already sorted, when there is no lineality."""
+    if not lineality:
+        return tuple(rays)
     flips = (tuple(-x for x in l) for l in lineality)
     return tuple(sorted({*rays, *lineality, *flips}))
 
@@ -140,7 +139,9 @@ class Cone(Value):
     independent generators in rank n the cone is simplicial and pointed:
     each generator is a ray and each facet misses exactly one of them.
     Roles swapped, a cone with n independent facet normals takes one
-    double description pass.
+    double description pass.  Every route ends in one install step that
+    fills all fields from the rays and lineality of both sides, and
+    `dual()` is that step with the sides swapped.
     Every description of one cone gives the same generators, so cones
     compare and hash by (ambient_rank, generators).
     """
@@ -154,37 +155,36 @@ class Cone(Value):
         for g in gens:
             if len(g) != ambient_rank:
                 raise ValueError("generator has wrong length")
-        normals = _simplicial_normals(gens, ambient_rank)
-        if normals is not None:  # simplicial and full-dimensional
-            gens, normals = tuple(gens), tuple(normals)
-            self._install(ambient_rank, gens, (), gens, normals, (), normals)
-            return
-        if not gens:  # the origin: its dual is the whole space
-            eye = [_unit_vector(i, ambient_rank) for i in range(ambient_rank)]
-            self._install(ambient_rank, (), (), (), (), eye,
-                          _with_flips((), eye))
-            return
-        dual_rays, dual_lin = _double_description(gens, ambient_rank)
-        rays = None if dual_lin else _simplicial_normals(
-            dual_rays, ambient_rank)
-        if rays is not None:  # a simplicial dual: the cone is simplicial too
-            rays, dual = tuple(rays), tuple(dual_rays)
-            self._install(ambient_rank, rays, (), rays, dual, (), dual)
-            return
-        normals = _with_flips(dual_rays, dual_lin)
-        rays, lin = _double_description(normals, ambient_rank)
-        self._install(ambient_rank, rays, lin, _with_flips(rays, lin),
-                      dual_rays, dual_lin, normals)
+        lin = dual_lin = ()
+        dual_rays = _simplicial_normals(gens, ambient_rank)
+        if dual_rays is not None:  # simplicial and full-dimensional
+            rays = gens
+        elif not gens:  # the origin: its dual is the whole space
+            rays = dual_rays = ()
+            dual_lin = [_unit_vector(i, ambient_rank)
+                        for i in range(ambient_rank)]
+        else:
+            dual_rays, dual_lin = _double_description(gens, ambient_rank)
+            # a simplicial dual makes the cone simplicial too
+            rays = None if dual_lin else _simplicial_normals(
+                dual_rays, ambient_rank)
+            if rays is None:
+                rays, lin = _double_description(
+                    _with_flips(dual_rays, dual_lin), ambient_rank)
+        self._install(ambient_rank, rays, lin, dual_rays, dual_lin)
 
-    def _install(self, ambient_rank, rays, lin, generators, dual_rays,
-                 dual_lin, facet_normals):
+    def _install(self, ambient_rank, rays, lin, dual_rays, dual_lin):
+        """Fill every field from the rays and lineality of both sides."""
+        rays, lin, dual_rays, dual_lin = map(
+            tuple, (rays, lin, dual_rays, dual_lin))
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "_rays", tuple(rays))
-        object.__setattr__(self, "_lineality", tuple(lin))
-        object.__setattr__(self, "_dual_rays", tuple(dual_rays))
-        object.__setattr__(self, "_dual_lineality", tuple(dual_lin))
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "facet_normals", facet_normals)
+        object.__setattr__(self, "_rays", rays)
+        object.__setattr__(self, "_lineality", lin)
+        object.__setattr__(self, "_dual_rays", dual_rays)
+        object.__setattr__(self, "_dual_lineality", dual_lin)
+        object.__setattr__(self, "generators", _with_flips(rays, lin))
+        object.__setattr__(self, "facet_normals",
+                           _with_flips(dual_rays, dual_lin))
         object.__setattr__(self, "lineality_rank", len(lin))
         # the dual's lineality is the orthogonal complement of the span
         object.__setattr__(self, "dim", ambient_rank - len(dual_lin))
@@ -201,8 +201,7 @@ class Cone(Value):
         """The dual cone, free of charge: both descriptions swap."""
         cone = object.__new__(Cone)
         cone._install(self.ambient_rank, self._dual_rays,
-                      self._dual_lineality, self.facet_normals,
-                      self._rays, self._lineality, self.generators)
+                      self._dual_lineality, self._rays, self._lineality)
         return cone
 
     def is_strongly_convex(self) -> bool:
@@ -420,9 +419,7 @@ class Polytope(Value):
 
     def contains(self, point) -> bool:
         p = tuple(map(_rational, point))
-        return all(
-            sum(a * x for a, x in zip(n, p)) + off >= 0 for n, off in self.hrep
-        )
+        return all(_dot(n, p) + off >= 0 for n, off in self.hrep)
 
     def translate(self, vec) -> "Polytope":
         v = tuple(map(_rational, vec))

@@ -14,10 +14,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from ._value import Value
-from .fans import Fan, is_complete, is_dual_pair, relabel_fan
-from .lattice import (LatticeMap, _integer, _lattice_vector, _unit_vector,
-                      int_inverse, snf, solve_integer)
-from .polyhedra import Polytope, _dot, _primitive
+from .fans import Fan, _negative_ray, is_complete, is_dual_pair, relabel_fan
+from .lattice import (LatticeMap, _dot, _integer, _lattice_vector,
+                      _unit_vector, int_inverse, snf, solve_integer)
+from .polyhedra import Polytope, _primitive
 from .symbols import ParamPoly, Potential
 
 
@@ -157,13 +157,6 @@ def is_regular_character(fan: Fan, m) -> bool:
     generators suffices.
     """
     return _negative_ray(fan, _lattice_vector(m, "character"), "character") is None
-
-
-def _negative_ray(fan, m, what):
-    """The first ray pairing negatively with the character m, or None."""
-    if len(m) != fan.lattice_rank:
-        raise ValueError(f"{what} has wrong length")
-    return next((r for r in fan.rays if _dot(m, r) < 0), None)
 
 
 class AuxiliaryLG(Value):

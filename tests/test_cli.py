@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import dualfan.cli
 import dualfan.mirrors.bb
+import dualfan.mirrors.givental
 import dualfan.mirrors.quintic
 from dualfan.cli import canonical_json, emit_fan, main, parse_fan
 from dualfan.fans import Fan, projective_space_fan
@@ -434,6 +435,73 @@ def test_a_fault_in_the_quintic_pipeline_is_exit_3(capsys, monkeypatch):
     code, body, err = run(capsys, ["quintic"])
     assert (code, body) == (3, None)
     assert err == "internal error: matrix is not unimodular\n"
+
+
+P1_DEGREE_TWO = {"fan": LINE, "bundles": [{"coeffs": [0, 2]}]}
+
+
+def test_a_built_givental_pair_that_is_not_dual_is_exit_3(capsys,
+                                                          monkeypatch):
+    # the pipeline builds Σ′ as the cone over the lifted section vertices,
+    # which is dual to Σ for every accepted input; over their negatives
+    # it is not, and that is a fault in dualfan, not in the input
+    from dualfan.polyhedra import Cone
+
+    monkeypatch.setattr(
+        dualfan.mirrors.givental, "Cone", lambda gens, rank: Cone(
+            [tuple(-x for x in g) for g in gens], rank))
+    code, body, err = run(capsys, ["givental"], P1_DEGREE_TWO, monkeypatch)
+    assert (code, body) == (3, None)
+    assert err == ("internal error: the built fans are not dual: "
+                   "ray [-2, -1] pairs to -2 with ray [1, 0]\n")
+
+
+def test_a_built_bhk_pair_that_is_not_dual_is_exit_3(capsys, monkeypatch):
+    # σ′ relabeled by −I is a fan with the same groups, but its markers
+    # pair negatively with those of σ
+    import dualfan.mirrors.bhk
+    from dualfan.fans import relabel_fan
+    from dualfan.lattice import LatticeMap
+
+    quotient = dualfan.mirrors.bhk.quotient_fan
+    calls = []
+
+    def negating_the_second(f, q):
+        image, data = quotient(f, q)
+        calls.append(image)
+        if len(calls) == 2:
+            image = relabel_fan(image, LatticeMap(
+                [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]))
+        return image, data
+
+    monkeypatch.setattr(dualfan.mirrors.bhk, "quotient_fan",
+                        negating_the_second)
+    job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
+           "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
+    code, body, err = run(capsys, ["bhk"], job, monkeypatch)
+    assert (code, body) == (3, None)
+    assert err == ("internal error: the built fans are not dual: "
+                   "ray [-3, 0, 2] pairs to -3 with ray [1, 0, 0]\n")
+
+
+@pytest.mark.parametrize("command", ["givental", "hori-vafa"])
+def test_a_sigma_prime_missing_a_section_vertex_is_exit_1(capsys,
+                                                          monkeypatch,
+                                                          command):
+    # the lifted vertices of [0, 2] are (0, 1) and (2, 1); the cone over
+    # (1, 1) and (2, 1) is still dual to Σ and each of its rays is still
+    # a lifted section, but the vertex (0, 1) is no ray of it
+    from dualfan.polyhedra import Cone
+
+    monkeypatch.setattr(dualfan.mirrors.givental, "Cone",
+                        lambda gens, rank: Cone([(1, 1), (2, 1)], rank))
+    code, body, _ = run(capsys, [command], P1_DEGREE_TWO, monkeypatch)
+    assert code == 1
+    report = body["report"]
+    assert report["sigma_x_prime"]["rays"] == [[1, 1], [2, 1]]
+    assert report["duality"]["verdict"] is True
+    assert report["checks"]["rays_are_marked_sections"] is False
+    assert report["passed"] is False
 
 
 def test_section_polytope_command(capsys, monkeypatch):

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import dualfan.mirrors.quintic
 from dualfan.fans import is_smooth, validate_fan
 from dualfan.mirrors import fermat_pipeline, quintic_pipeline
 from dualfan.symbols import ParamPoly
+from dualfan.toric_lg import AuxiliaryLG
 
 POWER_MARKERS = {
     (4, -1, -1, -1, 1),
@@ -102,6 +104,31 @@ def test_fermat_pipeline_matches_its_closed_forms(n):
     # the check compares the invariant factors with (n + 1,) * (n - 1)
     assert report.check("deck_group_factors")
     assert report.count("deck_group_order") == (n + 1) ** (n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_family_missing_a_section_fails_the_monomial_dictionary(
+        monkeypatch, n):
+    # without one exponent that is no marker, every degree vector is still
+    # a degree-d monomial and every other check holds; only the count
+    # shows that the dictionary no longer reaches every monomial
+    markers = set(fermat_pipeline(n).sigma_x_prime.marked_generators)
+    build = dualfan.mirrors.quintic.auxiliary_lg_from_ci
+
+    def missing_one(divisors):
+        family, verticals = build(divisors)
+        exponents = list(family.exponents)
+        exponents.remove(next(e for e in exponents if e not in markers))
+        return AuxiliaryLG(family.fan, exponents), verticals
+
+    monkeypatch.setattr(dualfan.mirrors.quintic, "auxiliary_lg_from_ci",
+                        missing_one)
+    report = fermat_pipeline(n)
+    assert report.count("xi_count") == comb(2 * n + 1, n) - 1
+    assert not report.check("monomial_dictionary")
+    assert not report.passed
+    assert all(ok for name, ok in report.checks
+               if name != "monomial_dictionary")
 
 
 @pytest.fixture(scope="module")
