@@ -42,12 +42,21 @@ class InputError(ValueError):
     """A job payload that cannot be interpreted."""
 
 
+class _SmallIntRows(list):
+    """Rows of exact ints, each strictly between -2^53 and 2^53, as
+    vouched for by whoever built the list; `_jsonable` passes it whole."""
+
+
 def _jsonable(x):
     # exact types first; no class is both a container and a scalar, so
     # testing containers before the scalar chain changes no result
     if type(x) is int:
         return x if -_INT_LIMIT < x < _INT_LIMIT else str(x)
     if isinstance(x, (list, tuple)):
+        # its builder already proved what the test below would, so the
+        # list costs one type test, not a pass over every entry
+        if type(x) is _SmallIntRows:
+            return x
         # a row of small exact ints, or a list of such rows, is already its
         # own JSON value: json writes an exact int with int.__repr__ and a
         # tuple as an array, and the exact-type test leaves bool, int
@@ -75,9 +84,12 @@ def _jsonable(x):
 
 
 # No cycle markers: `_jsonable` returns a fresh tree of dicts and lists
-# around the caller's int rows, and it walks every container first, so a
-# cyclic report raises RecursionError before the encoder runs.  A row
-# shared at two places is not a cycle and encodes twice, as with markers.
+# around the caller's int rows, and it walks every container first but a
+# `_SmallIntRows`, whose rows hold only ints, so a cyclic report raises
+# RecursionError before the encoder runs.  A row shared at two places is
+# not a cycle and encodes twice, as with markers.  A section polytope's
+# point list reaches the encoder as it is, so its report costs the
+# encoder's own pass and a few vertex comparisons.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             check_circular=False)
 
@@ -357,6 +369,11 @@ def _cmd_section_polytope(payload, height_bound):
                              "divisor")
     poly = section_polytope(divisor)
     points = poly.lattice_points()
+    # the points are tuples of exact ints inside the vertex box, so a box
+    # strictly inside ±2^53 vouches for every entry; a box that reaches
+    # the limit leaves the list to `_jsonable`'s own walk
+    if all(-_INT_LIMIT < x < _INT_LIMIT for v in poly.vertices for x in v):
+        points = _SmallIntRows(points)
     body = {
         "cartier": is_cartier(divisor) is not None,
         "vertices": poly.vertices,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .groups import FiniteAbelianGroup
-from .lattice import (LatticeMap, _adjugate, _dot, _integer, _lattice_vector,
+from .lattice import (LatticeMap, _dot, _integer, _lattice_vector,
                       _unit_vector, int_inverse, snf)
 from .polyhedra import Cone, _primitive
 
@@ -299,8 +299,12 @@ def is_smooth(f: Fan) -> bool:
         if not cone.is_strongly_convex():
             return False
         rays = cone.extreme_rays
-        if len(rays) == f.lattice_rank:  # a basis iff |det| = 1
-            if abs(_adjugate(rays)[0]) != 1:
+        if len(rays) == f.lattice_rank:
+            # each primitive facet normal vanishes on every ray but one,
+            # so it pairs with their sum as with that ray; N·Gᵀ = I, a
+            # basis, holds iff |det G| = 1
+            total = tuple(map(sum, zip(*rays)))
+            if any(_dot(nv, total) != 1 for nv in cone.facet_normals):
                 return False
             continue
         dec = snf(LatticeMap.from_rows(list(rays), ncols=f.lattice_rank))

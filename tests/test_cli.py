@@ -546,6 +546,41 @@ def test_section_polytope_needs_a_complete_fan(capsys, monkeypatch):
     assert "complete" in err
 
 
+_LIMIT = 2 ** 53
+# (fan, coeffs, whether the vertex box vouches for the point list); on
+# the line the coefficients (a, b) give the segment [-a, b]
+_NEAR_THE_LIMIT = {
+    "inside": (LINE, [3 - _LIMIT, _LIMIT - 1], True),
+    "inside-negative": (LINE, [_LIMIT - 1, 3 - _LIMIT], True),
+    "straddling": (LINE, [1 - _LIMIT, _LIMIT], False),
+    "beyond": (LINE, [-_LIMIT, _LIMIT + 2], False),
+    # the ray (1, 2) puts a vertex at (0, 1/2 - 2^53), below every point
+    "fractional": ({"rank": 2, "rays": [[1, 2], [-1, 0], [0, -1]],
+                    "max_cones": [[0, 1], [1, 2], [0, 2]]},
+                   [2 * _LIMIT - 1, 0, 3 - _LIMIT], True),
+}
+
+
+@pytest.mark.parametrize("case", _NEAR_THE_LIMIT)
+def test_section_points_near_2_53_match_the_reference_walk(capsys,
+                                                          monkeypatch, case):
+    fan, coeffs, vouched = _NEAR_THE_LIMIT[case]
+    payload = {"fan": fan, "divisor": {"coeffs": coeffs}}
+    body, failed = dualfan.cli._cmd_section_polytope(payload, 3)
+    assert not failed and body["count"] > 0
+    points = body["lattice_points"]
+    assert (type(points) is dualfan.cli._SmallIntRows) == vouched
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert main(["section-polytope", "-"]) == 0
+    out = capsys.readouterr().out
+    report = {"schema_version": 1, "command": "section-polytope", **body}
+    assert out == _reference_canonical_json(report)
+    if case == "straddling":
+        assert '"lattice_points":[[%d],["%d"]]' % (_LIMIT - 1, _LIMIT) in out
+    if case == "fractional":
+        assert [0, "%d/2" % (1 - 2 * _LIMIT)] in json.loads(out)["vertices"]
+
+
 def test_bundle_fan_command(capsys, monkeypatch):
     job = {"fan": LINE, "divisors": [{"coeffs": [0, 2]}]}
     code, body, _ = run(capsys, ["bundle-fan"], job, monkeypatch)

@@ -24,7 +24,7 @@ from dualfan.fans import (
     relabel_fan,
     validate_fan,
 )
-from dualfan.lattice import LatticeMap
+from dualfan.lattice import LatticeMap, _adjugate
 from dualfan.polyhedra import Cone, Polytope, primitive_vector
 
 
@@ -434,6 +434,24 @@ def test_smoothness():
     assert not is_smooth(Fan([(1, 0), (1, 2)], [(0, 1)], 2))
     # simplicial but not unimodular in rank 3
     assert not is_smooth(Fan([(1, 0, 0), (0, 1, 0), (1, 1, 2)], [(0, 1, 2)], 3))
+
+
+def test_smoothness_from_facet_normals_matches_the_determinant():
+    # `is_smooth` tests a pointed simplicial cone through its facet
+    # normals; the rays extend to a basis iff their determinant is ±1
+    rng = random.Random(1501)
+    seen = 0
+    for _ in range(4000):
+        n = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        cone = Cone(gens, n)
+        rays = cone.extreme_rays
+        if not cone.is_strongly_convex() or len(rays) != n:
+            continue
+        seen += 1
+        fan = Fan.from_maximal_cones([cone], n)
+        assert is_smooth(fan) == (abs(_adjugate(rays)[0]) == 1), rays
+    assert seen > 3000
 
 
 def test_rank_zero_fan():

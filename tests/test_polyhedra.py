@@ -842,6 +842,11 @@ def random_fraction(rng, bound):
 def assert_sweep_matches(points, expected):
     assert points == expected
     assert all(p < q for p, q in zip(points, points[1:]))
+    # equality cannot see it (Fraction(1) == 1), but the CLI writes the
+    # list unchecked when the vertex box lies inside ±2^53: each point is
+    # a tuple of exact ints
+    assert all(type(p) is tuple and all(type(x) is int for x in p)
+               for p in points)
 
 
 def test_lattice_points_match_box_scan_on_fractional_vertices():
