@@ -15,7 +15,7 @@ from fractions import Fraction
 from ._value import Value
 from .groups import FiniteAbelianGroup
 from .lattice import (LatticeMap, _dot, _integer, _lattice_vector,
-                      _unit_vector, int_inverse, snf)
+                      _pairings, _unit_vector, int_inverse, snf)
 from .polyhedra import Cone, _primitive
 
 
@@ -219,18 +219,31 @@ def is_dual_pair(s: Fan, s_prime: Fan) -> DualFanReport:
     """
     if s.lattice_rank != s_prime.lattice_rank:
         raise ValueError("rank mismatch")
-    for m in s_prime.rays:
-        n = _negative_ray(s, m, "ray")
-        if n is not None:
-            return DualFanReport(False, (m, n, _dot(m, n)))
-    return DualFanReport(True)
+    hit = _negative_pairing(s, s_prime.rays, "ray")
+    if hit is None:
+        return DualFanReport(True)
+    m, n = s_prime.rays[hit[0]], hit[1]
+    return DualFanReport(False, (m, n, _dot(m, n)))
 
 
-def _negative_ray(fan, m, what):
-    """The first ray of the fan pairing negatively with m, or None."""
-    if len(m) != fan.lattice_rank:
+def _negative_pairing(fan, vectors, what):
+    """(i, r) for the first vector vectors[i] that pairs negatively with
+    a ray of the fan and the first such ray r, or None: what a loop over
+    the vectors, each over the rays, would find first.  A vector of the
+    wrong length raises where that loop would reach it, so only when no
+    vector before it pairs negatively.  Each ray meets the whole family
+    in one `_pairings` pass."""
+    wrong = list(map(fan.lattice_rank.__ne__, map(len, vectors)))
+    bad = wrong.index(True) if True in wrong else len(vectors)
+    hit = None
+    for r, p in zip(fan.rays, _pairings(fan.rays, vectors[:bad])):
+        if min(p, default=0) < 0:
+            i = next(i for i, v in enumerate(p) if v < 0)
+            if hit is None or i < hit[0]:
+                hit = i, r
+    if hit is None and bad < len(vectors):
         raise ValueError(f"{what} has wrong length")
-    return next((r for r in fan.rays if _dot(m, r) < 0), None)
+    return hit
 
 
 def _covers(f: Fan, facets=()) -> bool:
@@ -321,8 +334,10 @@ def quotient_fan(f: Fan, q: LatticeMap):
     finite subgroup of the fan's torus that the map kills (its invariant
     factors equal those of the torsion of the transposed cokernel).
     Raises when the image cones do not form a fan.  The face-image check
-    skips a pointed source cone whose k rays push to a k-dimensional
-    image: the pushed rays are independent, so every subset spans a face.
+    skips a maximal cone whose k rays push to a k-dimensional image, with
+    no source cone built: the rays are independent, so the source cone is
+    simplicial and pointed over exactly them, and so are the pushed rays,
+    so every subset spans a face.
     """
     if q.cols != f.lattice_rank:
         raise ValueError("map does not start at the fan's lattice")
@@ -359,7 +374,10 @@ def quotient_fan(f: Fan, q: LatticeMap):
         raise ValueError(f"quotient not a fan: {check.diagnostics[0]}")
     # the image set {q(τ) : τ a face} must be closed under faces too: pushed
     # rays span a face of the pointed image iff their closure adds no ray
-    for src, img in zip(f.cones, image.cones):
+    for ixs, img in zip(f.max_cones, image.cones):
+        if img.dim == len(ixs):
+            continue
+        src = Cone([f.rays[i] for i in ixs], f.lattice_rank)
         rays = src.extreme_rays
         if src.is_strongly_convex() and img.dim == len(rays):
             continue

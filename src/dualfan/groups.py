@@ -16,12 +16,13 @@ from math import prod
 from ._value import Value
 from .lattice import (
     LatticeMap,
+    _identity_rows,
     _integer,
     _phase_lattice,
     _rational,
     _scaled_inverse,
     _scaled_phases,
-    snf,
+    _smith,
 )
 
 
@@ -83,16 +84,19 @@ class FiniteAbelianGroup(Value):
         The construction scales away denominators, takes the Hermite
         basis B of the scaled lattice, and reads the quotient by ell·Z^m
         off the Smith form U·Y·V = D of Y = B⁻¹·(ell·id).  Then
-        B·U⁻¹ = ell·V·D⁻¹, so lift i is column i of V over d_i.  Every
-        step is canonical, so two generating sets of the same subgroup
-        produce equal objects.  The phases and the lifts generate one
-        group, so they share L and ell (its exponent), and the group
-        keeps (ell, B, Y).
+        B·U⁻¹ = ell·V·D⁻¹, so lift i is column i of V over d_i, reduced
+        into [0, 1).  Only D and V are read, so the Smith pass runs on
+        [Y; I] and carries no U.  Every step is canonical, so two
+        generating sets of the same subgroup produce equal objects.  The
+        phases and the lifts generate one group, so they share L and ell
+        (its exponent), and the group keeps (ell, B, Y).
         """
         lattice = _lattice_of(phases, ambient_rank)
-        dec = snf(lattice[2])
-        kept = [(i, d) for i, d in enumerate(dec.diagonal) if d > 1]
-        lifts = [tuple(Fraction(x, d) % 1 for x in dec.V.col(i))
+        n = lattice[2].rows
+        m = _smith([list(row) for row in lattice[2].entries]
+                   + _identity_rows(n), n, n)
+        kept = [(i, m[i][i]) for i in range(n) if m[i][i] > 1]
+        lifts = [tuple(Fraction(row[i] % d, d) for row in m[n:])
                  for i, d in kept]
         group = cls([d for _, d in kept], lifts, ambient_rank)
         object.__setattr__(group, "_lattice", lattice)
@@ -145,7 +149,10 @@ class FiniteAbelianGroup(Value):
         x = self._quotient_map(sub)
         if x is None:
             raise ValueError("not a subgroup")
-        return snf(x).invariant_factors
+        # only the diagonal is read, so the Smith pass carries no U or V
+        m = _smith([list(row) for row in x.entries], x.rows, x.cols)
+        return tuple(m[i][i] for i in range(min(x.rows, x.cols))
+                     if m[i][i] > 1)
 
     def _quotient_map(self, sub):
         # Integer matrix X with B_self·X = B_sub at self's scale ell, or

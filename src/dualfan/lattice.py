@@ -14,15 +14,24 @@ each update at step k is the previous pivot times a (k+1)-minor of
 inverses, the simplicial facet normals of `polyhedra`, the smoothness
 test of `fans`, the phase groups of `groups` and the solves of a square
 nonsingular system read it: such a system has the one solution
-adj(A)·b / det A, so it needs no Smith form.
+adj(A)·b / det A, so it needs no Smith form.  A row that holds 0 under
+the pivot when the pivot repeats the one before is left as it is: its
+update would give it back unchanged.
+
+Every Smith form goes through one routine, `_smith`, written like
+`_hermite`: it eliminates in place on the rows it is given, row
+operations carry any columns past the matrix and column operations any
+rows below it.  `snf` runs it on [[A | I], [I | 0]] to read U, D and V;
+a caller that reads only D and V passes [A; I], and one that reads only
+D passes A alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from ._value import Value
 
@@ -52,6 +61,24 @@ def _rational(x):
 def _dot(a, b):
     """The pairing Σ aᵢ·bᵢ of two vectors, the one pairing in dualfan."""
     return sum(map(mul, a, b))
+
+
+def _pairings(rays, vectors):
+    """For each ray, the list of its pairings with every vector of a
+    family of that length: one C-level pass over the family, which adds
+    up the family's coordinate columns scaled by the ray's nonzero
+    coordinates."""
+    columns = list(zip(*vectors))
+    zero = [0] * len(vectors)
+    out = []
+    for r in rays:
+        acc = zero
+        for x, col in zip(r, columns):
+            if x:
+                acc = map(add, acc,
+                          col if x == 1 else map(mul, col, repeat(x)))
+        out.append(list(acc))
+    return out
 
 
 def _lattice_vector(v, what="vector"):
@@ -274,86 +301,77 @@ def hnf(a: LatticeMap):
             LatticeMap([r[n:] for r in m], cols=a.rows))
 
 
-def snf(a: LatticeMap) -> SmithDecomposition:
-    """Smith normal form with both transforms.
+def _smith(m, nrows, ncols):
+    """Smith form of the rows `m` on their first `nrows` rows and `ncols`
+    columns.
 
+    The rows are lists and are changed in place, as in `_hermite`: a row
+    operation acts on the whole row, so columns past `ncols` ride along
+    (U, when they start as I), and a column operation acts on the whole
+    column, so rows past `nrows` ride along (V, when they start as I).
     The pivot rule (global smallest nonzero absolute value, then lowest
-    row-major position) is fixed, so the decomposition is deterministic.
+    row-major position) is fixed, so the form is deterministic.  Returns
+    `m`, with the diagonal d₁ | d₂ | … made nonnegative.
     """
-    nr, nc = a.rows, a.cols
-    m = [list(row) for row in a.entries]
-    u = _identity_rows(nr)
-    v = _identity_rows(nc)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     t = 0
-    while t < min(nr, nc):
+    while t < min(nrows, ncols):
         # global pivot search over the trailing block
         best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                val = m[i][j]
+        for i in range(t, nrows):
+            row = m[i]
+            for j in range(t, ncols):
+                val = row[j]
                 if val != 0 and (best is None or abs(val) < abs(m[best[0]][best[1]])):
                     best = (i, j)
         if best is None:
             break
         bi, bj = best
         if bi != t:
-            swap_rows(t, bi)
+            m[t], m[bi] = m[bi], m[t]
         if bj != t:
-            swap_cols(t, bj)
+            for row in m:
+                row[t], row[bj] = row[bj], row[t]
+        pivot = m[t]
         dirty = False
-        for i in range(t + 1, nr):
+        for i in range(t + 1, nrows):
             if m[i][t] != 0:
-                row_op(i, t, m[i][t] // m[t][t])
+                q = m[i][t] // pivot[t]
+                m[i] = [x - q * y for x, y in zip(m[i], pivot)]
                 dirty = dirty or m[i][t] != 0
-        for j in range(t + 1, nc):
-            if m[t][j] != 0:
-                col_op(j, t, m[t][j] // m[t][t])
-                dirty = dirty or m[t][j] != 0
+        for j in range(t + 1, ncols):
+            if pivot[j] != 0:
+                q = pivot[j] // pivot[t]
+                for row in m:
+                    row[j] -= q * row[t]
+                dirty = dirty or pivot[j] != 0
         if dirty:
             continue
         # enforce the divisibility chain before moving on
-        d = m[t][t]
-        culprit = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if m[i][j] % d != 0:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
+        d = pivot[t]
+        culprit = next((i for i in range(t + 1, nrows)
+                        if any(m[i][j] % d for j in range(t + 1, ncols))),
+                       None)
         if culprit is not None:
-            row_op(t, culprit, -1)
+            m[t] = [x + y for x, y in zip(pivot, m[culprit])]
             continue
         t += 1
-
-    for i in range(min(nr, nc)):
+    for i in range(min(nrows, ncols)):
         if m[i][i] < 0:
             m[i] = [-x for x in m[i]]
-            u[i] = [-x for x in u[i]]
+    return m
+
+
+def snf(a: LatticeMap) -> SmithDecomposition:
+    """Smith normal form with both transforms: one `_smith` pass on
+    [[A | I], [I | 0]] leaves [[D | U], [V | 0]]."""
+    nr, nc = a.rows, a.cols
+    m = _smith([list(row) + e for row, e in
+                zip(a.entries, _identity_rows(nr))]
+               + [e + [0] * nr for e in _identity_rows(nc)], nr, nc)
     return SmithDecomposition(
-        LatticeMap(u, cols=nr), LatticeMap(m, cols=nc), LatticeMap(v, cols=nc)
-    )
+        LatticeMap([r[nc:] for r in m[:nr]], cols=nr),
+        LatticeMap([r[:nc] for r in m[:nr]], cols=nc),
+        LatticeMap([r[:nc] for r in m[nr:]], cols=nc))
 
 
 def smith_diagonal(a: LatticeMap):
@@ -402,8 +420,10 @@ def _adjugate(rows):
             sign = -sign
         pivot, pk = m[k], m[k][k]
         for i, row in enumerate(m):
-            if i != k:
-                c = row[k]
+            c = row[k]
+            # with c = 0 the update is pk·row // d, the row itself when
+            # the pivot repeats
+            if i != k and (c or pk != d):
                 m[i] = [(pk * x - c * y) // d for x, y in zip(row, pivot)]
         d = pk
     return sign * d, [r[n:] if sign > 0 else [-x for x in r[n:]] for r in m]

@@ -14,7 +14,7 @@ from ..groups import FiniteAbelianGroup
 from ..lattice import (
     LatticeMap,
     _dot,
-    annihilator_lattice,
+    column_lattice_basis,
     rational_inverse,
     solve_integer_matrix,
 )
@@ -62,7 +62,9 @@ def _dual_data(p, q_gens):
     symmetries = _symmetries(p)
     if not q_group.is_subgroup_of(symmetries):
         raise ValueError("Q is not a subgroup of the symmetry group of P")
-    a = annihilator_lattice(gens, n)
+    # the invariant characters are generated by the rows of ell·B⁻¹ for
+    # Q's lattice (`annihilator_lattice`), which the group already keeps
+    a = column_lattice_basis(q_group._lattice_of_lifts[2].entries, n)
     x = solve_integer_matrix(a, p)
     # solvable whenever Q fixes the monomials, which was just checked
     if x is None:

@@ -13,8 +13,8 @@ from math import comb
 
 from .._value import InternalError
 from ..fans import _covers, projective_space_fan, quotient_fan, relabel_fan
-from ..lattice import (LatticeMap, _dot, _unit_vector, annihilator_lattice,
-                       solve_integer_matrix)
+from ..lattice import (LatticeMap, _dot, _pairings, _unit_vector,
+                       annihilator_lattice, solve_integer_matrix)
 from ..symbols import ParamPoly, Potential
 from ..toric_lg import (AuxiliaryLG, ToricDivisor, _unit_potential,
                         auxiliary_lg_from_ci, base_change_check)
@@ -37,10 +37,10 @@ def fermat_pipeline(n) -> MirrorReport:
     sigma_x = gamma.fan
 
     # degree dictionary: pairing an exponent with the d lifted rays gives
-    # the degree vector g = D·e of the corresponding degree-d monomial
+    # the degree vector g = D·e of the corresponding degree-d monomial,
+    # one column pass over the family per ray
     dictionary = LatticeMap.from_rows(list(sigma_x.rays[:d]))
-    degrees = [tuple(_dot(row, e) for row in dictionary.entries)
-               for e in gamma.exponents]
+    degrees = list(zip(*_pairings(dictionary.entries, gamma.exponents)))
     # D is invertible and the exponents are distinct, so the degree
     # vectors are distinct: they are all C(2n + 1, n) degree-d monomials
     # in d variables, each once, iff there are that many and each is one

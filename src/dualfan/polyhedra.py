@@ -366,6 +366,9 @@ def _sweep(rows, lo, hi):
             sums[r] = s
 
     sweep(0, ())
+    # `sweep` refers to itself through its closure cell: the cycle would
+    # keep `out` alive until the collector runs
+    del sweep
     return out
 
 

@@ -11,10 +11,11 @@ characters, base-change witnesses) are returned rather than asserted.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from ._value import Value
-from .fans import Fan, _negative_ray, is_complete, is_dual_pair, relabel_fan
+from .fans import (Fan, _negative_pairing, is_complete, is_dual_pair,
+                   relabel_fan)
 from .lattice import (LatticeMap, _dot, _integer, _lattice_vector,
                       _unit_vector, int_inverse, snf, solve_integer)
 from .polyhedra import Polytope, _primitive
@@ -156,7 +157,8 @@ def is_regular_character(fan: Fan, m) -> bool:
     the support is the union of the cones, so checking the ray
     generators suffices.
     """
-    return _negative_ray(fan, _lattice_vector(m, "character"), "character") is None
+    return _negative_pairing(
+        fan, [_lattice_vector(m, "character")], "character") is None
 
 
 class AuxiliaryLG(Value):
@@ -169,14 +171,17 @@ class AuxiliaryLG(Value):
     __slots__ = ("fan", "exponents")
 
     def __init__(self, fan, exponents):
-        exps = tuple(_lattice_vector(m, "exponent") for m in exponents)
+        exps = tuple(map(tuple, exponents))
+        # one C-level type scan, as in `LatticeMap`; `_lattice_vector` runs
+        # per exponent only when it finds a value that is not an exact int
+        if not {int}.issuperset(map(type, chain.from_iterable(exps))):
+            exps = tuple(_lattice_vector(m, "exponent") for m in exps)
         if len(set(exps)) != len(exps):
             raise ValueError("exponents must be pairwise distinct")
-        for m in exps:
-            r = _negative_ray(fan, m, "exponent")
-            if r is not None:
-                raise ValueError(f"character {m} is not regular: "
-                                 f"negative pairing on ray {r}")
+        hit = _negative_pairing(fan, exps, "exponent")
+        if hit is not None:
+            raise ValueError(f"character {exps[hit[0]]} is not regular: "
+                             f"negative pairing on ray {hit[1]}")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "exponents", exps)
 

@@ -23,7 +23,8 @@ import dualfan.mirrors.bhk
 import dualfan.polyhedra
 import dualfan.toric_lg
 from dualfan.cli import _COMMANDS, main
-from dualfan.fans import Fan, is_complete, validate_fan
+from dualfan.fans import (Fan, is_complete, orthant_fan, quotient_fan,
+                          validate_fan)
 from dualfan.lattice import LatticeMap, solve_integer_matrix
 from dualfan.polyhedra import Cone, Polytope
 
@@ -79,11 +80,26 @@ def test_bhk_job_builds_each_group_lattice_once(monkeypatch, capsys):
     job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
            "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
     assert run_job(monkeypatch, capsys, ["bhk"], job) == 0
-    # six groups from phases and one annihilator; the three subgroup tests
-    # build no lattice, because a group made from phases keeps its own and
-    # the subgroup's scales from it (10 calls when each test built the
-    # subgroup's side, 13 when it built both)
-    assert len(calls) == 7
+    # six groups from phases; the three subgroup tests build no lattice,
+    # because a group made from phases keeps its own and the subgroup's
+    # scales from it (10 calls when each test built the subgroup's side,
+    # 13 when it built both), and the invariant characters are read off
+    # Q's own lattice (7 when the annihilator built it again)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_an_orthant_quotient_builds_only_its_image_cone(monkeypatch, n):
+    built = count_calls(monkeypatch, Cone, "__init__")
+    # n on the diagonal, 1 above it
+    q = LatticeMap([[n if i == j else int(i < j) for j in range(n)]
+                    for i in range(n)])
+    image, (free_rank, _) = quotient_fan(orthant_fan(n), q)
+    assert free_rank == 0 and len(image.max_cones) == 1
+    # the n rays push to an n-dimensional image, so the orthant is
+    # simplicial over them and needs no cone of its own (2 when it was
+    # built for the face-image check)
+    assert len(built) == 1
 
 
 BB_P2 = {"rank": 3,

@@ -13,6 +13,7 @@ from dualfan.fans import (
     DualFanReport,
     Fan,
     _covers,
+    _negative_pairing,
     _separated,
     is_complete,
     is_dual_pair,
@@ -24,7 +25,7 @@ from dualfan.fans import (
     relabel_fan,
     validate_fan,
 )
-from dualfan.lattice import LatticeMap, _adjugate
+from dualfan.lattice import LatticeMap, _adjugate, _dot
 from dualfan.polyhedra import Cone, Polytope, primitive_vector
 
 
@@ -273,6 +274,67 @@ def test_dual_pair_is_symmetric():
 
         a, b = mk(), mk()
         assert is_dual_pair(a, b).verdict == is_dual_pair(b, a).verdict
+
+
+def reference_negative_pairing(fan, vectors, what):
+    """The per-vector loop the family kernel replaced: each vector's
+    length is checked, then its first negative ray is searched."""
+    for i, m in enumerate(vectors):
+        if len(m) != fan.lattice_rank:
+            raise ValueError(f"{what} has wrong length")
+        r = next((r for r in fan.rays if _dot(m, r) < 0), None)
+        if r is not None:
+            return i, r
+    return None
+
+
+def pairing_outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except ValueError as e:
+        return "error", str(e)
+
+
+def test_negative_pairing_matches_the_per_vector_loop():
+    rng = random.Random(20151)
+    seen = dict.fromkeys(("none", "hit", "wrong length"), 0)
+    placed = dict.fromkeys(("before", "among", "after"), 0)
+    for case in range(1500):
+        rank = rng.randint(1, 4)
+        rays = list(dict.fromkeys(
+            primitive_vector(r) for r in (
+                tuple(rng.randint(-1 if case % 3 == 0 else 0, 3)
+                      for _ in range(rank)) for _ in range(rng.randint(0, 6)))
+            if any(r)))
+        fan = Fan(rays, [range(len(rays))], rank)
+        # regular vectors pair ≥ 0 with nonnegative rays; a few others
+        # may not, and wrong lengths go before, among or after them
+        family = [tuple(rng.randint(0, 3) for _ in range(rank))
+                  for _ in range(rng.randint(0, 12))]
+        for _ in range(rng.randint(0, 3)):
+            family.insert(rng.randint(0, len(family)),
+                          tuple(rng.randint(-3, 3) for _ in range(rank)))
+        negative = [i for i, m in enumerate(family)
+                    if any(_dot(m, r) < 0 for r in rays)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            where = rng.choice(("before", "among", "after"))
+            lo, hi = ((0, negative[0]) if where == "before" and negative
+                      else (negative[-1] + 1, len(family))
+                      if where == "after" and negative
+                      else (0, len(family)))
+            family.insert(rng.randint(lo, hi), tuple(
+                rng.randint(-3, 3) for _ in range(rng.choice(
+                    [k for k in range(6) if k != rank]))))
+            placed[where] += 1
+        what = rng.choice(("ray", "exponent", "character"))
+        expected = pairing_outcome(reference_negative_pairing, fan, family,
+                                   what)
+        assert pairing_outcome(_negative_pairing, fan, family,
+                               what) == expected, (rays, family)
+        seen["wrong length" if expected[0] == "error" else
+             "none" if expected[1] is None else "hit"] += 1
+    assert min(seen.values()) >= 150, seen
+    assert min(placed.values()) >= 100, placed
 
 
 def test_completeness_census():

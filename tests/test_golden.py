@@ -14,6 +14,7 @@ file.
 """
 
 import contextlib
+import gc
 import io
 import json
 import sys
@@ -73,6 +74,24 @@ def test_equivalent_input_forms_print_the_same_report(name, twin):
         GOLDEN / f"{twin}.stdout").read_bytes()
     jobs = _load_jobs()
     assert jobs[name]["stdin"] != jobs[twin]["stdin"]
+
+
+def test_no_golden_job_leaves_cyclic_garbage():
+    # with the collector off, a reference cycle keeps everything it holds
+    # alive until the next collection; a job should free what it built as
+    # soon as it is done with it
+    left = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, job in _load_jobs().items():
+            run_job(job["argv"], job["stdin"])
+            found = gc.collect()
+            if found:
+                left[name] = found
+    finally:
+        gc.enable()
+    assert left == {}
 
 
 def _record_new_cases():

@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 
 from dualfan.lattice import (
     LatticeMap,
+    SmithDecomposition,
+    _identity_rows,
+    _smith,
     annihilator_lattice,
     cokernel,
     column_lattice_basis,
@@ -239,6 +242,122 @@ def test_snf_is_deterministic(a):
 
 
 # ---------------------------------------------------------------- kernels
+
+
+def reference_snf(a):
+    """Smith normal form with separate U and V lists and one helper per
+    operation: the form every transform and group lift was first pinned
+    with, kept as the reference for `_smith`."""
+    nr, nc = a.rows, a.cols
+    m = [list(row) for row in a.entries]
+    u = _identity_rows(nr)
+    v = _identity_rows(nc)
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in m:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(nr, nc):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                val = m[i][j]
+                if val != 0 and (best is None
+                                 or abs(val) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        if bi != t:
+            swap_rows(t, bi)
+        if bj != t:
+            swap_cols(t, bj)
+        dirty = False
+        for i in range(t + 1, nr):
+            if m[i][t] != 0:
+                row_op(i, t, m[i][t] // m[t][t])
+                dirty = dirty or m[i][t] != 0
+        for j in range(t + 1, nc):
+            if m[t][j] != 0:
+                col_op(j, t, m[t][j] // m[t][t])
+                dirty = dirty or m[t][j] != 0
+        if dirty:
+            continue
+        d = m[t][t]
+        culprit = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if m[i][j] % d != 0:
+                    culprit = i
+                    break
+            if culprit is not None:
+                break
+        if culprit is not None:
+            row_op(t, culprit, -1)
+            continue
+        t += 1
+
+    for i in range(min(nr, nc)):
+        if m[i][i] < 0:
+            m[i] = [-x for x in m[i]]
+            u[i] = [-x for x in u[i]]
+    return SmithDecomposition(
+        LatticeMap(u, cols=nr), LatticeMap(m, cols=nc), LatticeMap(v, cols=nc)
+    )
+
+
+def smith_cases(count, seed):
+    """Seeded matrices of every shape up to 5×6, with zero rows and
+    columns planted in some, entries small or large, dense or sparse."""
+    rng = random.Random(seed)
+    cases = [LatticeMap.zero(r, c) for r in range(4) for c in range(4)]
+    for _ in range(count):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 6)
+        size = rng.choice((1, 2, 9, 60))
+        density = rng.choice((0.3, 0.7, 1.0))
+        rows = [[rng.randint(-size, size) if rng.random() < density else 0
+                 for _ in range(nc)] for _ in range(nr)]
+        if rng.random() < 0.25:
+            rows[rng.randrange(nr)] = [0] * nc
+        if rng.random() < 0.25:
+            j = rng.randrange(nc)
+            for row in rows:
+                row[j] = 0
+        cases.append(LatticeMap(rows, cols=nc))
+    return cases
+
+
+def test_snf_matches_the_reference_transforms():
+    # U, D and V all agree, and so do the one-sided passes that read
+    # only D and V ([A; I]) or only D (A alone): group lifts read V
+    for a in smith_cases(3000, seed=20151):
+        expected = reference_snf(a)
+        dec = snf(a)
+        assert (dec.U, dec.D, dec.V) == (expected.U, expected.D,
+                                         expected.V), a
+        nr, nc = a.rows, a.cols
+        m = _smith([list(r) for r in a.entries] + _identity_rows(nc), nr, nc)
+        assert m[:nr] == [list(r) for r in expected.D.entries], a
+        assert m[nr:] == [list(r) for r in expected.V.entries], a
+        m = _smith([list(r) for r in a.entries], nr, nc)
+        assert m == [list(r) for r in expected.D.entries], a
 
 
 def test_kernel_of_sum_relation():

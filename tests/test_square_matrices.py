@@ -133,25 +133,46 @@ def square_cases(count, seed):
     return cases
 
 
+def check_square_kernels(a):
+    """`det` and both inverses of A against the textbook routines; the
+    reference determinant, or its error text."""
+    expected = outcome(reference_det, a)
+    assert outcome(LatticeMap.det, a) == expected
+    det = expected[1]
+    expected = outcome(reference_rational_inverse, a)
+    assert outcome(rational_inverse, a) == expected
+    if expected[0] == "value":
+        expected = outcome(reference_int_inverse, expected[1])
+    assert outcome(int_inverse, a) == expected
+    return det
+
+
+def sparse_cases(count, seed):
+    """Seeded 4×4 to 7×7 matrices of 0 and ±1, mostly 0: many columns
+    hold 0 under their pivot, and many pivots repeat the one before."""
+    rng = random.Random(seed)
+    return [LatticeMap([[rng.choice((-1, 1)) if rng.random() < density
+                         else 0 for _ in range(n)] for _ in range(n)],
+                       cols=n)
+            for n, density in ((rng.randint(4, 7), rng.choice((0.3, 0.5)))
+                               for _ in range(count))]
+
+
 def test_square_kernels_match_the_textbook_routines():
     cases = square_cases(5000, seed=19680101)
     cases += [LatticeMap.zero(r, c) for r, c in [(0, 2), (2, 0), (1, 3)]]
     cases += [LatticeMap([[1, 2, 3], [4, 5, 6]]), LatticeMap([[1], [2]])]
-    dets = []
-    for a in cases:
-        expected = outcome(reference_det, a)
-        assert outcome(LatticeMap.det, a) == expected
-        dets.append(expected[1])
-        expected = outcome(reference_rational_inverse, a)
-        assert outcome(rational_inverse, a) == expected
-        if expected[0] == "value":
-            expected = outcome(reference_int_inverse, expected[1])
-        assert outcome(int_inverse, a) == expected
+    dets = [check_square_kernels(a) for a in cases]
     # the seeded mix holds singular, unimodular and non-square matrices
     assert 0.10 < dets.count(0) / len(cases) < 0.20
     assert sum(d in (1, -1) for d in dets) > 500
     assert sum(d == -1 for d in dets) > 100
     assert dets.count("determinant of a non-square matrix") == 5
+    # sparse sign matrices, where the elimination skips unchanged rows
+    dets = [check_square_kernels(a) for a in sparse_cases(1500, seed=1968)]
+    assert 150 < dets.count(0) < 1350
+    assert sum(abs(d) == 1 for d in dets) > 150
+    assert sum(abs(d) > 1 for d in dets) > 150
 
 
 def test_cofactor_adjugates_match_the_textbook_routines():
