@@ -16,7 +16,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from itertools import chain
 from types import SimpleNamespace
 
 from ._value import InternalError
@@ -57,17 +56,12 @@ def _jsonable(x):
         # list costs one type test, not a pass over every entry
         if type(x) is _SmallIntRows:
             return x
-        # a row of small exact ints, or a list of such rows, is already its
-        # own JSON value: json writes an exact int with int.__repr__ and a
-        # tuple as an array, and the exact-type test leaves bool, int
-        # subclasses and Fraction to the walk below, so the bytes are the
-        # same and a lattice point list costs one call, not one per point
-        flat, kinds = x, set(map(type, x))
-        if kinds and kinds <= {list, tuple}:
-            flat = list(chain.from_iterable(x))
-            kinds = set(map(type, flat))
-        if kinds <= {int} and (not flat or -_INT_LIMIT < min(flat)
-                                   and max(flat) < _INT_LIMIT):
+        # a row of small exact ints is already its own JSON value: json
+        # writes an exact int with int.__repr__ and a tuple as an array,
+        # and the exact-type test leaves bool, int subclasses and Fraction
+        # to the walk below, so the bytes are the same
+        if {int}.issuperset(map(type, x)) and (
+                not x or -_INT_LIMIT < min(x) and max(x) < _INT_LIMIT):
             return x
         # a small exact int is its own JSON value and costs no call
         return [v if type(v) is int and -_INT_LIMIT < v < _INT_LIMIT
@@ -326,12 +320,17 @@ def _cmd_bb(payload, height_bound):
     return {"report": _mirror_json(rep)}, not rep.passed
 
 
+def _parse_summands(fan, payload, key, what):
+    """The nonempty list `payload[key]` of divisors on `fan`."""
+    summands = _require(payload, key, "job")
+    if not isinstance(summands, (list, tuple)) or not summands:
+        raise InputError(f"{key} must be a nonempty list")
+    return [_parse_divisor(fan, d, what) for d in summands]
+
+
 def _parse_bundle_input(payload):
     fan, warnings = parse_fan(_require(payload, "fan", "job"))
-    bundles = _require(payload, "bundles", "job")
-    if not isinstance(bundles, (list, tuple)) or not bundles:
-        raise InputError("bundles must be a nonempty list")
-    divisors = [_parse_divisor(fan, b, "bundle summand") for b in bundles]
+    divisors = _parse_summands(fan, payload, "bundles", "bundle summand")
     basis = None
     if payload.get("basis_rays") is not None:
         basis = []
@@ -386,11 +385,8 @@ def _cmd_section_polytope(payload, height_bound):
 
 def _cmd_bundle_fan(payload, height_bound):
     fan, warnings = parse_fan(_require(payload, "fan", "job"))
-    summands = _require(payload, "divisors", "job")
-    if not isinstance(summands, (list, tuple)) or not summands:
-        raise InputError("divisors must be a nonempty list")
-    divisors = [_parse_divisor(fan, d, "divisor") for d in summands]
-    total = split_bundle_fan(divisors)
+    total = split_bundle_fan(_parse_summands(fan, payload, "divisors",
+                                             "divisor"))
     return {"fan": emit_fan(total), "warnings": warnings}, False
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from ._value import Value
 from .groups import FiniteAbelianGroup
 from .lattice import (LatticeMap, _dot, _integer, _lattice_vector,
-                      _pairings, _unit_vector, int_inverse, snf)
+                      _pairings, _unit_vector, int_inverse, smith_diagonal,
+                      snf)
 from .polyhedra import Cone, _primitive
 
 
@@ -320,8 +321,9 @@ def is_smooth(f: Fan) -> bool:
             if any(_dot(nv, total) != 1 for nv in cone.facet_normals):
                 return False
             continue
-        dec = snf(LatticeMap.from_rows(list(rays), ncols=f.lattice_rank))
-        if dec.rank != len(rays) or dec.invariant_factors != ():
+        # the rays extend to a basis iff the diagonal is one 1 per ray
+        rows = LatticeMap.from_rows(list(rays), ncols=f.lattice_rank)
+        if smith_diagonal(rows) != (1,) * len(rays):
             return False
     return True
 

@@ -20,21 +20,14 @@ from .lattice import (
     _integer,
     _phase_lattice,
     _rational,
-    _scaled_inverse,
     _scaled_phases,
     _smith,
+    smith_diagonal,
 )
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(_rational(x))
-
-
-def _lattice_of(phases, ambient_rank):
-    """(ell, B, Y): `_phase_lattice`'s (ell, B) and Y = ell·B⁻¹."""
-    ell, basis = _phase_lattice(phases, ambient_rank)
-    return ell, basis, LatticeMap(_scaled_inverse(ell, basis),
-                                  cols=ambient_rank)
 
 
 def normalize_phase(q):
@@ -91,7 +84,7 @@ class FiniteAbelianGroup(Value):
         phases and the lifts generate one group, so they share L and ell
         (its exponent), and the group keeps (ell, B, Y).
         """
-        lattice = _lattice_of(phases, ambient_rank)
+        lattice = _phase_lattice(phases, ambient_rank)
         n = lattice[2].rows
         m = _smith([list(row) for row in lattice[2].entries]
                    + _identity_rows(n), n, n)
@@ -106,7 +99,7 @@ class FiniteAbelianGroup(Value):
     def _lattice_of_lifts(self):
         """(ell, B, Y) of the lattice of the lifts, built on first use."""
         if self._lattice is None:
-            object.__setattr__(self, "_lattice", _lattice_of(
+            object.__setattr__(self, "_lattice", _phase_lattice(
                 self.lifts, self.ambient_rank))
         return self._lattice
 
@@ -149,10 +142,7 @@ class FiniteAbelianGroup(Value):
         x = self._quotient_map(sub)
         if x is None:
             raise ValueError("not a subgroup")
-        # only the diagonal is read, so the Smith pass carries no U or V
-        m = _smith([list(row) for row in x.entries], x.rows, x.cols)
-        return tuple(m[i][i] for i in range(min(x.rows, x.cols))
-                     if m[i][i] > 1)
+        return tuple(d for d in smith_diagonal(x) if d > 1)
 
     def _quotient_map(self, sub):
         # Integer matrix X with B_self·X = B_sub at self's scale ell, or

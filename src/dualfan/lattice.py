@@ -22,8 +22,8 @@ Every Smith form goes through one routine, `_smith`, written like
 `_hermite`: it eliminates in place on the rows it is given, row
 operations carry any columns past the matrix and column operations any
 rows below it.  `snf` runs it on [[A | I], [I | 0]] to read U, D and V;
-a caller that reads only D and V passes [A; I], and one that reads only
-D passes A alone.
+`FiniteAbelianGroup.from_phases` reads only D and V and passes [A; I],
+and `smith_diagonal`, the one reader of D alone, passes A alone.
 """
 
 from __future__ import annotations
@@ -375,7 +375,10 @@ def snf(a: LatticeMap) -> SmithDecomposition:
 
 
 def smith_diagonal(a: LatticeMap):
-    return snf(a).diagonal
+    """The Smith diagonal d₁ | d₂ | … of A, from one `_smith` pass on A
+    alone: no transform is carried."""
+    m = _smith([list(row) for row in a.entries], a.rows, a.cols)
+    return tuple(m[i][i] for i in range(min(a.rows, a.cols)))
 
 
 def kernel_basis(a: LatticeMap) -> LatticeMap:
@@ -563,23 +566,19 @@ def _scaled_phases(phases, ambient_rank, ell=1):
 
 
 def _phase_lattice(phases, ambient_rank):
-    """(ell, B) with B the canonical column basis of ell·L, where
+    """(ell, B, Y) with B the canonical column basis of ell·L, where
     L = Zⁿ + Σ Z·q over the phase vectors q and ell is the least common
-    multiple of their denominators.
+    multiple of their denominators, and Y = ell·B⁻¹.
 
-    ell·Zⁿ ⊆ ell·L, so B is a nonsingular n×n matrix, and it depends only
-    on ell and L.
+    ell·Zⁿ ⊆ ell·L, so B is a nonsingular n×n matrix that depends only on
+    ell and L, and Y = ell·adj(B) / det B is integral.
     """
     ell, cols = _scaled_phases(phases, ambient_rank)
     cols += [tuple(ell * x for x in row) for row in _identity_rows(ambient_rank)]
-    return ell, column_lattice_basis(cols, ambient_rank)
-
-
-def _scaled_inverse(ell, basis):
-    """The rows of ell·B⁻¹ for a `_phase_lattice` pair (ell, B): the
-    rows of ell·adj(B) / det B, integral because ell·Zⁿ ⊆ B·Zⁿ."""
+    basis = column_lattice_basis(cols, ambient_rank)
     det, adj = _adjugate(basis.entries)
-    return [[ell * x // det for x in row] for row in adj]
+    return ell, basis, LatticeMap([[ell * x // det for x in row]
+                                   for row in adj], cols=ambient_rank)
 
 
 def annihilator_lattice(phases, ambient_rank) -> LatticeMap:
@@ -589,6 +588,6 @@ def annihilator_lattice(phases, ambient_rank) -> LatticeMap:
     subgroup the phases generate; its index in Zⁿ equals the order of
     that subgroup.
     """
-    ell, basis = _phase_lattice(phases, ambient_rank)
-    # the lattice is L* = (B/ell)⁻ᵀ·Zⁿ, generated by the rows of ell·B⁻¹
-    return column_lattice_basis(_scaled_inverse(ell, basis), ambient_rank)
+    # the lattice is L* = (B/ell)⁻ᵀ·Zⁿ, generated by the rows of Y
+    y = _phase_lattice(phases, ambient_rank)[2]
+    return column_lattice_basis(y.entries, ambient_rank)

@@ -28,6 +28,7 @@ from dualfan.lattice import (
     kernel_basis,
     rational_inverse,
     saturate_column_lattice,
+    smith_diagonal,
     snf,
     solve_integer,
     solve_integer_matrix,
@@ -358,6 +359,7 @@ def test_snf_matches_the_reference_transforms():
         assert m[nr:] == [list(r) for r in expected.V.entries], a
         m = _smith([list(r) for r in a.entries], nr, nc)
         assert m == [list(r) for r in expected.D.entries], a
+        assert smith_diagonal(a) == expected.diagonal, a
 
 
 def test_kernel_of_sum_relation():

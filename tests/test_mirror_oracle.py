@@ -12,7 +12,9 @@ markers), and then A^(−T), its action on the dual lattice, must carry
 
 Batyrev–Borisov duality is also an involution, so `bb_mirror_pair` on
 the dual cone with the splittings exchanged must give the same pair with
-its sides swapped.  So is Berglund–Hübsch–Krawitz: `bhk_pair` on the
+its sides swapped; it is checked on the P^n cones, on the square, and on
+the cone over one polygon of each of the 16 classes of reflexive
+polygons.  So is Berglund–Hübsch–Krawitz: `bhk_pair` on the
 transposed matrix with Krawitz's dual group gives the pair of (P, Q)
 with its sides swapped, up to a lattice isomorphism.  Neither oracle
 sees a bug that both constructions, or both directions, share.
@@ -20,6 +22,7 @@ sees a bug that both constructions, or both directions, share.
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +32,7 @@ from dualfan.lattice import LatticeMap, int_inverse, rational_inverse
 from dualfan.mirrors import (bb_mirror_pair, bhk_pair, dual_splittings,
                              fermat_pipeline, is_reflexive,
                              krawitz_dual_group, phase_symmetries)
-from dualfan.polyhedra import Cone
+from dualfan.polyhedra import Cone, Polytope
 
 
 def p_n_cone(n):
@@ -111,6 +114,10 @@ def test_fermat_and_batyrev_borisov_mirrors_agree(n):
                          ids=["P2", "P3", "P4", "square"])
 def test_batyrev_borisov_mirror_of_the_mirror_is_the_pair_swapped(
         generators, splitting):
+    assert_bb_mirror_of_the_mirror_is_the_pair_swapped(generators, splitting)
+
+
+def assert_bb_mirror_of_the_mirror_is_the_pair_swapped(generators, splitting):
     # Batyrev–Borisov duality is an involution: the pair built from K^∨
     # with the two splittings exchanged is the pair of K, sides swapped
     k = Cone(generators, len(generators[0]))
@@ -121,6 +128,108 @@ def test_batyrev_borisov_mirror_of_the_mirror_is_the_pair_swapped(
     assert pair.passed and mirror.passed
     assert mirror.sigma_x == pair.sigma_x_prime
     assert mirror.sigma_x_prime == pair.sigma_x
+
+
+# One polygon from each of the 16 classes of reflexive polygons up to
+# GL(2, Z) (Poonen & Rodriguez-Villegas, "Lattice polygons and the number
+# 12", Amer. Math. Monthly 107, 2000), vertices counterclockwise, ordered
+# by their number of lattice points, 4 to 10.
+REFLEXIVE_POLYGONS = [
+    [(1, 0), (0, 1), (-1, -1)],
+    [(1, 1), (-1, 1), (0, -1)],
+    [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    [(1, 0), (0, 1), (-1, 1), (0, -1)],
+    [(1, -1), (1, 1), (0, 1), (-1, 0)],
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)],
+    [(1, -1), (1, 2), (-1, 0)],
+    [(1, -1), (1, 1), (-1, 1), (-1, 0)],
+    [(1, -1), (1, 1), (0, 1), (-1, 0), (0, -1)],
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [(1, -2), (1, 1), (0, 1), (-1, 0)],
+    [(1, -1), (1, 0), (0, 1), (-1, 1), (-1, -1)],
+    [(1, -2), (1, 2), (-1, 0)],
+    [(1, -2), (1, 0), (0, 1), (-2, 1)],
+    [(1, -1), (1, 1), (-1, 1), (-1, -1)],
+    [(2, -1), (-1, 2), (-1, -1)],
+]
+
+
+def _det(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _edges(polygon):
+    return [(b[0] - a[0], b[1] - a[1])
+            for a, b in zip(polygon, polygon[1:] + polygon[:1])]
+
+
+def polygon_invariant(polygon):
+    """The cyclic sequence of (lattice length of an edge, |det| of that
+    edge and the next), least over rotations and reflections: a
+    GL(2, Z) invariant."""
+    forms = []
+    for walk in (polygon, polygon[::-1]):
+        edges = _edges(walk)
+        pairs = [(gcd(*e), abs(_det(e, f)))
+                 for e, f in zip(edges, edges[1:] + edges[:1])]
+        forms += [tuple(pairs[i:] + pairs[:i]) for i in range(len(pairs))]
+    return min(forms)
+
+
+def polar_polygon(polygon):
+    """The vertices of {u : ⟨u, v⟩ ≥ −1 on the polygon}, one per edge,
+    counterclockwise: the u with ⟨u, v⟩ = −1 at both ends of the edge."""
+    polar = []
+    for a, b in zip(polygon, polygon[1:] + polygon[:1]):
+        d = _det(a, b)
+        assert d > 0 and (a[1] - b[1]) % d == 0 == (b[0] - a[0]) % d, (
+            polygon, "not counterclockwise around the origin, or not "
+            "reflexive")
+        polar.append(((a[1] - b[1]) // d, (b[0] - a[0]) // d))
+    return polar
+
+
+def unimodular_map(source, target):
+    """A GL(2, Z) matrix carrying the vertex set of `source` onto that of
+    `target`, or None.  Adjacent vertices of a polygon around the origin
+    are independent, so the images of the first two fix the map, and
+    they must go to adjacent vertices."""
+    inverse = rational_inverse(LatticeMap.from_cols(source[:2], nrows=2))
+    for i, w in enumerate(target):
+        for u in (target[i - 1], target[(i + 1) % len(target)]):
+            a = [[w[r] * inverse[0][c] + u[r] * inverse[1][c]
+                  for c in range(2)] for r in range(2)]
+            if any(x.denominator != 1 for row in a for x in row):
+                continue
+            a = LatticeMap([[int(x) for x in row] for row in a])
+            if abs(a.det()) == 1 and {a @ v for v in source} == set(target):
+                return a
+    return None
+
+
+def test_the_sixteen_reflexive_polygons_are_distinct_and_closed_under_polar():
+    invariants = [polygon_invariant(p) for p in REFLEXIVE_POLYGONS]
+    assert len(set(invariants)) == 16
+    assert any(set(p) == {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
+               for p in REFLEXIVE_POLYGONS)
+    for polygon in REFLEXIVE_POLYGONS:
+        polar = polar_polygon(polygon)
+        assert set(polar_polygon(polar)) == set(polygon)
+        assert set(polar) == set(
+            Polytope.from_vertices(polygon).polar().vertices)
+        # the number 12: a polygon and its polar have 12 boundary points
+        assert sum(gcd(*e) for e in _edges(polygon) + _edges(polar)) == 12
+        # the polar's class is in the list, by an explicit lattice map
+        match = REFLEXIVE_POLYGONS[invariants.index(polygon_invariant(polar))]
+        assert unimodular_map(polar, match) is not None, polygon
+
+
+@pytest.mark.parametrize("polygon", REFLEXIVE_POLYGONS,
+                         ids=lambda p: "_".join(f"{x},{y}" for x, y in p))
+def test_batyrev_borisov_mirror_of_the_mirror_swaps_on_reflexive_polygons(
+        polygon):
+    assert_bb_mirror_of_the_mirror_is_the_pair_swapped(
+        [v + (1,) for v in polygon], [(0, 0, 1)])
 
 
 def marker_isomorphism(source, target):

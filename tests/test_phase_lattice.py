@@ -99,7 +99,7 @@ def elimination_solve(big, phases):
     """The route `_quotient_map` and `contains_phase` took before a group
     kept Y = ell·B⁻¹: the lattice of `phases` at big's ell, then one
     elimination of big's basis."""
-    ell, b_big = _phase_lattice(big.lifts, big.ambient_rank)
+    ell, b_big, _ = _phase_lattice(big.lifts, big.ambient_rank)
     if lcm(ell, reference_common_denominator(phases)) != ell:
         return None
     b_sub = reference_scaled_lattice_basis(phases, big.ambient_rank, ell)
@@ -149,7 +149,7 @@ def test_a_group_keeps_the_lattice_of_its_lifts_outside_its_key():
         g = FiniteAbelianGroup.from_phases(phases, rank)
         # the phases and the lifts generate one group, so one lattice
         ell, basis, y = g._lattice
-        assert (ell, basis) == _phase_lattice(phases, rank) == _phase_lattice(
+        assert g._lattice == _phase_lattice(phases, rank) == _phase_lattice(
             g.lifts, rank), (rank, phases)
         assert basis @ y == LatticeMap(
             [[ell * int(i == j) for j in range(rank)] for i in range(rank)],
@@ -213,10 +213,13 @@ def test_kept_lattices_match_the_elimination_route():
 
 def test_phase_lattice_is_canonical_and_scales_exactly():
     for rank, phases in PHASE_SETS[:120]:
-        ell, basis = _phase_lattice(phases, rank)
-        assert (ell, basis) == _phase_lattice(
+        ell, basis, y = _phase_lattice(phases, rank)
+        assert (ell, basis, y) == _phase_lattice(
             [normalize_phase(q) for q in reversed(phases)], rank)
         assert basis == reference_scaled_lattice_basis(phases, rank, ell)
+        assert basis @ y == LatticeMap(
+            [[ell * int(i == j) for j in range(rank)] for i in range(rank)],
+            cols=rank)
         assert reference_scaled_lattice_basis(phases, rank, 5 * ell) == (
             LatticeMap([[5 * x for x in row] for row in basis.entries],
                        cols=rank))
