@@ -220,8 +220,6 @@ def _duality_json(rep):
 
 
 def _base_change_json(rep):
-    if rep is None:
-        return None
     return {
         "verdict": rep.verdict,
         "is_isomorphism": rep.is_isomorphism,

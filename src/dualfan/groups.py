@@ -4,7 +4,10 @@ A group element never exists on its own here: groups arise either as the
 torsion of a cokernel (lifts are integer vectors in the codomain) or as a
 subgroup of (Q/Z)^m generated by phase vectors (lifts are rational vectors
 with entries in [0,1)).  Both cases share the same presentation record, and
-isomorphism testing is just equality of invariant-factor lists.
+isomorphism testing is just equality of invariant-factor lists.  The phase
+methods (`contains_phase`, `elements`, `is_subgroup_of`,
+`quotient_factors`) apply to phase groups only, and raise `ValueError` on
+a cokernel's torsion.
 """
 
 from __future__ import annotations
@@ -66,10 +69,6 @@ class FiniteAbelianGroup(Value):
         object.__setattr__(self, "_lattice", None)
 
     @classmethod
-    def trivial(cls, ambient_rank):
-        return cls((), (), ambient_rank)
-
-    @classmethod
     def from_phases(cls, phases, ambient_rank):
         """Canonical presentation of the subgroup of (Q/Z)^m the given
         phase vectors generate.
@@ -97,8 +96,12 @@ class FiniteAbelianGroup(Value):
 
     @property
     def _lattice_of_lifts(self):
-        """(ell, B, Y) of the lattice of the lifts, built on first use."""
+        """(ell, B, Y) of the lattice of the lifts, built on first use.
+        An integral lift (a cokernel's) is zero in (Q/Z)^m, so it raises."""
         if self._lattice is None:
+            if any(all(x.denominator == 1 for x in v) for v in self.lifts):
+                raise ValueError("phase question on a group whose lifts "
+                                 "are not phases")
             object.__setattr__(self, "_lattice", _phase_lattice(
                 self.lifts, self.ambient_rank))
         return self._lattice
@@ -106,10 +109,6 @@ class FiniteAbelianGroup(Value):
     @property
     def order(self):
         return prod(self.invariant_factors)
-
-    @property
-    def exponent(self):
-        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def contains_phase(self, phase) -> bool:
         """Membership test for a rational vector, read modulo Z^m."""
@@ -124,6 +123,7 @@ class FiniteAbelianGroup(Value):
         Enumerates the full group, so callers are expected to keep the
         order small (the test suite stays at 625 or below).
         """
+        self._lattice_of_lifts  # raises on lifts that are not phases
         out = []
         for ks in product(*(range(d) for d in self.invariant_factors)):
             acc = [Fraction(0)] * self.ambient_rank

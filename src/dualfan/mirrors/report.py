@@ -43,24 +43,24 @@ class MirrorReport(Value):
     `checks` holds named booleans, `counts` named integers, `potentials`
     named `Potential` values, `notes` free-form caveats.  The two base
     change reports compare each potential family against the fan on the
-    opposite side; either may be absent when a pipeline has nothing to
-    compare.  `criterion` is the BHK group comparison, or None elsewhere.
+    opposite side.  `criterion` is the BHK group comparison, or None
+    elsewhere.
     """
 
     __slots__ = ("sigma_x", "sigma_x_prime", "duality", "to_gamma",
                  "to_gamma_prime", "checks", "counts", "potentials", "notes",
                  "criterion")
 
-    def __init__(self, sigma_x, sigma_x_prime, duality, to_gamma=None,
-                 to_gamma_prime=None, checks=(), counts=(), potentials=(),
+    def __init__(self, sigma_x, sigma_x_prime, duality, *, to_gamma,
+                 to_gamma_prime, checks=(), counts=(), potentials=(),
                  notes=(), criterion=None):
         if not isinstance(sigma_x, Fan) or not isinstance(sigma_x_prime, Fan):
             raise TypeError("sigma_x and sigma_x_prime must be fans")
         if not isinstance(duality, DualFanReport):
             raise TypeError("duality must be a DualFanReport")
-        for rep in (to_gamma, to_gamma_prime):
-            if rep is not None and not isinstance(rep, BaseChangeReport):
-                raise TypeError("base change entries must be BaseChangeReport")
+        if not (isinstance(to_gamma, BaseChangeReport)
+                and isinstance(to_gamma_prime, BaseChangeReport)):
+            raise TypeError("base change entries must be BaseChangeReport")
         checks = _named_tuple(((n, bool(v)) for n, v in checks), "check")
         counts = _named_tuple(((n, _integer(v)) for n, v in counts), "count")
         potentials = _named_tuple(potentials, "potential")

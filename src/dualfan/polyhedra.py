@@ -429,19 +429,9 @@ class Polytope(Value):
         rows.append(tuple(0 for _ in range(ambient_rank)) + (1,))
         return cls(Cone(rows, ambient_rank + 1).dual(), ambient_rank)
 
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def contains(self, point) -> bool:
         p = tuple(map(_rational, point))
         return all(_dot(n, p) + off >= 0 for n, off in self.hrep)
-
-    def translate(self, vec) -> "Polytope":
-        v = tuple(map(_rational, vec))
-        return Polytope.from_vertices(
-            [tuple(a + b for a, b in zip(p, v)) for p in self.vertices],
-            self.ambient_rank,
-        )
 
     def minkowski_sum(self, other) -> "Polytope":
         if self.ambient_rank != other.ambient_rank:

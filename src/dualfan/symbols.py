@@ -167,9 +167,6 @@ class Potential(Value):
     def support(self):
         return tuple(e for e, _ in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _key(self):
         return self.terms
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from ._value import Value
-from .fans import (Fan, _negative_pairing, is_complete, is_dual_pair,
-                   relabel_fan)
+from .fans import Fan, _negative_pairing, is_complete, relabel_fan
 from .lattice import (LatticeMap, _dot, _integer, _lattice_vector,
                       _unit_vector, int_inverse, snf, solve_integer)
 from .polyhedra import Polytope, _primitive
@@ -325,48 +324,6 @@ def _unit_potential(aux: AuxiliaryLG) -> Potential:
     """The potential of `aux` with every coefficient equal to 1."""
     one = ParamPoly.constant(1)
     return Potential((e, one) for e in aux.exponents)
-
-
-class DualityError(ValueError):
-    """A fan pair failed the nonnegative-pairing test; carries the report."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
-
-
-class ToricLGModel(Value):
-    """A dual pair of marked fans with the two potential families it carries.
-
-    Construction verifies the pairing condition and fails with the
-    offending witness otherwise.  `family` lives on the first fan with
-    the second fan's markers as exponents; `dual_family` is the mirror
-    arrangement.
-    """
-
-    __slots__ = ("fan", "dual_fan", "family", "dual_family")
-
-    def __init__(self, fan, dual_fan):
-        report = is_dual_pair(fan, dual_fan)
-        if not report:
-            m, n, value = report.witness
-            raise DualityError(
-                f"not a dual pair: {m} pairs to {value} against {n}", report
-            )
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "dual_fan", dual_fan)
-        object.__setattr__(
-            self, "family", AuxiliaryLG(fan, dual_fan.marked_generators)
-        )
-        object.__setattr__(
-            self, "dual_family", AuxiliaryLG(dual_fan, fan.marked_generators)
-        )
-
-    def __repr__(self):
-        return (
-            f"ToricLGModel(rank={self.fan.lattice_rank}, "
-            f"exponents={len(self.family.exponents)})"
-        )
 
 
 class CIData(Value):

@@ -14,6 +14,7 @@ from dualfan.lattice import (
 )
 from dualfan.mirrors import (
     bhk_pair,
+    fermat_pipeline,
     krawitz_dual_group,
     phase_symmetries,
     verify_bhk_criterion,
@@ -221,3 +222,21 @@ def test_transposed_run_needs_the_identification():
 def test_report_notes_mention_the_transpose_convention():
     rep = bhk_pair(FERMAT3, [THIRD])
     assert any("transpose" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fermat_matrix_with_the_deck_phases_matches_the_fermat_pipeline(n):
+    # (n+1)·I with the deck phases of the degree-(n+1) hypersurface in
+    # P^n: 1/d at each middle coordinate and n/d on the last
+    d = n + 1
+    p = [[d * int(i == j) for j in range(d)] for i in range(d)]
+    phases = [tuple(Fraction(1, d) if j == i else Fraction(n, d) if j == n
+                    else 0 for j in range(d)) for i in range(1, n)]
+    rep = bhk_pair(p, phases)
+    assert rep.passed
+    fermat = fermat_pipeline(n)
+    assert fermat.check("deck_group_factors")
+    assert rep.criterion.q_group.invariant_factors == (d,) * (n - 1)
+    assert rep.count("q_order") == fermat.count("deck_group_order")
+    assert rep.criterion.q_dual_group.invariant_factors == (d, d)
+    assert rep.count("q_order") * rep.count("q_dual_order") == d ** d

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualfan.groups import FiniteAbelianGroup, normalize_phase
-from dualfan.lattice import annihilator_lattice
+from dualfan.lattice import LatticeMap, annihilator_lattice, cokernel
 
 F = Fraction
 
@@ -33,20 +33,31 @@ def test_constructor_rejects_bad_factor_lists():
 
 
 def test_trivial_group():
-    t = FiniteAbelianGroup.trivial(3)
+    t = FiniteAbelianGroup((), (), 3)
     assert t.invariant_factors == ()
     assert t.order == 1
-    assert t.exponent == 1
     assert t.elements() == [(F(0), F(0), F(0))]
     assert t == FiniteAbelianGroup.from_phases([], 3)
     assert FiniteAbelianGroup.from_phases([(0, 0, 0)], 3).invariant_factors == ()
+
+
+def test_phase_questions_on_a_cokernel_group_raise():
+    # a cokernel keeps integer lifts, which are zero as phases: each
+    # question once answered as if the group of order 6 were trivial
+    _, t = cokernel(LatticeMap([[2, 0], [0, 3]]))
+    assert t.order == 6
+    g = FiniteAbelianGroup.from_phases([(F(1, 2), 0), (0, F(1, 3))], 2)
+    for call in (t.elements, lambda: t.is_subgroup_of(g),
+                 lambda: g.quotient_factors(t)):
+        with pytest.raises(ValueError, match="not phases"):
+            call()
 
 
 def test_from_phases_fifth_roots():
     g = FiniteAbelianGroup.from_phases(FIFTH_PHASES, 5)
     assert g.invariant_factors == (5, 5, 5)
     assert g.order == 125
-    assert g.exponent == 5
+    assert g.invariant_factors[-1] == 5
     for q in FIFTH_PHASES:
         assert g.contains_phase(q)
     # first coordinate vanishes on the whole subgroup

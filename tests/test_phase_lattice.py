@@ -263,7 +263,7 @@ def test_contains_phase_matches_the_element_list():
 
 @pytest.mark.parametrize("call", [
     lambda: FiniteAbelianGroup.from_phases([(Fraction(1, 2),)], 2),
-    lambda: FiniteAbelianGroup.trivial(2).contains_phase((0, 0, 0)),
+    lambda: FiniteAbelianGroup((), (), 2).contains_phase((0, 0, 0)),
     lambda: annihilator_lattice([(0, 0), (Fraction(1, 3),)], 2),
 ])
 def test_every_phase_reader_names_a_wrong_length(call):

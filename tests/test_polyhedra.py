@@ -656,12 +656,12 @@ def test_from_hrep_matches_the_three_pass_route():
 def test_infeasible_h_descriptions_are_empty(pairs):
     rank = len(pairs[0][0])
     poly = Polytope.from_hrep(pairs, rank)
-    assert poly.is_empty() and poly.dim == -1 and poly.bounded
+    assert not poly.vertices and poly.dim == -1 and poly.bounded
     assert not poly.contains((0,) * rank)
     assert poly.lattice_points() == []
     assert poly == Polytope.from_hrep([((1,) * rank, -1)] + [
         ((-1,) * rank, 0)], rank)
-    assert Polytope.from_hrep(poly.hrep, rank).is_empty()
+    assert not Polytope.from_hrep(poly.hrep, rank).vertices
 
 
 def test_h_descriptions_round_trip():
@@ -677,11 +677,11 @@ def test_h_descriptions_round_trip():
         poly = Polytope.from_hrep(pairs, rank)
         again = Polytope.from_hrep(poly.hrep, rank)
         assert again == poly and again.dim == poly.dim, pairs
-        assert poly.is_empty() == (poly.dim == -1)
-        if poly.is_empty():
+        assert (not poly.vertices) == (poly.dim == -1)
+        if not poly.vertices:
             assert not any(poly.contains(p)
                            for p in product(range(-3, 4), repeat=rank))
-        empty += poly.is_empty()
+        empty += not poly.vertices
     assert 20 < empty < 150, empty
 
 
@@ -886,7 +886,7 @@ def test_lattice_points_match_box_scan_on_fractional_hrep():
                 pairs.append((tuple(-x for x in a), -off))
             p = Polytope.from_hrep(pairs, rank)
             expected = box_scan(box, pairs)
-            if p.is_empty():
+            if not p.vertices:
                 assert expected == []
                 assert p.lattice_points() == []
                 continue
@@ -1011,7 +1011,8 @@ def test_minkowski_sum_of_segments():
 def test_minkowski_with_point_translates():
     tri = Polytope.from_vertices([(0, 0), (1, 0), (0, 1)])
     pt = Polytope.from_vertices([(3, -2)])
-    assert tri.minkowski_sum(pt) == tri.translate((3, -2))
+    assert tri.minkowski_sum(pt) == Polytope.from_vertices(
+        [(3, -2), (4, -2), (3, -1)])
 
 
 def test_minkowski_rank_mismatch():
@@ -1060,7 +1061,7 @@ def test_hrep_vrep_round_trip():
 
 def test_infeasible_hrep_is_empty():
     p = Polytope.from_hrep([((1,), -1), ((-1,), 0)], 1)
-    assert p.is_empty()
+    assert not p.vertices
 
 
 # --------------------------------------------------------- normal fans
@@ -1092,7 +1093,8 @@ def test_normal_fan_of_shifted_simplex():
         [(0, 0, 0, 0)]
         + [tuple(int(i == j) for j in range(4)) for i in range(4)]
     )
-    shifted = simplex.translate([F(-1, 5)] * 4)
+    shifted = Polytope.from_vertices(
+        [tuple(x - F(1, 5) for x in v) for v in simplex.vertices])
     nf = shifted.normal_fan()
     assert validate_fan(nf).ok and is_complete(nf)
     assert len(nf.max_cones) == 5

@@ -36,8 +36,6 @@ SITES = {
         [(0, 0), (0, 1), (1, 0), (1, 1)]),
     "Polytope.contains": (
         lambda x: SQUARE.contains((x, 1)), True),
-    "Polytope.translate": (
-        lambda x: SQUARE.translate((x, 0)).vertices[0], (HALF, 0)),
 }
 
 

@@ -66,8 +66,8 @@ def test_potential_merges_and_drops_zeros():
     w = Potential([((1, 0), 1), ((1, 0), 2), ((0, 1), ParamPoly.zero())])
     assert w.support == ((1, 0),)
     assert dict(w.terms) == {(1, 0): ParamPoly.constant(3)}
-    assert not w.is_zero()
-    assert Potential([]).is_zero()
+    assert w.terms
+    assert not Potential([]).terms
 
 
 def test_potential_accepts_mappings_and_sorts():

@@ -28,7 +28,6 @@ from dualfan.toric_lg import (
     AuxiliaryLG,
     Specialization,
     ToricDivisor,
-    ToricLGModel,
     base_change_check,
     is_cartier,
     line_bundle_fan,
@@ -41,6 +40,11 @@ FERMAT_CUBIC = [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
 
 def _p2_divisor():
     return ToricDivisor(projective_space_fan(2), (1, 1, 1))
+
+
+def _orthant_base_change():
+    return base_change_check(
+        AuxiliaryLG(orthant_fan(2), [(1, 0), (0, 1)]), orthant_fan(2))
 
 
 def _square_cone():
@@ -63,10 +67,8 @@ FACTORIES = {
     "ToricDivisor": _p2_divisor,
     "CartierData": lambda: is_cartier(_p2_divisor()),
     "AuxiliaryLG": lambda: AuxiliaryLG(orthant_fan(2), [(1, 0), (0, 1)]),
-    "BaseChangeReport": lambda: base_change_check(
-        AuxiliaryLG(orthant_fan(2), [(1, 0), (0, 1)]), orthant_fan(2)),
+    "BaseChangeReport": _orthant_base_change,
     "Specialization": lambda: Specialization({(1, 0): 1}),
-    "ToricLGModel": lambda: ToricLGModel(orthant_fan(2), orthant_fan(2)),
     "CIData": lambda: recover_ci_data(
         line_bundle_fan(ToricDivisor(projective_space_fan(1), (2, 0)))),
     "GorensteinReport": lambda: is_gorenstein(_square_cone()),
@@ -74,7 +76,9 @@ FACTORIES = {
     "BhkCriterionReport": lambda: verify_bhk_criterion(
         FERMAT_CUBIC, [(THIRD, THIRD, THIRD)]),
     "MirrorReport": lambda: MirrorReport(
-        orthant_fan(2), orthant_fan(2), DualFanReport(True)),
+        orthant_fan(2), orthant_fan(2), DualFanReport(True),
+        to_gamma=_orthant_base_change(),
+        to_gamma_prime=_orthant_base_change()),
 }
 
 # keyed classes: (a value equal to the factory's, a value with another key)
