@@ -10,7 +10,8 @@ geometry always uses the primitive rays.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import islice
+from math import lcm
 
 from ._value import Value
 from .groups import FiniteAbelianGroup
@@ -63,7 +64,8 @@ class Fan(Value):
     does, and reports what went wrong.
     """
 
-    __slots__ = ("lattice_rank", "rays", "marked_generators", "max_cones", "_cones")
+    __slots__ = ("lattice_rank", "rays", "marked_generators", "max_cones",
+                 "_cones", "_signs")
 
     def __init__(self, rays, max_cones, lattice_rank, marked_generators=None):
         lattice_rank = _integer(lattice_rank)
@@ -103,6 +105,7 @@ class Fan(Value):
         object.__setattr__(self, "marked_generators", marked)
         object.__setattr__(self, "max_cones", cleaned)
         object.__setattr__(self, "_cones", None)
+        object.__setattr__(self, "_signs", None)
 
     @property
     def cones(self):
@@ -164,6 +167,32 @@ class Fan(Value):
         )
 
 
+def _sign_table(f: Fan):
+    """(rays, own, normals), kept in `f._signs` outside the key: over the
+    extreme rays of the pointed cones, own[i] masks cone i's rays and
+    normals[i] holds, per facet normal u of cone i, the masks (pos, zero)
+    of the rays with u·r > 0 and u·r = 0, from one `_pairings` pass."""
+    if f._signs is None:
+        cones = f.cones
+        rays = list(dict.fromkeys(r for c in cones for r in c.extreme_rays))
+        bits = [1 << k for k in range(len(rays))]
+        index = dict(zip(rays, bits))
+        signs = []
+        for ps in _pairings([u for c in cones for u in c.facet_normals], rays):
+            pos = zero = 0
+            for b, p in zip(bits, ps):
+                if p > 0:
+                    pos |= b
+                elif not p:
+                    zero |= b
+            signs.append((pos, zero))
+        signs = iter(signs)
+        object.__setattr__(f, "_signs", (
+            rays, [sum(map(index.get, c.extreme_rays)) for c in cones],
+            [list(islice(signs, len(c.facet_normals))) for c in cones]))
+    return f._signs
+
+
 def _separated(s, t):
     """Whether u, the sum of the facet normals of s that vanish on the
     shared rays S, is > 0 on the other rays of s and < 0 on those of t."""
@@ -177,19 +206,33 @@ def _separated(s, t):
 def validate_fan(f: Fan) -> FanValidation:
     """The fan condition: strong convexity plus the pairwise face test.
 
-    Once every cone is pointed, a pair that `_separated` accepts in either
-    order passes without an intersection: u ≥ 0 on s and u ≤ 0 on t cut
-    both in the face cone(S), so s ∩ t = cone(S) is a face of each (the
-    separation lemma, Fulton, *Introduction to Toric Varieties*, §1.2).
-    Any other pair takes one double description pass for its meet.
+    Once every cone is pointed, a pair passes with no intersection when a
+    functional u ≥ 0 on s and ≤ 0 on t cuts s ∩ t down to a face of each
+    (the separation lemma, Fulton, *Introduction to Toric Varieties*,
+    §1.2): s ∩ t lies on u = 0, which meets s in the face cone(Z_s) and t
+    in cone(Z_t), Z_x the rays of x on u = 0, each holding the shared rays
+    S.  With s and t in either order, the pair passes when a facet normal
+    u of s has no positive sign on t's rays (`_sign_table`) and either
+    Z_s == Z_t == S (s ∩ t = cone(S), exposed by u and by −u) or Z_t is
+    empty (s ∩ t = {0}); Z_t == S alone is not enough, as cone(S) may be
+    a diagonal of a square face cone(Z_s).  Else `_separated` tries the
+    sum of s's facet normals vanishing on S, and else one double
+    description pass finds the meet.
     """
     problems = []
     for ixs, cone in zip(f.max_cones, f.cones):
         if not cone.is_strongly_convex():
             problems.append(f"cone {list(ixs)} is not strongly convex")
     if not problems:
+        _, own, normals = _sign_table(f)
         for i in range(len(f.cones)):
             for j in range(i + 1, len(f.cones)):
+                shared = own[i] & own[j]
+                if any(not pos & own[b] and (not zero & own[b] or (
+                        zero & own[a] == zero & own[b] == shared))
+                       for a, b in ((i, j), (j, i))
+                       for pos, zero in normals[a]):
+                    continue
                 s, t = f.cones[i], f.cones[j]
                 if _separated(s, t) or _separated(t, s):
                     continue
@@ -257,48 +300,32 @@ def _covers(f: Fan, facets=()) -> bool:
     must lie in two of them, or in one when it lies in a facet of K; else
     a segment from a cone's interior to a point of K off the support
     leaves it through a wall inside K, held from one side only.  A convex
-    cone holds a wall iff it holds the wall's rays, so bit i of `holders[k]`
-    marks cone i holding the k-th ray, bit j of `on[k]` marks facets[j]
-    vanishing on it, and a wall ANDs its rays' masks; an empty wall keeps
-    every bit, as `all([])` holds.  Each normal, of K or of a cone, is
-    paired once with every ray, and both masks read that one list.
+    cone holds a wall iff it holds the wall's rays, so the census reads
+    `validate_fan`'s sign table (`_sign_table`): cone i holds the rays in
+    `pos | zero` of each of its normals, and each wall is `own[i] & zero`.
+    An empty wall lies in every cone and every facet of K.
     """
     cones = f.cones
     if not cones or any(c.dim != f.lattice_rank or not c.is_strongly_convex()
                         for c in cones):
         return False
-    rays = list(dict.fromkeys(r for c in cones for r in c.extreme_rays))
-    index = {r: k for k, r in enumerate(rays)}
-    on = [0] * len(rays)
-    for j, a in enumerate(facets):
+    rays, own, normals = _sign_table(f)
+    on = []
+    for a in facets:
         pairings = [_dot(a, r) for r in rays]
         if any(p < 0 for p in pairings):
             return False
-        for k, p in enumerate(pairings):
-            if not p:
-                on[k] |= 1 << j
-    # a cone holds the rays none of its normals is negative on, and each
-    # normal's wall is the cone's own rays it vanishes on
-    holders = [0] * len(rays)
-    walls = []
-    for i, cone in enumerate(cones):
-        own = [index[r] for r in cone.extreme_rays]
-        held = [True] * len(rays)
-        for normal in cone.facet_normals:
-            pairings = [_dot(normal, r) for r in rays]
-            held = [h and p >= 0 for h, p in zip(held, pairings)]
-            walls.append([k for k in own if not pairings[k]])
-        for k, h in enumerate(held):
-            if h:
-                holders[k] |= 1 << i
-    every = (1 << len(cones)) - 1, (1 << len(facets)) - 1
-    for wall in walls:
-        inside, outer = every
-        for k in wall:
-            inside, outer = inside & holders[k], outer & on[k]
-        if inside.bit_count() != 2 - bool(outer):
-            return False
-    return True
+        on.append(sum(1 << k for k, p in enumerate(pairings) if not p))
+    held = []
+    for signs in normals:
+        h = (1 << len(rays)) - 1
+        for pos, zero in signs:
+            h &= pos | zero
+        held.append(h)
+    walls = [mine & zero for mine, signs in zip(own, normals)
+             for _, zero in signs]
+    return all(len([h for h in held if w & h == w])
+               == 2 - any([w & z == w for z in on]) for w in walls)
 
 
 def is_complete(f: Fan) -> bool:
@@ -398,15 +425,14 @@ def quotient_fan(f: Fan, q: LatticeMap):
                 f"of its cone image ({[list(g) for g in gens]})"
             )
 
+    # the torsion is generated by column i of V over d_i; V is unimodular,
+    # so each column is primitive and ell is the lcm of the d_i
     dec = snf(q)
     k_rank = q.rows - dec.rank
-    phases = []
-    for i in range(min(q.rows, q.cols)):
-        d = dec.D.entries[i][i]
-        if d > 1:
-            col = dec.V.col(i)
-            phases.append(tuple(Fraction(x, d) for x in col))
-    torsion = FiniteAbelianGroup.from_phases(phases, f.lattice_rank)
+    kept = [(i, d) for i, d in enumerate(dec.diagonal) if d > 1]
+    ell = lcm(*(d for _, d in kept))
+    cols = [tuple(x * (ell // d) for x in dec.V.col(i)) for i, d in kept]
+    torsion = FiniteAbelianGroup._from_scaled(ell, cols, f.lattice_rank)
     return image, (k_rank, torsion)
 
 

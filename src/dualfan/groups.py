@@ -23,6 +23,7 @@ from .lattice import (
     _integer,
     _phase_lattice,
     _rational,
+    _scaled_lattice,
     _scaled_phases,
     _smith,
     smith_diagonal,
@@ -70,20 +71,26 @@ class FiniteAbelianGroup(Value):
 
     @classmethod
     def from_phases(cls, phases, ambient_rank):
-        """Canonical presentation of the subgroup of (Q/Z)^m the given
-        phase vectors generate.
+        """Canonical presentation of the subgroup of (Q/Z)^m the phases
+        generate."""
+        return cls._from_scaled(*_scaled_phases(phases, ambient_rank),
+                                ambient_rank)
 
-        The construction scales away denominators, takes the Hermite
-        basis B of the scaled lattice, and reads the quotient by ell·Z^m
-        off the Smith form U·Y·V = D of Y = B⁻¹·(ell·id).  Then
-        B·U⁻¹ = ell·V·D⁻¹, so lift i is column i of V over d_i, reduced
-        into [0, 1).  Only D and V are read, so the Smith pass runs on
-        [Y; I] and carries no U.  Every step is canonical, so two
-        generating sets of the same subgroup produce equal objects.  The
-        phases and the lifts generate one group, so they share L and ell
-        (its exponent), and the group keeps (ell, B, Y).
+    @classmethod
+    def _from_scaled(cls, ell, cols, ambient_rank):
+        """`from_phases` of the phases c / ell, ell their denominators' lcm.
+
+        The construction takes the Hermite basis B of the scaled lattice,
+        and reads the quotient by ell·Z^m off the Smith form U·Y·V = D of
+        Y = B⁻¹·(ell·id).  Then B·U⁻¹ = ell·V·D⁻¹, so lift i is column i
+        of V over d_i, reduced into [0, 1).  Only D and V are read, so the
+        Smith pass runs on [Y; I] and carries no U.  Every step is
+        canonical, so two generating sets of the same subgroup produce
+        equal objects.  The phases and the lifts generate one group, so
+        they share L and ell (its exponent), and the group keeps
+        (ell, B, Y).
         """
-        lattice = _phase_lattice(phases, ambient_rank)
+        lattice = _scaled_lattice(ell, cols, ambient_rank)
         n = lattice[2].rows
         m = _smith([list(row) for row in lattice[2].entries]
                    + _identity_rows(n), n, n)
@@ -97,13 +104,18 @@ class FiniteAbelianGroup(Value):
     @property
     def _lattice_of_lifts(self):
         """(ell, B, Y) of the lattice of the lifts, built on first use.
-        An integral lift (a cokernel's) is zero in (Q/Z)^m, so it raises."""
+        It raises on an integral lift (a cokernel's), zero in (Q/Z)^m, and
+        on lifts whose group has an order [L : Zᵐ] = ell^m / det B not
+        `order`."""
         if self._lattice is None:
             if any(all(x.denominator == 1 for x in v) for v in self.lifts):
                 raise ValueError("phase question on a group whose lifts "
                                  "are not phases")
-            object.__setattr__(self, "_lattice", _phase_lattice(
-                self.lifts, self.ambient_rank))
+            ell, b, _ = lattice = _phase_lattice(self.lifts, self.ambient_rank)
+            if ell ** self.ambient_rank != self.order * prod(
+                    row[i] for i, row in enumerate(b.entries)):
+                raise ValueError("the lifts generate a group of another order")
+            object.__setattr__(self, "_lattice", lattice)
         return self._lattice
 
     @property

@@ -12,8 +12,8 @@ writes out the cofactors; from 4×4 on it runs fraction-free Gauss–Jordan
 each update at step k is the previous pivot times a (k+1)-minor of
 [A | I] before its `//`, so every division is exact.  `det`, both
 inverses, the simplicial facet normals of `polyhedra`, the smoothness
-test of `fans`, the phase groups of `groups` and the solves of a square
-nonsingular system read it: such a system has the one solution
+test of `fans`, the symmetry groups of `mirrors.bhk` and the solves of
+a square nonsingular system read it: such a system has the one solution
 adj(A)·b / det A, so it needs no Smith form.  A row that holds 0 under
 the pivot when the pivot repeats the one before is left as it is: its
 update would give it back unchanged.
@@ -566,19 +566,34 @@ def _scaled_phases(phases, ambient_rank, ell=1):
 
 
 def _phase_lattice(phases, ambient_rank):
+    """`_scaled_lattice` of the phase vectors, through `_scaled_phases`."""
+    return _scaled_lattice(*_scaled_phases(phases, ambient_rank),
+                           ambient_rank)
+
+
+def _scaled_lattice(ell, cols, ambient_rank):
     """(ell, B, Y) with B the canonical column basis of ell·L, where
-    L = Zⁿ + Σ Z·q over the phase vectors q and ell is the least common
-    multiple of their denominators, and Y = ell·B⁻¹.
+    L = Zⁿ + Σ Z·c/ell over the integer columns c, ell is the lcm of the
+    reduced denominators of the c/ell, and Y = ell·B⁻¹.
 
     ell·Zⁿ ⊆ ell·L, so B is a nonsingular n×n matrix that depends only on
-    ell and L, and Y = ell·adj(B) / det B is integral.
+    ell and L, and Y is integral.  B's columns are the Hermite rows h_j,
+    upper triangular with positive pivots, so back substitution solves
+    Y·B = ell·I: row r of Y has y_j = 0 for j > r and, for j = r, …, 0,
+    y_j = (ell·[j = r] − Σ_{i>j} y_i·h_j[i]) / h_j[j], an exact division.
     """
-    ell, cols = _scaled_phases(phases, ambient_rank)
-    cols += [tuple(ell * x for x in row) for row in _identity_rows(ambient_rank)]
+    cols = list(cols) + [tuple(ell * x for x in row)
+                         for row in _identity_rows(ambient_rank)]
     basis = column_lattice_basis(cols, ambient_rank)
-    det, adj = _adjugate(basis.entries)
-    return ell, basis, LatticeMap([[ell * x // det for x in row]
-                                   for row in adj], cols=ambient_rank)
+    h = basis.columns()
+    y = []
+    for r in range(ambient_rank):
+        row = [0] * ambient_rank
+        row[r] = ell // h[r][r]
+        for j in range(r - 1, -1, -1):
+            row[j] = -_dot(row[j + 1:r + 1], h[j][j + 1:r + 1]) // h[j][j]
+        y.append(row)
+    return ell, basis, LatticeMap(y, cols=ambient_rank)
 
 
 def annihilator_lattice(phases, ambient_rank) -> LatticeMap:

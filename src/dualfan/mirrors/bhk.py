@@ -8,14 +8,16 @@ one through the chosen basis of M, one through the matrix that writes
 the monomial exponents in that basis.
 """
 
+from math import gcd
+
 from .._value import InternalError, Value
 from ..fans import orthant_fan, quotient_fan
 from ..groups import FiniteAbelianGroup
 from ..lattice import (
     LatticeMap,
+    _adjugate,
     _dot,
     column_lattice_basis,
-    rational_inverse,
     solve_integer_matrix,
 )
 from ..toric_lg import AuxiliaryLG, _unit_potential, base_change_check
@@ -23,17 +25,17 @@ from .report import MirrorReport, built_duality
 
 
 def _as_matrix(p):
-    """(P, det P) for a checked exponent matrix P."""
+    """(P, det P, adj P) for a checked exponent matrix P, one elimination."""
     if not isinstance(p, LatticeMap):
         p = LatticeMap([tuple(row) for row in p])
     if p.rows != p.cols or p.rows == 0:
         raise ValueError("exponent matrix must be square and nonempty")
     if any(x < 0 for row in p.entries for x in row):
         raise ValueError("exponent matrix entries must be nonnegative")
-    det = p.det()
-    if det == 0:
+    det, adj = _adjugate(p.entries)
+    if adj is None:
         raise ValueError("exponent matrix must be invertible")
-    return p, det
+    return p, det, adj
 
 
 def phase_symmetries(p) -> FiniteAbelianGroup:
@@ -43,23 +45,28 @@ def phase_symmetries(p) -> FiniteAbelianGroup:
     the j-th entry of P^t q, so the full group is generated by the rows
     of the inverse of P.
     """
-    return _symmetries(_as_matrix(p)[0])
+    p, det, adj = _as_matrix(p)
+    return _phase_group(det, adj, p.rows)
 
 
-def _symmetries(p):
-    # `phase_symmetries` of an exponent matrix already checked
-    return FiniteAbelianGroup.from_phases(rational_inverse(p), p.rows)
+def _phase_group(det, vectors, n):
+    # the group of the phases v / det, such as the rows (the symmetries of
+    # P) or columns (of Pᵀ) of adj P; ell = |det| / gcd(det, every entry)
+    vectors = [tuple(v) for v in vectors]
+    g = gcd(det, *(x for v in vectors for x in v)) * (1 if det > 0 else -1)
+    return FiniteAbelianGroup._from_scaled(
+        det // g, [tuple(x // g for x in v) for v in vectors], n)
 
 
 def _dual_data(p, q_gens):
-    """(P, A, X, Q, Q_dual, G, det P) with A a basis of the Q-invariant
-    characters, X the exponents of P written in that basis, A @ X == P,
-    and G the full symmetry group of P."""
-    p, det = _as_matrix(p)
+    """(P, A, X, Q, Q_dual, criterion, det P) with A a basis of the
+    Q-invariant characters, X the exponents of P in that basis, A @ X == P,
+    and the criterion from the symmetry groups of P and Pᵀ."""
+    p, det, adj = _as_matrix(p)
     n = p.rows
     gens = tuple(q_gens)
     q_group = FiniteAbelianGroup.from_phases(gens, n)
-    symmetries = _symmetries(p)
+    symmetries = _phase_group(det, adj, n)
     if not q_group.is_subgroup_of(symmetries):
         raise ValueError("Q is not a subgroup of the symmetry group of P")
     # the invariant characters are generated by the rows of ell·B⁻¹ for
@@ -69,9 +76,12 @@ def _dual_data(p, q_gens):
     # solvable whenever Q fixes the monomials, which was just checked
     if x is None:
         raise InternalError("the exponents of P are not Q-invariant")
-    dual_gens = tuple(zip(*rational_inverse(x)))
-    q_dual = FiniteAbelianGroup.from_phases(dual_gens, n)
-    return p, a, x, q_group, q_dual, symmetries, det
+    # det A · det X = det P, so X is nonsingular
+    det_x, adj_x = _adjugate(x.entries)
+    q_dual = _phase_group(det_x, zip(*adj_x), n)
+    crit = _criterion(q_group, q_dual, symmetries,
+                      _phase_group(det, zip(*adj), n))
+    return p, a, x, q_group, q_dual, crit, det
 
 
 def krawitz_dual_group(p, q_gens) -> FiniteAbelianGroup:
@@ -116,15 +126,13 @@ class BhkCriterionReport(Value):
 def verify_bhk_criterion(p, q_gens) -> BhkCriterionReport:
     """Check Q against the quotient of the transposed symmetries and
     the dual group against the quotient of the original ones."""
-    p, _, _, q_group, q_dual, symmetries, _ = _dual_data(p, q_gens)
-    return _criterion(p, q_group, q_dual, symmetries)
+    return _dual_data(p, q_gens)[5]
 
 
-def _criterion(p, q_group, q_dual, symmetries):
-    g_factors = symmetries.quotient_factors(q_group)
-    g_dual_factors = _symmetries(p.transpose()).quotient_factors(q_dual)
-    return BhkCriterionReport(symmetries, q_group, q_dual, g_factors,
-                              g_dual_factors)
+def _criterion(q_group, q_dual, symmetries, dual_symmetries):
+    return BhkCriterionReport(
+        symmetries, q_group, q_dual, symmetries.quotient_factors(q_group),
+        dual_symmetries.quotient_factors(q_dual))
 
 
 def bhk_pair(p, q_gens=()) -> MirrorReport:
@@ -136,7 +144,7 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
     the potential exponents of the other, and they pair to the entries
     of P.
     """
-    p, a, x, q_group, q_dual, symmetries, det = _dual_data(p, q_gens)
+    p, a, x, q_group, q_dual, crit, det = _dual_data(p, q_gens)
     n = p.rows
     orthant = orthant_fan(n)
 
@@ -154,7 +162,6 @@ def bhk_pair(p, q_gens=()) -> MirrorReport:
         == p.entries[i][j] for i in range(n) for j in range(n))
     checks.append(("markers_pair_to_exponents", pairing_ok))
 
-    crit = _criterion(p, q_group, q_dual, symmetries)
     det = abs(det)
     checks.append(("group_duality", crit.holds))
     checks.append(("order_law", q_group.order * q_dual.order == det))

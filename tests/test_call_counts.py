@@ -25,6 +25,7 @@ import dualfan.toric_lg
 from dualfan.cli import _COMMANDS, main
 from dualfan.fans import (Fan, is_complete, orthant_fan, quotient_fan,
                           validate_fan)
+from dualfan.groups import FiniteAbelianGroup
 from dualfan.lattice import LatticeMap, solve_integer_matrix
 from dualfan.polyhedra import Cone, Polytope
 
@@ -67,24 +68,31 @@ def test_kernel_basis_runs_only_when_a_cone_has_lines(monkeypatch):
 
 
 def test_bhk_job_builds_each_symmetry_group_once(monkeypatch, capsys):
-    # the pipeline checks P once, then builds each group unchecked
-    calls = count_calls(monkeypatch, dualfan.mirrors.bhk, "_symmetries")
+    # every group of the job is built once at the integer core: Q from its
+    # phases, the symmetries of P and of Pᵀ from the rows and columns of
+    # adj P, Q^T from the columns of adj X, and the two quotient torsions
+    # (`from_phases` ran 6 times, and `bhk._symmetries` twice, when every
+    # group went through Fraction phases)
+    core = count_calls(monkeypatch, FiniteAbelianGroup, "_from_scaled")
+    phases = count_calls(monkeypatch, FiniteAbelianGroup, "from_phases")
     job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
            "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
     assert run_job(monkeypatch, capsys, ["bhk"], job) == 0
-    assert len(calls) == 2  # one for P, one for its transpose
+    assert len(core) == 6
+    assert len(phases) == 1  # only Q arrives as phases
 
 
 def test_bhk_job_builds_each_group_lattice_once(monkeypatch, capsys):
-    calls = count_calls(monkeypatch, dualfan.lattice, "_phase_lattice")
+    calls = count_calls(monkeypatch, dualfan.lattice, "_scaled_lattice")
     job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
            "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
     assert run_job(monkeypatch, capsys, ["bhk"], job) == 0
-    # six groups from phases; the three subgroup tests build no lattice,
-    # because a group made from phases keeps its own and the subgroup's
-    # scales from it (10 calls when each test built the subgroup's side,
-    # 13 when it built both), and the invariant characters are read off
-    # Q's own lattice (7 when the annihilator built it again)
+    # six groups, each lattice built once at the integer core; the three
+    # subgroup tests build no lattice, because a group made from phases
+    # keeps its own and the subgroup's scales from it (10 calls when each
+    # test built the subgroup's side, 13 when it built both), and the
+    # invariant characters are read off Q's own lattice (7 when the
+    # annihilator built it again)
     assert len(calls) == 6
 
 
@@ -209,15 +217,21 @@ def test_validate_fan_intersects_only_unseparated_pairs(monkeypatch):
             (0, 0, -1)]
     octants = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
     assert validate_fan(Fan(axes, octants, 3)).ok
-    assert calls == []  # all 28 pairs separated by a sum of normals
+    assert calls == []  # all 28 pairs separated by one facet normal
     # 12 of the octagon's 28 pairs, such as the cones over (1, 0), (1, 1)
-    # and (0, 1), (-1, 1), meet only at the origin, but neither normal
-    # sum is negative on the other cone
+    # and (0, 1), (-1, 1), meet only at the origin, and neither normal
+    # sum is negative on the other cone; a single facet normal of one of
+    # them is ≤ 0 on the other and vanishes on none of its rays (12
+    # passes when only the sums were tried)
     octagon = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
                (1, -1)]
     assert validate_fan(
         Fan(octagon, [(i, (i + 1) % 8) for i in range(8)], 2)).ok
-    assert len(calls) == 12
+    assert calls == []
+    # two cones that overlap have no separating functional: one pass
+    overlap = Fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)], 2)
+    assert not validate_fan(overlap).ok
+    assert len(calls) == 1
 
 
 def test_a_normal_fan_keeps_its_cones(monkeypatch):
@@ -406,14 +420,31 @@ def test_a_splitting_basis_takes_only_rank_sized_minors(monkeypatch, capsys):
     assert calls and max(a.rows for a, in calls) <= 2
 
 
+def eliminated_in_golden(monkeypatch, capsys, name):
+    """The job's P and the rows of every square matrix it eliminated."""
+    calls = count_calls(monkeypatch, dualfan.lattice, "_adjugate")
+    run_golden(monkeypatch, capsys, name)
+    p = json.loads(GOLDEN_JOBS[name]["stdin"])["P"]["entries"]
+    return (tuple(map(tuple, p)),
+            [tuple(map(tuple, rows)) for rows, in calls])
+
+
 def test_bhk_job_takes_the_determinant_of_p_once_per_use(monkeypatch,
                                                          capsys):
-    calls = count_calls(monkeypatch, LatticeMap, "det")
-    run_golden(monkeypatch, capsys, "bhk-loop4-trivial")
-    # one invertibility check of the job's P, whose value the order law
-    # and the determinant count read (4 when the P behind each symmetry
-    # group was checked again, 5 when |det P| was also taken per use)
-    assert len(calls) == 1
+    dets = count_calls(monkeypatch, LatticeMap, "det")
+    p, eliminated = eliminated_in_golden(monkeypatch, capsys,
+                                         "bhk-loop4-trivial")
+    # one elimination of the job's P, whose determinant and adjugate give
+    # the order law, the determinant count and the symmetries of P and of
+    # Pᵀ (`det`, then a rational inverse of P and one of Pᵀ, eliminated P
+    # three times; 4 and 5 before that).  Q is trivial, so X = P, and the
+    # one elimination of X, for Q^T, is the other call on these rows
+    assert dets == []
+    assert eliminated.count(p) == 2
+    assert tuple(zip(*p)) not in eliminated
+    p, eliminated = eliminated_in_golden(monkeypatch, capsys,
+                                         "bhk-fermat3-diagonal")
+    assert eliminated.count(p) == 1  # X ≠ P here (3 before; P = Pᵀ)
 
 
 def test_no_golden_job_builds_a_specialization(monkeypatch, capsys):

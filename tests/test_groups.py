@@ -53,6 +53,23 @@ def test_phase_questions_on_a_cokernel_group_raise():
             call()
 
 
+def test_phase_questions_on_lifts_of_another_order_raise():
+    # the lift 1/2 has order 2, not the invariant factor 4: each question
+    # once answered for the group of order 2 it generates
+    g = FiniteAbelianGroup((4,), ((F(1, 2),),), 1)
+    assert g.order == 4
+    h = FiniteAbelianGroup.from_phases([(F(1, 2),)], 1)
+    for call in (g.elements, lambda: g.is_subgroup_of(h),
+                 lambda: h.is_subgroup_of(g), lambda: h.quotient_factors(g),
+                 lambda: g.contains_phase((F(1, 2),))):
+        with pytest.raises(ValueError, match="another order"):
+            call()
+    # a presentation whose order is right answers as before
+    right = FiniteAbelianGroup((4,), ((F(1, 4),),), 1)
+    assert right.is_subgroup_of(FiniteAbelianGroup.from_phases(
+        [(F(1, 4),)], 1)) and right.quotient_factors(h) == (2,)
+
+
 def test_from_phases_fifth_roots():
     g = FiniteAbelianGroup.from_phases(FIFTH_PHASES, 5)
     assert g.invariant_factors == (5, 5, 5)

@@ -14,9 +14,11 @@ from math import lcm
 
 import pytest
 
+from dualfan.fans import orthant_fan, quotient_fan
 from dualfan.groups import FiniteAbelianGroup, normalize_phase
 from dualfan.lattice import (
     LatticeMap,
+    _adjugate,
     _phase_lattice,
     annihilator_lattice,
     column_lattice_basis,
@@ -26,6 +28,7 @@ from dualfan.lattice import (
     solve_integer,
     solve_integer_matrix,
 )
+from dualfan.mirrors.bhk import _phase_group
 
 
 def reference_common_denominator(vectors):
@@ -223,6 +226,58 @@ def test_phase_lattice_is_canonical_and_scales_exactly():
         assert reference_scaled_lattice_basis(phases, rank, 5 * ell) == (
             LatticeMap([[5 * x for x in row] for row in basis.entries],
                        cols=rank))
+
+
+def test_back_substitution_matches_the_adjugate():
+    for rank, phases in PHASE_SETS:
+        ell, basis, y = _phase_lattice(phases, rank)
+        det, adj = _adjugate(basis.entries)
+        assert all(ell * x % det == 0 for row in adj for x in row)
+        assert y == LatticeMap([[ell * x // det for x in row] for row in adj],
+                               cols=rank), (rank, phases)
+
+
+def random_integer_phases(seed, count):
+    """(rank, den, vectors): integer vectors over a nonzero denominator of
+    either sign, the data the integer route reads."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randint(1, 5)
+        den = rng.choice((-1, 1)) * rng.randint(1, 30)
+        yield rank, den, [tuple(rng.randint(-40, 40) for _ in range(rank))
+                          for _ in range(rng.randint(0, 4))]
+
+
+def test_the_integer_route_builds_the_fraction_routes_group():
+    kinds = set()
+    for rank, den, vectors in random_integer_phases(4713, 300):
+        g = _phase_group(den, vectors, rank)
+        expected = FiniteAbelianGroup.from_phases(
+            [[Fraction(x, den) for x in v] for v in vectors], rank)
+        assert (g, g.lifts, g._lattice) == (
+            expected, expected.lifts, expected._lattice), (den, vectors)
+        kinds.add((den < 0, g.order > 1))
+    assert len(kinds) == 4
+
+
+def test_quotient_torsion_matches_the_fraction_route():
+    rng = random.Random(1501)
+    orders = set()
+    for _ in range(120):
+        rank = rng.randint(1, 4)
+        while True:
+            q = LatticeMap([[rng.randint(-3, 3) for _ in range(rank)]
+                            for _ in range(rank)])
+            if _adjugate(q.entries)[0]:
+                break
+        _, (_, torsion) = quotient_fan(orthant_fan(rank), q)
+        dec = snf(q)
+        expected = FiniteAbelianGroup.from_phases(
+            [[Fraction(x, d) for x in dec.V.col(i)]
+             for i, d in enumerate(dec.diagonal) if d > 1], rank)
+        assert (torsion, torsion._lattice) == (expected, expected._lattice)
+        orders.add(torsion.order > 1)
+    assert orders == {False, True}
 
 
 def small_groups(seed, count, order_cap=625):
