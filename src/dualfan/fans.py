@@ -193,31 +193,36 @@ def _sign_table(f: Fan):
     return f._signs
 
 
-def _separated(s, t):
-    """Whether u, the sum of the facet normals of s that vanish on the
-    shared rays S, is > 0 on the other rays of s and < 0 on those of t."""
-    shared = set(s.extreme_rays) & set(t.extreme_rays)
-    u = [sum(c) for c in zip(*(n for n in s.facet_normals
-                              if not any(_dot(n, r) for r in shared)))]
-    return all(_dot(u, r) > 0 for r in set(s.extreme_rays) - shared) and all(
-        _dot(u, r) < 0 for r in set(t.extreme_rays) - shared)
+def _exposed(signs, mine, other):
+    """Whether u, the sum of the facet normals of a pointed cone (`signs`,
+    its row of `_sign_table`, over its rays `mine`) that are nowhere
+    positive on the rays `other` of another, cuts their meet down to a
+    face of each: Z, the rays on which all of them vanish, meets the
+    other cone in the shared rays and, unless there are none, meets this
+    one there too."""
+    shared = mine & other
+    z = -1
+    for pos, zero in signs:
+        if not pos & other:
+            z &= zero
+    return z & other == shared and (not shared or z & mine == shared)
 
 
 def validate_fan(f: Fan) -> FanValidation:
     """The fan condition: strong convexity plus the pairwise face test.
 
-    Once every cone is pointed, a pair passes with no intersection when a
-    functional u ≥ 0 on s and ≤ 0 on t cuts s ∩ t down to a face of each
-    (the separation lemma, Fulton, *Introduction to Toric Varieties*,
-    §1.2): s ∩ t lies on u = 0, which meets s in the face cone(Z_s) and t
-    in cone(Z_t), Z_x the rays of x on u = 0, each holding the shared rays
-    S.  With s and t in either order, the pair passes when a facet normal
-    u of s has no positive sign on t's rays (`_sign_table`) and either
-    Z_s == Z_t == S (s ∩ t = cone(S), exposed by u and by −u) or Z_t is
-    empty (s ∩ t = {0}); Z_t == S alone is not enough, as cone(S) may be
-    a diagonal of a square face cone(Z_s).  Else `_separated` tries the
-    sum of s's facet normals vanishing on S, and else one double
-    description pass finds the meet.
+    Once every cone is pointed, each pair (s, t) takes one of two tiers.
+    The sign table (`_sign_table`) passes it when, with s and t in either
+    order, the sum u of the facet normals of s that are nowhere positive
+    on t's rays separates them (`_exposed`; the separation lemma, Fulton,
+    *Introduction to Toric Varieties*, §1.2).  u is ≥ 0 on s and ≤ 0 on
+    t, and each of those normals vanishes on the shared rays S, so s ∩ t
+    lies on u = 0, which meets s in cone(Z ∩ s) and t in cone(Z ∩ t), Z
+    the rays on which they all vanish.  So Z ∩ t == S makes s ∩ t =
+    cone(S), a face of t exposed by −u, and {0} when S is empty; else
+    Z ∩ s == S makes it a face of s, exposed by u.  Every other pair
+    takes one double description pass for the meet
+    (`Cone._meets_in_a_face`).
     """
     problems = []
     for ixs, cone in zip(f.max_cones, f.cones):
@@ -227,16 +232,10 @@ def validate_fan(f: Fan) -> FanValidation:
         _, own, normals = _sign_table(f)
         for i in range(len(f.cones)):
             for j in range(i + 1, len(f.cones)):
-                shared = own[i] & own[j]
-                if any(not pos & own[b] and (not zero & own[b] or (
-                        zero & own[a] == zero & own[b] == shared))
-                       for a, b in ((i, j), (j, i))
-                       for pos, zero in normals[a]):
+                if _exposed(normals[i], own[i], own[j]) or _exposed(
+                        normals[j], own[j], own[i]):
                     continue
-                s, t = f.cones[i], f.cones[j]
-                if _separated(s, t) or _separated(t, s):
-                    continue
-                if not s._meets_in_a_face(t):
+                if not f.cones[i]._meets_in_a_face(f.cones[j]):
                     problems.append(
                         f"intersection of cones {list(f.max_cones[i])} and "
                         f"{list(f.max_cones[j])} is not a common face"
@@ -295,19 +294,20 @@ def _covers(f: Fan, facets=()) -> bool:
     full-dimensional cone K = {x : a·x ≥ 0 for a in facets}, the whole
     space when there are none.  Never raises.
 
-    Every maximal cone must be strongly convex, full dimensional and in
-    K, and each wall, the rays on which a facet normal of a cone vanishes,
-    must lie in two of them, or in one when it lies in a facet of K; else
-    a segment from a cone's interior to a point of K off the support
-    leaves it through a wall inside K, held from one side only.  A convex
-    cone holds a wall iff it holds the wall's rays, so the census reads
-    `validate_fan`'s sign table (`_sign_table`): cone i holds the rays in
-    `pos | zero` of each of its normals, and each wall is `own[i] & zero`.
-    An empty wall lies in every cone and every facet of K.
+    Every listed cone must be strongly convex and in K, and one must be
+    full dimensional.  A lower-dimensional cone has no interior, so the
+    full-dimensional ones must cover K alone: each wall of theirs, the
+    rays on which a facet normal vanishes, must lie in two of them, or
+    in one when it lies in a facet of K; else a segment from a cone's
+    interior to a point of K off their union leaves it through a wall
+    inside K, held from one side only.  A convex cone holds a wall iff
+    it holds the wall's rays, so the census reads `validate_fan`'s sign
+    table (`_sign_table`): cone i holds the rays in `pos | zero` of each
+    of its normals, and each wall is `own[i] & zero`.  An empty wall
+    lies in every cone and every facet of K.
     """
-    cones = f.cones
-    if not cones or any(c.dim != f.lattice_rank or not c.is_strongly_convex()
-                        for c in cones):
+    full = [i for i, c in enumerate(f.cones) if c.dim == f.lattice_rank]
+    if not full or not all(c.is_strongly_convex() for c in f.cones):
         return False
     rays, own, normals = _sign_table(f)
     on = []
@@ -317,13 +317,12 @@ def _covers(f: Fan, facets=()) -> bool:
             return False
         on.append(sum(1 << k for k, p in enumerate(pairings) if not p))
     held = []
-    for signs in normals:
-        h = (1 << len(rays)) - 1
-        for pos, zero in signs:
+    for i in full:
+        h = -1
+        for pos, zero in normals[i]:
             h &= pos | zero
         held.append(h)
-    walls = [mine & zero for mine, signs in zip(own, normals)
-             for _, zero in signs]
+    walls = [own[i] & zero for i in full for _, zero in normals[i]]
     return all(len([h for h in held if w & h == w])
                == 2 - any([w & z == w for z in on]) for w in walls)
 

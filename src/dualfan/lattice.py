@@ -22,7 +22,7 @@ Every Smith form goes through one routine, `_smith`, written like
 `_hermite`: it eliminates in place on the rows it is given, row
 operations carry any columns past the matrix and column operations any
 rows below it.  `snf` runs it on [[A | I], [I | 0]] to read U, D and V;
-`FiniteAbelianGroup.from_phases` reads only D and V and passes [A; I],
+`FiniteAbelianGroup._from_scaled` reads only D and V and passes [A; I],
 and `smith_diagonal`, the one reader of D alone, passes A alone.
 """
 
@@ -527,7 +527,8 @@ def saturate_column_lattice(basis: LatticeMap) -> LatticeMap:
     if basis.cols == 0:
         return basis
     perp = kernel_basis(basis.transpose())
-    return kernel_basis(perp.transpose())
+    return column_lattice_basis(kernel_basis(perp.transpose()).columns(),
+                                basis.rows)
 
 
 def cokernel(a: LatticeMap):

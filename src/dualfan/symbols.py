@@ -56,10 +56,6 @@ class ParamPoly(Value):
         )
 
     @classmethod
-    def zero(cls) -> "ParamPoly":
-        return cls()
-
-    @classmethod
     def constant(cls, c) -> "ParamPoly":
         return cls((((), c),))
 
@@ -71,33 +67,8 @@ class ParamPoly(Value):
         return not self.terms
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        """The sum with another `ParamPoly`, as `Potential` merges terms."""
         return ParamPoly(self.terms + other.terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamPoly(tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = []
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                out.append((m1 + m2, c1 * c2))
-        return ParamPoly(out)
-
-    __rmul__ = __mul__
 
     def _key(self):
         return self.terms
@@ -126,14 +97,6 @@ class ParamPoly(Value):
 
     def __repr__(self):
         return f"ParamPoly({str(self)!r})"
-
-
-def _coerce(value):
-    if isinstance(value, ParamPoly):
-        return value
-    if isinstance(value, int):
-        return ParamPoly.constant(value)
-    return NotImplemented
 
 
 class Potential(Value):

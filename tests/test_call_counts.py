@@ -217,12 +217,12 @@ def test_validate_fan_intersects_only_unseparated_pairs(monkeypatch):
             (0, 0, -1)]
     octants = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
     assert validate_fan(Fan(axes, octants, 3)).ok
-    assert calls == []  # all 28 pairs separated by one facet normal
+    assert calls == []  # all 28 pairs separated by the sign table
     # 12 of the octagon's 28 pairs, such as the cones over (1, 0), (1, 1)
-    # and (0, 1), (-1, 1), meet only at the origin, and neither normal
-    # sum is negative on the other cone; a single facet normal of one of
-    # them is ≤ 0 on the other and vanishes on none of its rays (12
-    # passes when only the sums were tried)
+    # and (0, 1), (-1, 1), meet only at the origin; the facet normals of
+    # one of them that are ≤ 0 on the other sum to a functional that
+    # vanishes on none of the other's rays (12 passes when only the sums
+    # of the normals vanishing on the shared rays were tried)
     octagon = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
                (1, -1)]
     assert validate_fan(

@@ -253,6 +253,17 @@ def test_fan_validate_reports_a_cone_with_a_line(capsys, monkeypatch):
     assert body["diagnostics"] == ["cone [0, 1, 2] is not strongly convex"]
 
 
+# P^2's fan with one of its rays listed as a cone too
+PLANE_AND_A_RAY = dict(PLANE, max_cones=PLANE["max_cones"] + [[0]])
+
+
+def test_fan_validate_a_complete_fan_that_lists_a_ray(capsys, monkeypatch):
+    code, body, _ = run(capsys, ["fan-validate"], {"fan": PLANE_AND_A_RAY},
+                        monkeypatch)
+    assert code == 0
+    assert body["ok"] is True and body["complete"] is True
+
+
 def test_bhk_command_emits_report_and_groups(capsys, monkeypatch):
     job = {"P": {"entries": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]},
            "Q": {"phases": [["1/3", "1/3", "1/3"]]}}
@@ -537,6 +548,15 @@ def test_section_polytope_without_sections_counts_zero(capsys, monkeypatch):
     assert code == 0
     assert body["count"] == 0
     assert body["lattice_points"] == [] and body["vertices"] == []
+
+
+def test_section_polytope_on_a_complete_fan_that_lists_a_ray(capsys,
+                                                             monkeypatch):
+    job = {"fan": PLANE_AND_A_RAY, "divisor": {"coeffs": [0, 0, 1]}}
+    code, body, _ = run(capsys, ["section-polytope"], job, monkeypatch)
+    assert code == 0
+    assert body["count"] == 3
+    assert body["vertices"] == [[0, 0], [0, 1], [1, 0]]
 
 
 def test_section_polytope_needs_a_complete_fan(capsys, monkeypatch):

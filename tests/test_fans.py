@@ -13,8 +13,9 @@ from dualfan.fans import (
     DualFanReport,
     Fan,
     _covers,
+    _exposed,
     _negative_pairing,
-    _separated,
+    _sign_table,
     is_complete,
     is_dual_pair,
     is_smooth,
@@ -192,12 +193,15 @@ def test_validate_fan_matches_the_pairwise_intersection_test():
 def test_the_one_pass_face_test_matches_intersection_and_is_face_of():
     rng = random.Random(24073)
     outcomes = Counter()
-    for rank in (2, 3):
-        for _ in range(80):
+    for rank, count in ((2, 80), (3, 240)):
+        for _ in range(count):
             f = random_fan(rng, rank)
-            for s, t in combinations(f.cones, 2):
-                if _separated(s, t) or _separated(t, s):
+            _, own, normals = _sign_table(f)
+            for i, j in combinations(range(len(f.cones)), 2):
+                if _exposed(normals[i], own[i], own[j]) or _exposed(
+                        normals[j], own[j], own[i]):
                     continue
+                s, t = f.cones[i], f.cones[j]
                 meet = s.intersection(t)
                 expected = meet.is_face_of(s) and meet.is_face_of(t)
                 assert s._meets_in_a_face(t) == expected, (s, t)
@@ -214,7 +218,10 @@ def test_the_one_pass_face_test_matches_intersection_and_is_face_of():
         assert s._meets_in_a_face(t) == expected, (s, t)
         outcomes["line", expected] += 1
     assert min(outcomes.values()) >= 5, outcomes
-    assert min(n for (rank, _), n in outcomes.items() if rank != "line") >= 30
+    # the sign table passes every plane pair of the sample that meets in
+    # a face, so only rank 3 brings such pairs to the meet
+    assert min(outcomes[2, False], outcomes[3, False],
+               outcomes[3, True]) >= 30, outcomes
 
 
 def test_a_separating_sum_needs_strict_signs_on_the_other_cone():
@@ -405,23 +412,24 @@ def test_is_complete_matches_the_facet_census():
 
 def complete_by_wall_tests(f):
     """`is_complete` as it tested every wall against every cone, kept as
-    the reference for the ray masks."""
-    if not f.cones or any(
-        c.dim != f.lattice_rank or not c.is_strongly_convex() for c in f.cones
-    ):
+    the reference for the ray masks.  Only the full-dimensional cones
+    take part: a lower-dimensional one has no interior to cover with."""
+    full = [c for c in f.cones if c.dim == f.lattice_rank]
+    if not full or not all(c.is_strongly_convex() for c in f.cones):
         return False
-    for cone in f.cones:
+    for cone in full:
         for normal in cone.facet_normals:
             wall = [r for r in cone.extreme_rays
                     if sum(a * b for a, b in zip(normal, r)) == 0]
-            if sum(all(map(c.contains_vector, wall)) for c in f.cones) != 2:
+            if sum(all(map(c.contains_vector, wall)) for c in full) != 2:
                 return False
     return True
 
 
 def wild_fans(rng, rank):
     """Complete fans of rank `rank` and broken ones: cones dropped, cones
-    overlapping, cones that are not full dimensional, cones with lines."""
+    overlapping, cones that are not full dimensional, cones with lines;
+    the complete fan again with one of its rays listed as a cone."""
     if rank == 0:
         return [Fan([], [()], 0), Fan([], [], 0)]
     box = range(-2, 3)
@@ -449,7 +457,7 @@ def wild_fans(rng, rank):
                  for _ in range(rng.randrange(1, 5))]
     return [full, Fan(rays, dropped, rank), Fan(rays, overlapping, rank),
             Fan(rays, thin, rank), Fan(lined_rays, lined, rank),
-            Fan(rays, scattered, rank)]
+            Fan(rays, scattered, rank), Fan(rays, cones + [cones[0][:1]], rank)]
 
 
 def test_is_complete_matches_the_wall_tests_on_broken_fans():

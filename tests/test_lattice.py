@@ -510,6 +510,31 @@ def test_saturation():
     assert abs(full.det()) == 1
 
 
+
+def test_saturation_is_canonical():
+    # two bases of one lattice, the second the first times a random
+    # unimodular matrix, saturate to the same basis
+    rng = random.Random(20151)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n)
+        a = LatticeMap.from_cols(
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)],
+            nrows=n)
+        u = [[int(i == j) for j in range(k)] for i in range(k)]
+        for _ in range(3):
+            i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+            if i != j:
+                m = rng.randint(-2, 2)
+                for row in u:
+                    row[i] += m * row[j]
+            if rng.random() < 0.5:
+                for row in u:
+                    row[i] = -row[i]
+        b = a @ LatticeMap(u)
+        assert saturate_column_lattice(a) == saturate_column_lattice(b), a
+
+
 # ------------------------------------------------------- annihilators
 
 

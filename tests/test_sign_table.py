@@ -1,13 +1,15 @@
 """The sign-table certificates of `validate_fan` and `is_complete` against
 independent oracles.
 
-`validate_fan` passes a pair of cones with no intersection when one facet
-normal of one cone is nowhere positive on the other and exposes their
-meet as a face of both; `_separated` and a double description (DD) meet
-see every other pair.  These seeded tests check that a pair the sign
-table passes does meet in a face, that the verdicts and diagnostics equal
-the DD meet of every pair, and that on the plane `fan-validate` agrees
-with an angular sweep written here.
+`validate_fan` passes a pair of cones with no intersection when, for one
+cone, the sum of its facet normals that are nowhere positive on the other
+exposes their meet as a face of both (`fans._exposed`); a double
+description (DD) meet, `Cone._meets_in_a_face`, sees every other pair.
+These seeded tests check that a pair the sign table passes does meet in a
+face, that it passes every pair the earlier single-normal rule passed,
+that the verdicts and diagnostics equal the DD meet of every pair, and
+that on the plane `fan-validate` agrees with an angular sweep written
+here.
 """
 
 import io
@@ -18,10 +20,9 @@ import sys
 from collections import Counter
 from itertools import combinations
 
-import dualfan.fans
 from dualfan.cli import main
-from dualfan.fans import Fan, validate_fan
-from dualfan.polyhedra import primitive_vector
+from dualfan.fans import Fan, _exposed, _sign_table, validate_fan
+from dualfan.polyhedra import Cone, primitive_vector
 
 
 def random_pair(rng, rank):
@@ -47,13 +48,13 @@ def random_pair(rng, rank):
 def test_a_pair_the_sign_table_passes_meets_in_a_face(monkeypatch):
     rng = random.Random(20151)
     reached = []
-    real = dualfan.fans._separated
+    real = Cone._meets_in_a_face
 
     def counting(s, t):
         reached.append((s, t))
         return real(s, t)
 
-    monkeypatch.setattr(dualfan.fans, "_separated", counting)
+    monkeypatch.setattr(Cone, "_meets_in_a_face", counting)
     outcomes = Counter()
     for rank in (2, 3, 4):
         for _ in range(250):
@@ -61,7 +62,7 @@ def test_a_pair_the_sign_table_passes_meets_in_a_face(monkeypatch):
             s, t = f.cones
             del reached[:]
             v = validate_fan(f)
-            meets = s._meets_in_a_face(t)
+            meets = real(s, t)
             assert v.ok == meets, f
             if not reached:  # the sign table passed the pair
                 assert meets, f
@@ -70,7 +71,7 @@ def test_a_pair_the_sign_table_passes_meets_in_a_face(monkeypatch):
             outcomes[rank, not reached, meets, shared, low] += 1
     for rank in (2, 3, 4):
         # the table passes pairs with and without shared rays, with and
-        # without a lower-dimensional cone; others reach the fallbacks
+        # without a lower-dimensional cone; others reach the DD meet
         for shared in (False, True):
             for low in (False, True):
                 assert outcomes[rank, True, True, shared, low] >= 2, outcomes
@@ -78,6 +79,38 @@ def test_a_pair_the_sign_table_passes_meets_in_a_face(monkeypatch):
                    if r == rank and not table) >= 20, outcomes
         assert sum(n for (r, _, meets, *_), n in outcomes.items()
                    if r == rank and not meets) >= 20, outcomes
+
+
+def single_normal(signs, mine, other):
+    """The rule the summed certificate replaced: one facet normal of this
+    cone is nowhere positive on the other's rays, and the rays on which it
+    vanishes are either none of the other's or the shared rays exactly,
+    in both cones."""
+    shared = mine & other
+    return any(not pos & other and (not zero & other or (
+        zero & mine == zero & other == shared)) for pos, zero in signs)
+
+
+def test_the_summed_certificate_extends_the_single_normal_rule():
+    rng = random.Random(35317)
+    outcomes = Counter()
+    for rank in (2, 3, 4):
+        for _ in range(250):
+            f = random_pair(rng, rank)
+            _, (a, b), (sa, sb) = _sign_table(f)
+            single = single_normal(sa, a, b) or single_normal(sb, b, a)
+            summed = _exposed(sa, a, b) or _exposed(sb, b, a)
+            assert summed or not single, f
+            if summed:
+                s, t = f.cones
+                assert s._meets_in_a_face(t), f
+            outcomes[rank, single, summed] += 1
+    for rank in (2, 3, 4):
+        # some pairs pass by one normal, some only by the sum, some not
+        assert min(outcomes[rank, True, True], outcomes[rank, False, False]
+                   ) >= 20, outcomes
+    assert sum(n for (_, single, summed), n in outcomes.items()
+               if summed and not single) >= 5, outcomes
 
 
 def random_cone_fan(rng, rank):
@@ -121,8 +154,7 @@ def sweep(rays, cones):
     each inside or outside each sector.  The fan condition fails when a
     cone holds a line, an arc lies in two sectors, or a one-ray cone lies
     strictly inside a sector.  A valid fan is complete when every arc
-    lies in a sector and, as `is_complete` asks of a fan, every maximal
-    cone is full dimensional."""
+    lies in a sector: the one-ray cones cover no arc."""
     order = sorted(range(len(rays)), key=lambda k: angle(rays[k]))
     place = {k: p for p, k in enumerate(order)}
     n = len(rays)
@@ -147,7 +179,7 @@ def sweep(rays, cones):
                 inside.add(order[p])
     ok = max(cover.values(), default=0) <= 1 and not any(
         len(c) == 1 and c[0] in inside for c in cones)
-    return ok, ok and len(cover) == n and all(len(c) == 2 for c in cones)
+    return ok, ok and len(cover) == n
 
 
 def random_plane_fan(rng):

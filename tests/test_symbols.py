@@ -15,28 +15,16 @@ def p(name, power=1, coeff=1):
 
 
 def test_constants_and_zero():
-    assert ParamPoly.zero().is_zero()
-    assert ParamPoly.constant(0) == ParamPoly.zero()
-    assert ParamPoly.constant(3) + ParamPoly.constant(-3) == ParamPoly.zero()
-    assert str(ParamPoly.zero()) == "0"
+    assert ParamPoly().is_zero()
+    assert ParamPoly.constant(0) == ParamPoly()
+    assert ParamPoly.constant(3) + ParamPoly.constant(-3) == ParamPoly()
+    assert str(ParamPoly()) == "0"
     assert str(ParamPoly.constant(-7)) == "-7"
 
 
-def test_arithmetic_identities():
-    q = p("q")
-    one = ParamPoly.constant(1)
-    assert (one + q) * (one - q) == one - q * q
-    assert q - q == ParamPoly.zero()
-    assert -(-q) == q
-    assert 2 * q == q + q
-    assert sum([q, one, -q]) == one
-
-
 def test_laurent_exponents_cancel():
-    q = p("q")
-    qinv = p("q", power=-1)
-    assert q * qinv == ParamPoly.constant(1)
-    assert str(qinv) == "q^-1"
+    assert ParamPoly([((("q", 1), ("q", -1)), 1)]) == ParamPoly.constant(1)
+    assert str(p("q", power=-1)) == "q^-1"
     assert str(p("q", power=-1, coeff=-1)) == "-q^-1"
 
 
@@ -45,7 +33,7 @@ def test_string_form_is_canonical():
     assert str(psi) == "-5*psi"
     mixed = p("b") + p("a") + ParamPoly.constant(2)
     assert str(mixed) == "2 + a + b"
-    assert str(p("a") * p("a")) == "a^2"
+    assert str(ParamPoly([((("a", 1), ("a", 1)), 1)])) == "a^2"
 
 
 def test_name_validation():
@@ -63,7 +51,7 @@ def test_hash_and_equality_are_structural():
 
 
 def test_potential_merges_and_drops_zeros():
-    w = Potential([((1, 0), 1), ((1, 0), 2), ((0, 1), ParamPoly.zero())])
+    w = Potential([((1, 0), 1), ((1, 0), 2), ((0, 1), ParamPoly())])
     assert w.support == ((1, 0),)
     assert dict(w.terms) == {(1, 0): ParamPoly.constant(3)}
     assert w.terms
@@ -87,7 +75,7 @@ def _reference_potential_terms(terms):
         exponent = tuple(int(x) for x in exponent)
         if not isinstance(coeff, ParamPoly):
             coeff = ParamPoly.constant(coeff)
-        acc[exponent] = acc.get(exponent, ParamPoly.zero()) + coeff
+        acc[exponent] = acc.get(exponent, ParamPoly()) + coeff
     return tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
 
 
@@ -100,7 +88,7 @@ def _random_coefficient(rng):
     if kind == 2:
         return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
     if kind == 3:
-        return ParamPoly.zero()
+        return ParamPoly()
     if kind == 4:
         return ParamPoly.constant(rng.randint(-2, 2))
     return p(rng.choice("qst"), rng.randint(-2, 2), rng.randint(-2, 2))
@@ -133,8 +121,8 @@ def test_potential_matches_the_reference_constructor():
 
 
 @pytest.mark.parametrize("terms", [
-    [((1, 0), 0), ((0, 1), Fraction(0)), ((2, 0), ParamPoly.zero())],
-    [((1, 0), 2), ((1, 0), -2), ((0, 1), p("q")), ((0, 1), -p("q"))],
+    [((1, 0), 0), ((0, 1), Fraction(0)), ((2, 0), ParamPoly())],
+    [((1, 0), 2), ((1, 0), -2), ((0, 1), p("q")), ((0, 1), p("q", coeff=-1))],
     [((1, 1), 1), ((1, 1), Fraction(3, 1)), ((1, 1), p("q")),
      ((0, 0), Fraction(-2)), ((0, 0), ParamPoly.constant(2))],
     [((1, 0), Fraction(1, 2)), ((1, 0), 0), ((1, 0), 5)],
