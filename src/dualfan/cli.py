@@ -41,9 +41,14 @@ class InputError(ValueError):
     """A job payload that cannot be interpreted."""
 
 
-class _SmallIntRows(list):
-    """Rows of exact ints, each strictly between -2^53 and 2^53, as
-    vouched for by whoever built the list; `_jsonable` passes it whole."""
+class _JsonText:
+    """A JSON value already written as canonical text, allowed only as a
+    top-level report value; `canonical_json` splices it in unchanged."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
 
 
 def _jsonable(x):
@@ -52,10 +57,6 @@ def _jsonable(x):
     if type(x) is int:
         return x if -_INT_LIMIT < x < _INT_LIMIT else str(x)
     if isinstance(x, (list, tuple)):
-        # its builder already proved what the test below would, so the
-        # list costs one type test, not a pass over every entry
-        if type(x) is _SmallIntRows:
-            return x
         # a row of small exact ints is already its own JSON value: json
         # writes an exact int with int.__repr__ and a tuple as an array,
         # and the exact-type test leaves bool, int subclasses and Fraction
@@ -78,22 +79,42 @@ def _jsonable(x):
 
 
 # No cycle markers: `_jsonable` returns a fresh tree of dicts and lists
-# around the caller's int rows, and it walks every container first but a
-# `_SmallIntRows`, whose rows hold only ints, so a cyclic report raises
-# RecursionError before the encoder runs.  A row shared at two places is
-# not a cycle and encodes twice, as with markers.  A section polytope's
-# point list reaches the encoder as it is, so its report costs the
-# encoder's own pass and a few vertex comparisons.
+# around the caller's int rows, and it walks every container first, so a
+# cyclic report raises RecursionError before the encoder runs.  A row
+# shared at two places is not a cycle and encodes twice, as with markers.
+# A section polytope's point list never reaches the encoder: the report
+# holds it as `_JsonText` written from the sweep's runs, the encoder
+# writes the placeholder "\0" in its place, and the text is spliced in
+# there, so its report costs one pass over the runs and a few vertex
+# comparisons.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             check_circular=False)
+_SPLICE = _ENCODER.encode("\0")
 
 
 def canonical_json(obj) -> str:
+    texts = ()
+    if type(obj) is dict and _JsonText in map(type, obj.values()):
+        # (key, text) in the order the encoder writes the keys
+        texts = sorted((str(k), v.text) for k, v in obj.items()
+                       if type(v) is _JsonText)
+        obj = {k: "\0" if type(v) is _JsonText else v
+               for k, v in obj.items()}
     try:
         tree = _jsonable(obj)
     except ValueError:  # `str` of an int past the decimal digit limit
         raise _too_many_digits("a reported integer") from None
-    return _ENCODER.encode(tree) + "\n"
+    out = _ENCODER.encode(tree)
+    if not texts:
+        return out + "\n"
+    parts = out.split(_SPLICE)
+    if len(parts) != len(texts) + 1:
+        raise InternalError(f"the report encodes to {len(parts) - 1} JSON "
+                            f"text placeholders for {len(texts)} texts")
+    pieces = [parts[0]]
+    for (_, text), part in zip(texts, parts[1:]):
+        pieces += (text, part)
+    return "".join(pieces) + "\n"
 
 
 def _too_many_digits(what):
@@ -360,22 +381,51 @@ def _cmd_quintic(payload, height_bound):
     return body, not rep.passed
 
 
+def _runs_json(runs):
+    """(count, JSON text) of the points of `_sweep`'s runs, all small
+    exact ints: each prefix is written once per run, and each last
+    coordinate once, into a table every run slices, unless the table
+    would hold more entries than there are points."""
+    if not runs:
+        return 0, "[]"
+    count = sum(last - first for _, first, last in runs) + len(runs)
+    base = min(first for _, first, _ in runs)
+    top = max(last for _, _, last in runs)
+    # an f-string writes an int faster than a `str` call does
+    table = [f"{k}" for k in range(base, top + 1)] if top - base < count \
+        else None
+    out = []
+    for prefix, first, last in runs:
+        head = "[" + ",".join([*map(str, prefix), ""])
+        cells = map(str, range(first, last + 1)) if table is None \
+            else table[first - base:last - base + 1]
+        out.append(head + ("]," + head).join(cells) + "]")
+    return count, "[" + ",".join(out) + "]"
+
+
 def _cmd_section_polytope(payload, height_bound):
     fan, warnings = parse_fan(_require(payload, "fan", "job"))
     divisor = _parse_divisor(fan, _require(payload, "divisor", "job"),
                              "divisor")
     poly = section_polytope(divisor)
-    points = poly.lattice_points()
-    # the points are tuples of exact ints inside the vertex box, so a box
-    # strictly inside ±2^53 vouches for every entry; a box that reaches
-    # the limit leaves the list to `_jsonable`'s own walk
+    # the points are exact ints inside the vertex box, so a box strictly
+    # inside ±2^53 vouches for every entry and its runs are written as
+    # text; a box that reaches the limit, or rank 0, leaves the list to
+    # `_jsonable`'s own walk
+    runs = None
     if all(-_INT_LIMIT < x < _INT_LIMIT for v in poly.vertices for x in v):
-        points = _SmallIntRows(points)
+        runs = poly._runs()
+    if runs is None:
+        points = poly.lattice_points()
+        count = len(points)
+    else:
+        count, text = _runs_json(runs)
+        points = _JsonText(text)
     body = {
         "cartier": is_cartier(divisor) is not None,
         "vertices": poly.vertices,
         "lattice_points": points,
-        "count": len(points),
+        "count": count,
         "warnings": warnings,
     }
     return body, False

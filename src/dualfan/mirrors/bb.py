@@ -22,7 +22,7 @@ from .._value import InternalError, Value
 from ..fans import Fan, _covers, is_dual_pair, relabel_fan
 from ..lattice import (LatticeMap, _dot, _integer, _lattice_vector,
                        int_inverse, kernel_basis, solve_integer)
-from ..polyhedra import Cone, Polytope, _sweep
+from ..polyhedra import Cone, Polytope, _points, _sweep
 from ..toric_lg import (
     AuxiliaryLG,
     ToricDivisor,
@@ -75,8 +75,8 @@ def _slice_points(cone, functional, h):
     rows = [(*n, 0) for n in cone.facet_normals]
     rows.append((*functional, -h))
     rows.append((*(-x for x in functional), h))
-    return _sweep(rows, [h * min(c) for c in zip(*rays)],
-                  [h * max(c) for c in zip(*rays)])
+    return _points(_sweep(rows, [h * min(c) for c in zip(*rays)],
+                          [h * max(c) for c in zip(*rays)]))
 
 
 def _dominance_masks(normals, points):

@@ -307,8 +307,10 @@ _SHORT_RUN = 8
 
 def _sweep(rows, lo, hi):
     """The integer points m of the box lo ≤ m ≤ hi with a·m + ℓ ≥ 0 for
-    every row (*a, ℓ) of integers, lexicographically sorted; the box
-    has at least one coordinate.
+    every row (*a, ℓ) of integers, as runs (prefix, first, last) of
+    exact ints: a run stands for the points prefix + (k,), first ≤ k ≤
+    last.  The runs are nonempty and lexicographically sorted, and so
+    are the points they stand for; the box has at least one coordinate.
 
     Integer interval sweep over the coordinates, depth first.  Each row
     carries a running partial sum ℓ + Σ_{i<d} a_i·m_i down the sweep.
@@ -316,12 +318,9 @@ def _sweep(rows, lo, hi):
     the box, a row admits exactly the values k of coordinate d with
     sum + a_d·k + R_d ≥ 0: a floor or ceiling division.  Intersecting
     these bounds gives one interval per node, so no value outside it is
-    tried.  The last coordinate emits its interval whole, each point a
-    tuple of exact ints: a long run zips the prefix, repeated, with the
-    interval's `range`, which builds each point in C, and a short one
-    (most runs of a `bb` height slice) concatenates per point, which
-    costs less to start.  Values run upwards at every depth, which
-    makes the output lexicographic without sorting.
+    tried.  The last coordinate's interval is the run, so no point is
+    built here (`_points` builds them).  Values run upwards at every
+    depth, which makes the output lexicographic without sorting.
     """
     n = len(lo)
     sums = [row[n] for row in rows]
@@ -352,10 +351,8 @@ def _sweep(rows, lo, hi):
             else:
                 last = min(last, t // -c)
         if d == n - 1:
-            run = range(first, last + 1)
-            out.extend(zip(*map(repeat, prefix), run)
-                       if last - first >= _SHORT_RUN
-                       else (prefix + (k,) for k in run))
+            if first <= last:
+                out.append((prefix, first, last))
             return
         moved = [(r, c, sums[r]) for r, c, _ in active[d]]
         for k in range(first, last + 1):
@@ -369,6 +366,20 @@ def _sweep(rows, lo, hi):
     # `sweep` refers to itself through its closure cell: the cycle would
     # keep `out` alive until the collector runs
     del sweep
+    return out
+
+
+def _points(runs):
+    """The points of `_sweep`'s runs, in order, each a tuple of exact
+    ints.  A long run zips the prefix, repeated, with the run's `range`,
+    which builds each point in C; a short one (most runs of a `bb`
+    height slice) concatenates per point, which costs less to start."""
+    out = []
+    for prefix, first, last in runs:
+        run = range(first, last + 1)
+        out.extend(zip(*map(repeat, prefix), run)
+                   if last - first >= _SHORT_RUN
+                   else (prefix + (k,) for k in run))
     return out
 
 
@@ -445,15 +456,22 @@ class Polytope(Value):
         )
 
     def lattice_points(self):
-        """All integer points, as tuples of ints, lexicographically
-        sorted: `_sweep` over the H-rep inside the vertex bounding box."""
+        """All integer points, as tuples of exact ints, lexicographically
+        sorted: the points of `_runs`."""
+        runs = self._runs()
+        return [()] if runs is None else _points(runs)
+
+    def _runs(self):
+        """`_sweep`'s runs over the H-rep inside the vertex bounding box,
+        or None in rank 0, where the one point () has no last
+        coordinate."""
         if not self.bounded:
             raise ValueError("unbounded")
         if not self.vertices:
             return []
         n = self.ambient_rank
         if n == 0:
-            return [()]
+            return None
         lo = []
         hi = []
         for i in range(n):

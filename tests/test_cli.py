@@ -27,9 +27,11 @@ import dualfan.cli
 import dualfan.mirrors.bb
 import dualfan.mirrors.givental
 import dualfan.mirrors.quintic
+import dualfan.polyhedra
+from dualfan._value import InternalError
 from dualfan.cli import canonical_json, emit_fan, main, parse_fan
 from dualfan.fans import Fan, projective_space_fan
-from dualfan.polyhedra import Polytope
+from dualfan.toric_lg import ToricDivisor, section_polytope
 
 ORTHANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
 LINE = {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
@@ -163,6 +165,32 @@ def test_a_shared_value_encodes_at_each_place_and_a_cycle_still_raises():
     knot["k"] = [knot]
     with pytest.raises(RecursionError):
         canonical_json(knot)
+
+
+def test_json_text_is_spliced_in_as_the_expanded_value():
+    points = [(1, -2), (1, -1), (3, 0)]
+    text = dualfan.cli._JsonText(json.dumps(points, separators=(",", ":")))
+    other = dualfan.cli._JsonText("[[7]]")
+    for report in ({"lattice_points": text},
+                   {"b": text, "a": "\u0001", "c": [1, (2, 2 ** 60)]},
+                   {"z": text, "count": 3, "0": Fraction(1, 2), "y": other}):
+        expanded = {k: points if v is text else [[7]] if v is other else v
+                    for k, v in report.items()}
+        assert canonical_json(report) == _reference_canonical_json(expanded)
+    # only a top-level report value may be text
+    with pytest.raises(TypeError, match="_JsonText"):
+        canonical_json({"rows": [text]})
+
+
+@pytest.mark.parametrize("holder", ["\0", '"\0', ["\0"], {"k": "\0"}])
+def test_a_report_string_holding_the_placeholder_is_an_internal_error(
+        holder):
+    text = dualfan.cli._JsonText("[[0]]")
+    with pytest.raises(InternalError):
+        canonical_json({"lattice_points": text, "warnings": holder})
+    # without text to splice in, a NUL is an ordinary character
+    assert canonical_json({"warnings": holder}) == _reference_canonical_json(
+        {"warnings": holder})
 
 
 def test_small_integer_rows_are_encoded_as_they_are():
@@ -526,13 +554,13 @@ def test_section_polytope_command(capsys, monkeypatch):
 
 def test_section_polytope_enumerates_once(capsys, monkeypatch):
     calls = []
-    enumerate_points = Polytope.lattice_points
+    sweep = dualfan.polyhedra._sweep
 
-    def counted(poly):
-        calls.append(poly)
-        return enumerate_points(poly)
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
 
-    monkeypatch.setattr(Polytope, "lattice_points", counted)
+    monkeypatch.setattr(dualfan.polyhedra, "_sweep", counted)
     for coeffs in ([0, 0, 1], [2, 1, 3]):
         calls.clear()
         job = {"fan": PLANE, "divisor": {"coeffs": coeffs}}
@@ -588,12 +616,15 @@ def test_section_points_near_2_53_match_the_reference_walk(capsys,
     payload = {"fan": fan, "divisor": {"coeffs": coeffs}}
     body, failed = dualfan.cli._cmd_section_polytope(payload, 3)
     assert not failed and body["count"] > 0
-    points = body["lattice_points"]
-    assert (type(points) is dualfan.cli._SmallIntRows) == vouched
+    assert (type(body["lattice_points"]) is dualfan.cli._JsonText) == vouched
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
     assert main(["section-polytope", "-"]) == 0
     out = capsys.readouterr().out
-    report = {"schema_version": 1, "command": "section-polytope", **body}
+    divisor = ToricDivisor(parse_fan(fan)[0], coeffs)
+    points = section_polytope(divisor).lattice_points()
+    assert body["count"] == len(points)
+    report = {"schema_version": 1, "command": "section-polytope", **body,
+              "lattice_points": points}
     assert out == _reference_canonical_json(report)
     if case == "straddling":
         assert '"lattice_points":[[%d],["%d"]]' % (_LIMIT - 1, _LIMIT) in out

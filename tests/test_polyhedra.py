@@ -7,6 +7,7 @@ No oracle shares code with the implementation, except that `is_face_of`
 is also checked against its earlier definition through Cone methods.
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +17,7 @@ from math import comb, floor
 import numpy as np
 import pytest
 
+import dualfan.cli
 import dualfan.polyhedra
 from dualfan.lattice import LatticeMap, hnf, kernel_basis
 from dualfan.polyhedra import (
@@ -864,8 +866,9 @@ def test_lattice_points_match_box_scan_on_fractional_vertices():
                 p.lattice_points(), box_scan(vertex_box(p), p.hrep))
 
 
-def test_lattice_points_match_box_scan_on_fractional_hrep():
-    rng = random.Random(4713)
+def fractional_hrep_polytopes(rng):
+    """(polytope, its box, its H-rep pairs): 16 seeded polytopes per rank
+    0..4 with fractional offsets, some of them slices or empty."""
     for rank in range(5):
         bound = 6 if rank < 3 else 3
         for _ in range(16):
@@ -884,13 +887,41 @@ def test_lattice_points_match_box_scan_on_fractional_hrep():
                 # a hyperplane slice, often without lattice points
                 a, off = pairs[-1]
                 pairs.append((tuple(-x for x in a), -off))
-            p = Polytope.from_hrep(pairs, rank)
-            expected = box_scan(box, pairs)
-            if not p.vertices:
-                assert expected == []
-                assert p.lattice_points() == []
-                continue
-            assert_sweep_matches(p.lattice_points(), expected)
+            yield Polytope.from_hrep(pairs, rank), box, pairs
+
+
+def test_lattice_points_match_box_scan_on_fractional_hrep():
+    for p, box, pairs in fractional_hrep_polytopes(random.Random(4713)):
+        expected = box_scan(box, pairs)
+        if not p.vertices:
+            assert expected == []
+            assert p.lattice_points() == []
+            continue
+        assert_sweep_matches(p.lattice_points(), expected)
+
+
+def test_run_text_and_count_match_the_point_list():
+    polytopes = [p for p, _, _ in
+                 fractional_hrep_polytopes(random.Random(4713))]
+    polytopes += [
+        Polytope.from_vertices([(F(1, 2), 4)]),  # empty
+        Polytope.from_vertices([(3, -2, 5)]),  # one point
+        Polytope.from_vertices([(-7,), (F(5, 2),)]),  # rank 1
+        Polytope.from_vertices([(-9, -1), (-3, -8), (-5, -2)]),
+        # two points 40 apart in the last coordinate: no shared table
+        Polytope.from_vertices([(0, 0, -3), (1, -1, 37)]),
+    ]
+    for p in polytopes:
+        runs = p._runs()
+        if runs is None:  # rank 0
+            assert p.lattice_points() == [()]
+            continue
+        points = p.lattice_points()
+        count, text = dualfan.cli._runs_json(runs)
+        assert text == json.dumps(points, separators=(",", ":"))
+        assert count == len(points)
+        assert all(first <= last for _, first, last in runs)
+        assert all(r < s for r, s in zip(runs, runs[1:]))
 
 
 def test_lattice_points_on_points_slices_and_rank_zero():
